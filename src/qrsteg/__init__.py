@@ -14,7 +14,6 @@ from .elgamal import (
     ElGamalPrivate,
     ElGamalPublic,
     keygen,
-    modpow,
     stream_decrypt,
     stream_encrypt,
 )

@@ -6,7 +6,7 @@ overhead), then measures recovered-payload SSIM under each configured
 noise attack, averaged over frames, noise seeds, and clips.
 
 Repeated extraction of the same clip reuses one regenerated keystream
-cache per frame, since noise changes the carried bits, never the keys.
+per frame, since noise changes the carried bits, never the keys.
 """
 
 from __future__ import annotations
@@ -18,12 +18,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attacks import AttackSpec, attack_video
-from .bitplane import PackedPayload, payload_from_bits, render, unpack
-from .elgamal import ElGamalPrivate, ElGamalPublic, regenerate_keystream, xor_bytes
+from .bitplane import render
+from .elgamal import ElGamalPrivate, ElGamalPublic
 from .errors import FormatError
 from .permute import StegoKey, derive_seed
 from .quality import QualityReport, ssim
-from .stego import QR_LEVELS, FrameCoder, StegoConfig, clip_cover, embed_video, new_sidecar
+from .stego import (
+    QR_LEVELS,
+    FrameCoder,
+    StegoConfig,
+    clip_cover,
+    decrypt_streams,
+    embed_video,
+    frame_keystreams,
+    new_sidecar,
+)
 from .synth import qr_like_plane
 from .videoio import read_y4m
 
@@ -67,28 +76,6 @@ def _load_clip(path: Path, max_frames: int | None):
             if max_frames is not None and len(out) >= max_frames:
                 break
     return meta, out
-
-
-def _keystream_cache(sidecar, pub: ElGamalPublic, priv: ElGamalPrivate, limit: int):
-    cache = []
-    for record in sidecar.frames[:limit]:
-        cache.append(
-            {
-                level: regenerate_keystream(tuple(record[level]), pub.p, priv, sidecar.plain_len)
-                for level in QR_LEVELS
-            }
-        )
-    return cache
-
-
-def _decode_frame(coder: FrameCoder, frame, keys_by_level, qw: int, qh: int):
-    streams = coder.extract(frame)
-    planes = {}
-    for level in QR_LEVELS:
-        packed = payload_from_bits(streams[level])
-        plain = xor_bytes(packed.data, keys_by_level[level])
-        planes[level] = unpack(PackedPayload(bit_count=qw * qh, data=plain), qw, qh)
-    return planes
 
 
 def run(
@@ -160,21 +147,19 @@ def run(
         )
 
         subset = stego_frames[: min(robust_frames, count)]
-        cache = _keystream_cache(sidecar, pub, priv, len(subset))
-
-        for i, frame in enumerate(subset):  # no-attack baseline
-            planes = _decode_frame(coder, frame, cache[i], qw, qh)
-            for level in QR_LEVELS:
-                record("none", level, ssim(references[level], render(planes[level])))
-
-        for attack_index, spec in enumerate(attack_specs):
-            for seed_index in range(attack_seeds):
-                noise_seed = derive_seed(seed, _ATTACK_SALT, attack_index, seed_index)
-                noisy = attack_video(subset, [spec], noise_seed)
-                for i, frame in enumerate(noisy):
-                    planes = _decode_frame(coder, frame, cache[i], qw, qh)
-                    for level in QR_LEVELS:
-                        record(spec.label(), level, ssim(references[level], render(planes[level])))
+        keys = [
+            frame_keystreams(rec, cfg, sidecar.plain_len) for rec in sidecar.frames[: len(subset)]
+        ]
+        copies = [("none", subset)] + [  # no-attack baseline, then lazily attacked copies
+            (spec.label(), attack_video(subset, [spec], derive_seed(seed, _ATTACK_SALT, a, s)))
+            for a, spec in enumerate(attack_specs)
+            for s in range(attack_seeds)
+        ]
+        for label, copy in copies:
+            for i, frame in enumerate(copy):
+                planes = decrypt_streams(coder.extract(frame), keys[i], qw, qh).planes
+                for level in QR_LEVELS:
+                    record(label, level, ssim(references[level], render(planes[level])))
         print(f"bench: {clip.name}: {count} frames done", file=sys.stderr)
 
     labels = ["none"] + [spec.label() for spec in attack_specs]

@@ -69,13 +69,8 @@ def unpack(payload: PackedPayload, width: int, height: int) -> QrPlane:
     return QrPlane(width=width, height=height, bits=bits.reshape(height, width))
 
 
-def bits_of(payload: PackedPayload) -> np.ndarray:
-    """Flat uint8 {0,1} view of the payload's bits, padding excluded."""
-    return np.unpackbits(np.frombuffer(payload.data, dtype=np.uint8), count=payload.bit_count)
-
-
 def payload_from_bits(bits: np.ndarray) -> PackedPayload:
-    """Inverse of bits_of; pads the final byte with zero bits."""
+    """Pack a flat {0,1} bit array MSB-first; pads the final byte with zero bits."""
     return PackedPayload(bit_count=int(bits.size), data=np.packbits(bits).tobytes())
 
 

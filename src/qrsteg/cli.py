@@ -9,11 +9,11 @@ problems, and 5 for capacity problems.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import secrets
 import sys
-from collections import deque
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -92,6 +92,16 @@ def _refuse_overwrite(path: Path, force: bool) -> None:
         raise UsageError(f"{path} exists; pass --force to overwrite")
 
 
+def _make_key(rng, paper_fidelity: bool, bits: int, forced_x: int | None = None):
+    """The paper's demo parameters, or a fresh safe prime of the given size."""
+    if paper_fidelity:
+        p, alpha, factors = elgamal.DEMO_P, elgamal.DEMO_ALPHA, elgamal.DEMO_P_FACTORS
+    else:
+        p, alpha = elgamal.generate_key_params(bits, rng)
+        factors = (2, (p - 1) // 2)
+    return elgamal.keygen(p, alpha, rng, p_minus_1_factors=factors, forced_x=forced_x)
+
+
 def cmd_keygen(args) -> int:
     pub_path = Path(args.pub)
     priv_path = Path(args.priv)
@@ -99,15 +109,10 @@ def cmd_keygen(args) -> int:
     _refuse_overwrite(priv_path, args.force)
     seed = resolve_seed(args, required=False)
     rng = Splitmix64(derive_seed(seed, 0x4B4559)) if seed is not None else secrets.SystemRandom()
-    if args.paper_fidelity:
-        p, alpha, factors = elgamal.DEMO_P, elgamal.DEMO_ALPHA, elgamal.DEMO_P_FACTORS
-    else:
-        p, alpha = elgamal.generate_key_params(args.bits, rng)
-        factors = (2, (p - 1) // 2)
-    pub, priv = elgamal.keygen(p, alpha, rng, p_minus_1_factors=factors, forced_x=args.exponent)
+    pub, priv = _make_key(rng, args.paper_fidelity, args.bits, args.exponent)
     elgamal.save_public_key(pub, pub_path)
     elgamal.save_private_key(priv, priv_path)
-    print(f"wrote {pub_path} (p: {p.bit_length()} bits, alpha={pub.alpha}, y={pub.y})")
+    print(f"wrote {pub_path} (p: {pub.p.bit_length()} bits, alpha={pub.alpha}, y={pub.y})")
     print(f"wrote {priv_path}")
     return 0
 
@@ -121,29 +126,21 @@ def cmd_embed(args) -> int:
     coder = FrameCoder(key, meta.width, meta.height)
     sidecar = new_sidecar(cfg, coder, meta.frame_rate)
     report = QualityReport()
-    pending: deque = deque()
 
-    def tap(source):
-        for frame in source:
-            ref = clip_cover(frame)
-            pending.append((mse(frame, ref), ref))
-            yield frame
-
-    def measured(source):
-        for stego_frame in source:
-            clip_m, ref = pending.popleft()
+    def measured():
+        # embed_video pulls one cover per stego frame, so tee buffers one frame at most.
+        covers, feed = itertools.tee(frames)
+        stego = embed_video(feed, [qr_set], cfg, coder=coder, sidecar=sidecar)
+        for cover, stego_frame in zip(covers, stego):
+            ref = clip_cover(cover)
+            report.clip_mse.append(mse(cover, ref))
             report.add_frame(ref, stego_frame)
-            report.clip_mse.append(clip_m)
             yield stego_frame
 
     out_path = Path(args.output)
     try:
         with open(out_path, "wb") as out:
-            count = write_y4m(
-                meta,
-                measured(embed_video(tap(frames), [qr_set], cfg, coder=coder, sidecar=sidecar)),
-                out,
-            )
+            count = write_y4m(meta, measured(), out)
     finally:
         handle.close()
     if count == 0:
@@ -264,13 +261,7 @@ def cmd_bench(args) -> int:
         raise UsageError("bench needs both --pub and --priv, or neither")
     else:
         rng = Splitmix64(derive_seed(seed, 0x42454E4348))
-        if args.paper_fidelity:
-            pub, priv = elgamal.keygen(
-                elgamal.DEMO_P, elgamal.DEMO_ALPHA, rng, p_minus_1_factors=elgamal.DEMO_P_FACTORS
-            )
-        else:
-            p, alpha = elgamal.generate_key_params(args.bits, rng)
-            pub, priv = elgamal.keygen(p, alpha, rng, p_minus_1_factors=(2, (p - 1) // 2))
+        pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
     result = bench_mod.run(
         dataset=Path(args.input),
         pub=pub,

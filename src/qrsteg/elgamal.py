@@ -34,22 +34,6 @@ def _sieve_primes(limit: int = 2000) -> list[int]:
     return _SIEVE_PRIMES
 
 
-def modpow(base: int, exp: int, modulus: int) -> int:
-    """Square-and-multiply base**exp mod modulus, result in [0, modulus)."""
-    if modulus < 2:
-        raise CryptoError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise CryptoError("exponent must be non-negative")
-    result = 1
-    base %= modulus
-    while exp:
-        if exp & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exp >>= 1
-    return result
-
-
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     """Miller-Rabin with the given number of random rounds."""
     if n < 2:
@@ -103,7 +87,7 @@ class ElGamalPublic:
             for q in p_minus_1_factors:
                 if (self.p - 1) % q != 0:
                     raise CryptoError(f"{q} does not divide p - 1")
-                if modpow(self.alpha, (self.p - 1) // q, self.p) == 1:
+                if pow(self.alpha, (self.p - 1) // q, self.p) == 1:
                     raise CryptoError(f"alpha is not a primitive root of p (order divides (p-1)/{q})")
 
 
@@ -112,6 +96,10 @@ class ElGamalPrivate:
     """Receiver private exponent."""
 
     x: int
+
+    def __post_init__(self):
+        if self.x < 1:
+            raise CryptoError(f"private exponent {self.x} must be positive")
 
 
 @dataclass(frozen=True)
@@ -128,14 +116,11 @@ class CipherBundle:
     ciphertext: bytes
     plain_len: int
 
-    def validate(self, p: int) -> None:
+    def validate(self) -> None:
         if len(self.ciphertext) != self.plain_len:
             raise CryptoError("ciphertext length disagrees with plain_len")
         if self.plain_len > 0 and not self.sender_publics:
             raise CryptoError("bundle carries payload but no sender public values")
-        for d in self.sender_publics:
-            if not 0 < d < p:
-                raise CryptoError(f"sender public value {d} out of range (0, p)")
 
 
 @dataclass(frozen=True)
@@ -144,7 +129,6 @@ class Keystream:
 
     sender_publics: tuple[int, ...]
     key_bytes: bytes
-    exponents: tuple[int, ...] | None = None  # retained only when captured for tests
 
 
 # Paper-scale demo parameters, small enough to brute-force in tests.
@@ -167,7 +151,7 @@ def keygen(p: int, alpha: int, rng, *, p_minus_1_factors: tuple[int, ...] | None
     x = forced_x if forced_x is not None else rng.randrange(2, p - 2)
     if not 1 < x < p - 2:
         raise CryptoError(f"private exponent {x} out of range (1, p - 2)")
-    pub = ElGamalPublic(p=p, alpha=alpha, y=modpow(alpha, x, p))
+    pub = ElGamalPublic(p=p, alpha=alpha, y=pow(alpha, x, p))
     pub.validate(p_minus_1_factors)
     return pub, ElGamalPrivate(x=x)
 
@@ -178,8 +162,8 @@ def classic_encrypt(m: int, pub: ElGamalPublic, k: int) -> tuple[int, int]:
         raise CryptoError(f"message unit {m} out of range [0, p - 1]")
     if not 1 < k < pub.p - 2:
         raise CryptoError(f"ephemeral exponent {k} out of range (1, p - 2)")
-    d = modpow(pub.alpha, k, pub.p)
-    z = modpow(pub.y, k, pub.p) * m % pub.p
+    d = pow(pub.alpha, k, pub.p)
+    z = pow(pub.y, k, pub.p) * m % pub.p
     return d, z
 
 
@@ -189,7 +173,9 @@ def classic_decrypt(d: int, z: int, pub: ElGamalPublic, priv: ElGamalPrivate) ->
         raise CryptoError(f"invalid ciphertext: d = {d} not in (0, p)")
     if not 0 <= z < pub.p:
         raise CryptoError(f"invalid ciphertext: z = {z} not in [0, p)")
-    r = modpow(d, pub.p - 1 - priv.x, pub.p)
+    if priv.x > pub.p - 1:
+        raise CryptoError(f"private exponent {priv.x} exceeds p - 1")
+    r = pow(d, pub.p - 1 - priv.x, pub.p)
     return r * z % pub.p
 
 
@@ -200,7 +186,7 @@ def int_to_bytes_le(v: int) -> bytes:
     return v.to_bytes((v.bit_length() + 7) // 8, "little")
 
 
-def keystream(pub: ElGamalPublic, nbytes: int, rng, *, capture_exponents: bool = False) -> Keystream:
+def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
     """Derive at least nbytes of key material, then truncate to exactly nbytes.
 
     Each draw picks a fresh ephemeral exponent k, records alpha^k mod p
@@ -211,24 +197,15 @@ def keystream(pub: ElGamalPublic, nbytes: int, rng, *, capture_exponents: bool =
     if nbytes < 0:
         raise CryptoError("requested key length is negative")
     publics: list[int] = []
-    exponents: list[int] = []
     parts: list[bytes] = []
     total = 0
     while total < nbytes:
         k = rng.randrange(2, pub.p - 2)
-        publics.append(modpow(pub.alpha, k, pub.p))
-        shared = modpow(pub.y, k, pub.p)
-        chunk = int_to_bytes_le(shared)
+        publics.append(pow(pub.alpha, k, pub.p))
+        chunk = int_to_bytes_le(pow(pub.y, k, pub.p))
         parts.append(chunk)
         total += len(chunk)
-        if capture_exponents:
-            exponents.append(k)
-    key = b"".join(parts)[:nbytes]
-    return Keystream(
-        sender_publics=tuple(publics),
-        key_bytes=key,
-        exponents=tuple(exponents) if capture_exponents else None,
-    )
+    return Keystream(sender_publics=tuple(publics), key_bytes=b"".join(parts)[:nbytes])
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -250,7 +227,10 @@ def stream_encrypt(plain: bytes, pub: ElGamalPublic, rng) -> CipherBundle:
 
 def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalPrivate, nbytes: int) -> bytes:
     """Receiver-side keystream: expand d^x mod p for every sender public value."""
-    parts = [int_to_bytes_le(modpow(d, priv.x, p)) for d in sender_publics]
+    for d in sender_publics:
+        if not 0 < d < p:
+            raise CryptoError(f"sender public value {d} out of range (0, p)")
+    parts = [int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics]
     key = b"".join(parts)
     if len(key) < nbytes:
         raise CryptoError(
@@ -261,7 +241,7 @@ def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalP
 
 def stream_decrypt(bundle: CipherBundle, p: int, priv: ElGamalPrivate) -> bytes:
     """Invert stream_encrypt using the receiver's private exponent."""
-    bundle.validate(p)
+    bundle.validate()
     key = regenerate_keystream(bundle.sender_publics, p, priv, bundle.plain_len)
     return xor_bytes(bundle.ciphertext, key)
 
@@ -287,7 +267,7 @@ def generate_key_params(bits: int, rng) -> tuple[int, int]:
         if is_probable_prime(q) and is_probable_prime(p):
             break
     for alpha in range(2, 1000):
-        if modpow(alpha, 2, p) != 1 and modpow(alpha, q, p) != 1:
+        if pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1:
             return p, alpha
     raise CryptoError("no generator found below 1000 (astronomically unlikely)")
 
@@ -335,54 +315,3 @@ def load_private_key(path: str | Path) -> ElGamalPrivate:
         return ElGamalPrivate(x=int(doc["x"]))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad private key fields in {path}: {exc}") from exc
-
-
-# --- bundle container ------------------------------------------------------
-#
-# Binary layout: magic "MECB", version byte, plain_len u64le, entry count
-# u64le, then per entry a u16le length followed by that many ASCII decimal
-# digits, then the raw ciphertext bytes.
-
-BUNDLE_MAGIC = b"MECB"
-BUNDLE_VERSION = 1
-
-
-def write_bundle(bundle: CipherBundle, stream) -> None:
-    stream.write(BUNDLE_MAGIC)
-    stream.write(bytes([BUNDLE_VERSION]))
-    stream.write(bundle.plain_len.to_bytes(8, "little"))
-    stream.write(len(bundle.sender_publics).to_bytes(8, "little"))
-    for d in bundle.sender_publics:
-        text = str(d).encode("ascii")
-        if len(text) > 0xFFFF:
-            raise FormatError("sender public value too large for bundle container")
-        stream.write(len(text).to_bytes(2, "little"))
-        stream.write(text)
-    stream.write(bundle.ciphertext)
-
-
-def _read_exact(stream, n: int, what: str) -> bytes:
-    data = stream.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated bundle: expected {n} bytes of {what}")
-    return data
-
-
-def read_bundle(stream) -> CipherBundle:
-    if _read_exact(stream, 4, "magic") != BUNDLE_MAGIC:
-        raise FormatError("not a cipher bundle (bad magic)")
-    version = _read_exact(stream, 1, "version")[0]
-    if version != BUNDLE_VERSION:
-        raise FormatError(f"unsupported bundle version {version}")
-    plain_len = int.from_bytes(_read_exact(stream, 8, "plain_len"), "little")
-    count = int.from_bytes(_read_exact(stream, 8, "entry count"), "little")
-    publics = []
-    for _ in range(count):
-        n = int.from_bytes(_read_exact(stream, 2, "entry length"), "little")
-        text = _read_exact(stream, n, "entry digits")
-        try:
-            publics.append(int(text.decode("ascii")))
-        except ValueError as exc:
-            raise FormatError(f"bad bundle entry: {text!r}") from exc
-    ciphertext = _read_exact(stream, plain_len, "ciphertext")
-    return CipherBundle(sender_publics=tuple(publics), ciphertext=ciphertext, plain_len=plain_len)

@@ -152,9 +152,3 @@ def invert(perm: Permutation) -> Permutation:
     inverse[fwd] = np.arange(n, dtype=np.int64)
     return Permutation(forward=inverse)
 
-
-def apply(perm: Permutation, values: np.ndarray) -> np.ndarray:
-    """Gather: result[i] = values[forward[i]]."""
-    if values.shape[0] != perm.n:
-        raise FormatError("permutation size does not match value count")
-    return values[perm.forward]

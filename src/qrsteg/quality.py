@@ -94,7 +94,6 @@ class QualityReport:
     embedded_bits: int = 0
     luma_pixels: int = 0
     clip_mse: list[float] = field(default_factory=list)  # cover vs clipped cover
-    qr_ssim: dict[str, float] = field(default_factory=dict)
 
     def add_frame(self, reference: FrameYuv420, stego: FrameYuv420) -> None:
         m = mse(reference, stego)
@@ -137,11 +136,6 @@ class QualityReport:
         )
         if self.luma_pixels:
             writer.writerow(["capacity_bpp", f"{self.capacity():.6f}", "", "", ""])
-        if self.qr_ssim:
-            writer.writerow([])
-            writer.writerow(["qr_level", "ssim", "", "", ""])
-            for level, value in self.qr_ssim.items():
-                writer.writerow([level, f"{value:.4f}", "", "", ""])
 
 
 def _fmt_psnr(value: float) -> str:

@@ -257,13 +257,12 @@ class Sidecar:
                 plain_len=int(doc["plain_len"]),
                 key_fingerprint=str(doc["key_fingerprint"]),
                 frame_rate=str(video.get("frame_rate", "25:1")),
-                frames=[
-                    {level: [int(d) for d in publics] for level, publics in record.items()}
-                    for record in doc["frames"]
-                ],
+                frames=[_frame_record(record) for record in doc["frames"]],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed sidecar field: {exc}") from exc
+        if side.plain_len != (side.qr_width * side.qr_height + 7) // 8:
+            raise FormatError(f"sidecar plain_len {side.plain_len} disagrees with the payload size")
         return side
 
     def write(self, path: str | Path) -> None:
@@ -276,6 +275,15 @@ class Sidecar:
         except OSError as exc:
             raise FormatError(f"cannot read sidecar {path}: {exc}") from exc
         return cls.from_json(text)
+
+
+def _frame_record(record) -> dict[str, list[int]]:
+    """One sidecar frame: exactly the four levels, each a list of public values."""
+    if not isinstance(record, dict) or set(record) != set(QR_LEVELS):
+        raise FormatError(f"sidecar frame must hold exactly the levels {', '.join(QR_LEVELS)}")
+    if not all(isinstance(publics, list) for publics in record.values()):
+        raise FormatError("sidecar public values must be lists")
+    return {level: [int(d) for d in record[level]] for level in QR_LEVELS}
 
 
 def new_sidecar(cfg: StegoConfig, coder: FrameCoder, frame_rate: str = "25:1") -> Sidecar:
@@ -328,17 +336,28 @@ class ExtractedSet:
     pad_clean: bool
 
 
-def decode_frame_streams(
-    streams: Mapping[str, np.ndarray],
-    publics_by_level: Mapping[str, Sequence[int]],
-    cfg: StegoConfig,
-    qr_width: int,
-    qr_height: int,
-    plain_len: int,
-) -> ExtractedSet:
-    """Decrypt extracted ciphertext bit streams back into payload planes."""
+def frame_keystreams(
+    publics_by_level: Mapping[str, Sequence[int]], cfg: StegoConfig, plain_len: int
+) -> dict[str, bytes]:
+    """Regenerate one frame's four keystreams from its sidecar record.
+
+    Noise changes the carried bits, never the keys, so callers decoding
+    several copies of a frame can regenerate once and reuse the result.
+    """
     if cfg.private is None:
         raise CryptoError("extraction requires the private key")
+    return {
+        level: elgamal.regenerate_keystream(
+            tuple(publics_by_level[level]), cfg.public.p, cfg.private, plain_len
+        )
+        for level in QR_LEVELS
+    }
+
+
+def decrypt_streams(
+    streams: Mapping[str, np.ndarray], keys: Mapping[str, bytes], qr_width: int, qr_height: int
+) -> ExtractedSet:
+    """XOR extracted ciphertext bit streams with their keystreams into payload planes."""
     bit_count = qr_width * qr_height
     planes: dict[str, QrPlane] = {}
     pad_clean = True
@@ -349,16 +368,12 @@ def decode_frame_streams(
                 f"level {level} stream has {bits.size} bits, payload needs {bit_count}"
             )
         packed = payload_from_bits(bits)
-        if len(packed.data) != plain_len:
+        key = keys[level]
+        if len(packed.data) != len(key):
             raise FormatError(
-                f"sidecar plain_len {plain_len} disagrees with payload size {len(packed.data)}"
+                f"level {level} keystream has {len(key)} bytes, payload needs {len(packed.data)}"
             )
-        bundle = CipherBundle(
-            sender_publics=tuple(publics_by_level[level]),
-            ciphertext=packed.data,
-            plain_len=plain_len,
-        )
-        plain = elgamal.stream_decrypt(bundle, cfg.public.p, cfg.private)
+        plain = elgamal.xor_bytes(packed.data, key)
         if bit_count % 8:
             # Pad bits are never transmitted, so after decryption they hold
             # keystream residue; report them for the caller's warning.
@@ -366,6 +381,19 @@ def decode_frame_streams(
             pad_clean = pad_clean and tail == 0
         planes[level] = unpack(PackedPayload(bit_count=bit_count, data=plain), qr_width, qr_height)
     return ExtractedSet(planes=planes, pad_clean=pad_clean)
+
+
+def decode_frame_streams(
+    streams: Mapping[str, np.ndarray],
+    publics_by_level: Mapping[str, Sequence[int]],
+    cfg: StegoConfig,
+    qr_width: int,
+    qr_height: int,
+    plain_len: int,
+) -> ExtractedSet:
+    """Decrypt extracted ciphertext bit streams back into payload planes."""
+    keys = frame_keystreams(publics_by_level, cfg, plain_len)
+    return decrypt_streams(streams, keys, qr_width, qr_height)
 
 
 def extract_video(

@@ -16,7 +16,6 @@ import pytest
 from conftest import ScriptedRng
 from qrsteg import bitplane, elgamal, synth
 from qrsteg.attacks import AttackSpec, attack_video
-from qrsteg.bench import _decode_frame, _keystream_cache
 from qrsteg.cli import main
 from qrsteg.elgamal import ElGamalPrivate, ElGamalPublic
 from qrsteg.permute import StegoKey, derive_seed, fnv1a64, invert, keyed_permutation
@@ -26,8 +25,10 @@ from qrsteg.stego import (
     FrameCoder,
     StegoConfig,
     clip_cover,
+    decrypt_streams,
     embed_video,
     extract_video,
+    frame_keystreams,
     get_lsb,
     new_sidecar,
     set_lsb,
@@ -188,14 +189,14 @@ def robustness_setup():
     coder = FrameCoder(cfg.key, width, height)
     sidecar = new_sidecar(cfg, coder)
     stego = list(embed_video(cover, [qr_set], cfg, coder=coder, sidecar=sidecar))
-    cache = _keystream_cache(sidecar, PUB, PRIV, len(stego))
+    keys = [frame_keystreams(record, cfg, sidecar.plain_len) for record in sidecar.frames]
     references = {lvl: bitplane.render(plane) for lvl, plane in qr_set.items()}
-    return coder, stego, cache, references, (qw, qh)
+    return coder, stego, keys, references, (qw, qh)
 
 
 @pytest.mark.parametrize("spec_text,threshold", ROBUSTNESS_ROWS)
 def test_c08_robustness_band(spec_text, threshold, robustness_setup):
-    coder, stego, cache, references, (qw, qh) = robustness_setup
+    coder, stego, keys, references, (qw, qh) = robustness_setup
     spec = AttackSpec.parse(spec_text)
     sums = {lvl: 0.0 for lvl in QR_LEVELS}
     count = 0
@@ -203,7 +204,7 @@ def test_c08_robustness_band(spec_text, threshold, robustness_setup):
     for seed_index in range(5):
         noise_seed = derive_seed(0xACCE97, seed_index, spec_tag)
         for i, frame in enumerate(attack_video(stego, [spec], noise_seed)):
-            planes = _decode_frame(coder, frame, cache[i], qw, qh)
+            planes = decrypt_streams(coder.extract(frame), keys[i], qw, qh).planes
             for lvl in QR_LEVELS:
                 sums[lvl] += ssim(references[lvl], bitplane.render(planes[lvl]))
         count += len(stego)

@@ -90,12 +90,12 @@ def test_roundtrip_property(w, h, seed):
     assert pack(plane).data == reference_pack(bits.reshape(-1))
 
 
-def test_bits_of_matches_packed_content():
+def test_payload_from_bits_matches_pack():
     bits = np.array([[1, 1, 0], [0, 1, 0]], dtype=np.uint8)
     plane = QrPlane(width=3, height=2, bits=bits)
-    flat = bitplane.bits_of(pack(plane))
-    assert flat.tolist() == [1, 1, 0, 0, 1, 0]
-    assert np.array_equal(bitplane.payload_from_bits(flat).data, pack(plane).data)
+    packed = bitplane.payload_from_bits(bits.reshape(-1))
+    assert packed.bit_count == 6
+    assert packed.data == pack(plane).data == bytes([0b11001000])
 
 
 def test_render_then_load_is_identity():

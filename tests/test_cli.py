@@ -323,3 +323,49 @@ def test_bench_empty_dataset_writes_headers_only(tmp_path):
                  "--paper-fidelity", "--seed", "0"]) == 0
     assert report.read_text().splitlines()[0].startswith("clip,")
     assert len(report.read_text().splitlines()) == 1
+
+
+def extract_args(ws, stego, priv=None):
+    return [
+        "extract", "--input", str(stego), "--output", str(ws["tmp"] / "rec"),
+        "--pub", str(ws["pub"]), "--priv", str(priv or ws["priv"]), "--seed", "1234",
+    ]
+
+
+def assert_one_error_line(capsys, code):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit"] == code
+
+
+@pytest.mark.parametrize("x", ["-3", "0"])
+def test_extract_rejects_non_positive_private_exponent(workspace, capsys, x):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    bad = ws["tmp"] / "bad.priv"
+    bad.write_text(json.dumps({"kind": "elgamal-private", "x": x}))
+    capsys.readouterr()
+    assert main(extract_args(ws, stego, priv=bad)) == 4
+    assert_one_error_line(capsys, 4)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda frame: frame.pop("H"),  # a frame missing a level
+        lambda frame: frame.update(Q="12"),  # a level that is not a list
+    ],
+    ids=["missing-level", "string-level"],
+)
+def test_extract_rejects_malformed_sidecar_frame(workspace, capsys, tamper):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    sidecar = ws["tmp"] / "stego.y4m.sidecar.json"
+    doc = json.loads(sidecar.read_text())
+    tamper(doc["frames"][1])
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(extract_args(ws, stego)) == 3
+    assert_one_error_line(capsys, 3)

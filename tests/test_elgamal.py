@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -16,12 +15,9 @@ from qrsteg.elgamal import (
     int_to_bytes_le,
     keygen,
     keystream,
-    modpow,
-    read_bundle,
     regenerate_keystream,
     stream_decrypt,
     stream_encrypt,
-    write_bundle,
     xor_bytes,
 )
 from qrsteg.errors import CryptoError, FormatError
@@ -38,44 +34,22 @@ TINY_PUB = ElGamalPublic(p=23, alpha=5, y=8)  # y = 5^6 mod 23
 TINY_PRIV = ElGamalPrivate(x=6)
 
 
-def naive_modpow(base, exp, modulus):
-    # O(exp) multiplication oracle, deliberately independent of modpow.
-    result = 1 % modulus
-    for _ in range(exp):
-        result = result * base % modulus
-    return result
+def test_regenerate_keystream_rejects_bad_modulus():
+    for p in (0, 1):
+        with pytest.raises(CryptoError):
+            regenerate_keystream((1,), p, PRIV, 1)
 
 
-def test_modpow_known_values():
-    assert modpow(809, 420, 997) == 12
-    assert modpow(809, 0, 997) == 1
-    # 10^2=8, 10^4=18, 10^8=2, 10^16=4 (mod 23) by repeated squaring
-    assert modpow(10, 16, 23) == 4
+def test_regenerate_keystream_rejects_out_of_range_publics():
+    for d in (0, 997, -3):
+        with pytest.raises(CryptoError):
+            regenerate_keystream((320, d), 997, PRIV, 2)
 
 
-def test_modpow_rejects_bad_modulus():
-    with pytest.raises(CryptoError):
-        modpow(2, 3, 1)
-    with pytest.raises(CryptoError):
-        modpow(2, 3, 0)
-
-
-def test_modpow_matches_naive_oracle_exhaustive_small():
-    for modulus in range(2, 64):
-        for base in range(64):
-            acc = 1 % modulus
-            for exp in range(64):
-                assert modpow(base, exp, modulus) == acc
-                acc = acc * base % modulus
-
-
-def test_modpow_matches_naive_oracle_random_8bit():
-    rng = random.Random(0xC0FFEE)
-    for _ in range(20_000):
-        base = rng.randrange(0, 256)
-        exp = rng.randrange(0, 256)
-        modulus = rng.randrange(2, 256)
-        assert modpow(base, exp, modulus) == naive_modpow(base, exp, modulus)
+def test_private_key_rejects_non_positive_exponent():
+    for x in (0, -3):
+        with pytest.raises(CryptoError):
+            ElGamalPrivate(x=x)
 
 
 def test_keygen_demo_key():
@@ -95,7 +69,7 @@ def test_keygen_definitional_invariants():
     for _ in range(25):
         pub, priv = keygen(997, 809, rng)
         assert 1 < priv.x < 995
-        assert pub.y == modpow(809, priv.x, 997)
+        assert pub.y == pow(809, priv.x, 997)
 
 
 def test_keygen_rejects_bad_parameters():
@@ -134,6 +108,8 @@ def test_classic_rejects_out_of_range():
         classic_encrypt(-1, TINY_PUB, 3)
     with pytest.raises(CryptoError):
         classic_decrypt(0, 5, TINY_PUB, TINY_PRIV)
+    with pytest.raises(CryptoError):  # would make the exponent p - 1 - x negative
+        classic_decrypt(10, 14, TINY_PUB, ElGamalPrivate(x=23))
 
 
 def test_classic_roundtrip_exhaustive_p23():
@@ -158,10 +134,11 @@ def test_int_to_bytes_le_rejects_non_positive():
 
 
 def test_keystream_demo_vector():
-    ks = keystream(PUB, 9, ScriptedRng(K_SEQUENCE), capture_exponents=True)
+    ks = keystream(PUB, 9, ScriptedRng(K_SEQUENCE))
     assert list(ks.sender_publics) == [320, 619, 122, 273, 171, 918]
     assert list(ks.key_bytes) == [28, 3, 235, 1, 30, 242, 2, 81, 120]
-    assert ks.exponents == tuple(K_SEQUENCE)
+    # one draw per public value, in order: d = alpha^k for each scripted k
+    assert list(ks.sender_publics) == [pow(809, k, 997) for k in K_SEQUENCE]
 
 
 def test_keystream_empty():
@@ -243,38 +220,6 @@ def test_stream_roundtrip_random(plain, seed):
     assert stream_decrypt(bundle, pub.p, priv) == plain
 
 
-def test_bundle_file_roundtrip():
-    bundle = stream_encrypt(SECRET_PIXELS, PUB, ScriptedRng(K_SEQUENCE))
-    buf = io.BytesIO()
-    write_bundle(bundle, buf)
-    buf.seek(0)
-    back = read_bundle(buf)
-    assert back == bundle
-
-
-def test_bundle_file_layout():
-    bundle = CipherBundle(sender_publics=(320,), ciphertext=b"\xaa", plain_len=1)
-    buf = io.BytesIO()
-    write_bundle(bundle, buf)
-    raw = buf.getvalue()
-    assert raw[:4] == b"MECB"
-    assert raw[4] == 1
-    assert int.from_bytes(raw[5:13], "little") == 1
-    assert int.from_bytes(raw[13:21], "little") == 1
-    assert int.from_bytes(raw[21:23], "little") == 3
-    assert raw[23:26] == b"320"
-    assert raw[26:] == b"\xaa"
-
-
-def test_bundle_file_rejects_garbage():
-    with pytest.raises(FormatError):
-        read_bundle(io.BytesIO(b"NOPE" + bytes(30)))
-    good = io.BytesIO()
-    write_bundle(stream_encrypt(b"hi", PUB, random.Random(0)), good)
-    with pytest.raises(FormatError):
-        read_bundle(io.BytesIO(good.getvalue()[:-1]))  # truncated ciphertext
-
-
 def test_key_files_roundtrip(tmp_path):
     elgamal.save_public_key(PUB, tmp_path / "pub.json")
     elgamal.save_private_key(PRIV, tmp_path / "priv.json")
@@ -290,6 +235,6 @@ def test_generate_key_params_safe_prime():
     assert p.bit_length() == 64
     assert elgamal.is_probable_prime(p)
     assert elgamal.is_probable_prime(q)
-    assert modpow(alpha, 2, p) != 1 and modpow(alpha, q, p) != 1
+    assert pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1
     pub, priv = keygen(p, alpha, random.Random(6), p_minus_1_factors=(2, q))
     assert stream_decrypt(stream_encrypt(b"payload", pub, random.Random(7)), p, priv) == b"payload"

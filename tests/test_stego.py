@@ -256,6 +256,14 @@ def test_sidecar_json_roundtrip(tmp_path):
         Sidecar.from_json("not json")
 
 
+def test_sidecar_rejects_inconsistent_plain_len():
+    cfg = make_cfg()
+    sidecar = new_sidecar(cfg, FrameCoder(cfg.key, 16, 16))
+    sidecar.plain_len += 1
+    with pytest.raises(FormatError):
+        Sidecar.from_json(sidecar.to_json())
+
+
 def test_extract_requires_private_key():
     cfg = StegoConfig(key=StegoKey(seed=1), public=PUB, private=None)
     coder = FrameCoder(cfg.key, 16, 16)
