@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,42 @@ ALL_TAGS = (
     permute.TAG_PAYLOAD_Q,
     permute.TAG_PAYLOAD_H,
 )
+
+# SHA-256 of keyed_permutation(...).forward.tobytes(), taken from the scalar
+# Fisher-Yates loop; any faster implementation must reproduce them exactly.
+KAT_SEED = 0x0123456789ABCDEF
+KAT_CIF_DIGESTS = {
+    permute.TAG_COEFF_HL: "d2572e4803fff0a3b5a9df7f9b6d1fa2549875506592b4bb1019918821131ad2",
+    permute.TAG_COEFF_HH: "c25c299105f4c2b434d805789b251918ad27a38e7f4b3ac90f065d5eff79307f",
+    permute.TAG_CHROMA_U: "ad4d349f17207d775379cb308caca127b7397ffff2edec030db1855338510636",
+    permute.TAG_CHROMA_V: "c491a8338f78b2174f846d443b9f3e02dad292b668a2885c1a6fe6bf34db53f1",
+    permute.TAG_PAYLOAD_L: "1330bc6bb6badd7bea915ee223bc9e02ee05fea2ae95427b76f1021b2d2d6ead",
+    permute.TAG_PAYLOAD_M: "ef60ad944d087c51c1b30dcb0cf5e51da9f3cc83ca68179f3b001b26069e76cb",
+    permute.TAG_PAYLOAD_Q: "cb5f5956668ec0666591454dc5d35b992401226db898ed155dcfee71c8fcbbb6",
+    permute.TAG_PAYLOAD_H: "88659f2fe3bfd37343c90f8b5c7a6a4a5ebcbc73fb66e964aec8bf3c3b61ed88",
+}
+KAT_SMALL_DIGESTS = {  # (seed, n) under TAG_COEFF_HL
+    (0, 2): "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+    (0, 3): "0f004f117335020e1d19c25b8767278bf1edb2fa6ff3fac943d843b6003d0eb5",
+    (0, 1000): "9abab4e904f3c351ec73ca4cff4ef2ed56d19fbfc9cdda3d25c3f1b0587ca158",
+    (2**64 - 1, 2): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+    (2**64 - 1, 3): "53afea624a503a0bf39e469e8979f67fcb1890ea0392adf9e155124f5ede9ebb",
+    (2**64 - 1, 1000): "8b80143f6bd5df9e74b9722d013da9fab57a27c6b98c6bf209ff47041a3f9dd5",
+}
+
+
+def _perm_digest(seed, tag, n):
+    return hashlib.sha256(keyed_permutation(StegoKey(seed=seed), tag, n).forward.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_permutation_known_answer_cif(tag):
+    assert _perm_digest(KAT_SEED, tag, 25_344) == KAT_CIF_DIGESTS[tag]
+
+
+@pytest.mark.parametrize("seed,n", sorted(KAT_SMALL_DIGESTS))
+def test_permutation_known_answer_small(seed, n):
+    assert _perm_digest(seed, permute.TAG_COEFF_HL, n) == KAT_SMALL_DIGESTS[(seed, n)]
 
 
 def test_prng_first_output_from_zero_state():
