@@ -12,6 +12,7 @@ per frame, since noise changes the carried bits, never the keys.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -70,12 +71,7 @@ class BenchResult:
 def _load_clip(path: Path, max_frames: int | None):
     with open(path, "rb") as handle:
         meta, frames = read_y4m(handle)
-        out = []
-        for frame in frames:
-            out.append(frame)
-            if max_frames is not None and len(out) >= max_frames:
-                break
-    return meta, out
+        return meta, list(itertools.islice(frames, max_frames))
 
 
 def run(

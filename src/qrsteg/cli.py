@@ -77,7 +77,11 @@ def _open_video(args):
     path = Path(args.input)
     handle = open(path, "rb")
     if path.suffix.lower() == ".y4m":
-        meta, frames = read_y4m(handle)
+        try:
+            meta, frames = read_y4m(handle)
+        except BaseException:
+            handle.close()  # a bad header must not leak the handle
+            raise
         return meta, frames, handle
     width = getattr(args, "width", None)
     height = getattr(args, "height", None)
@@ -254,6 +258,9 @@ def cmd_bench(args) -> int:
     if seed is None:
         seed = 0
     specs = [AttackSpec.parse(text) for text in args.attacks.split(",") if text.strip()]
+    for flag, value in (("--max-frames", args.max_frames), ("--robust-frames", args.robust_frames)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must not be negative, got {value}")
     if args.pub and args.priv:
         pub = elgamal.load_public_key(args.pub)
         priv = elgamal.load_private_key(args.priv)

@@ -120,25 +120,44 @@ class Permutation:
         return int(self.forward.size)
 
 
+def _swap_indexes(state: int, m: np.ndarray) -> np.ndarray:
+    """Unbiased draws v mod m[k], taken in order from the SplitMix64 stream at state.
+
+    SplitMix64 is counter-based: draw t (t = 1, 2, ...) from state s is
+    mix(s + t * golden mod 2^64), so all draws are computed in one uint64
+    pass. A draw above MASK64 - (2^64 mod m) is rejected and uses up its
+    counter; the steps after it are recomputed with counters shifted by one.
+    """
+    threshold = np.uint64(MASK64) - (0 - m) % m  # (2^64 - m) mod m == 2^64 mod m
+    out = np.empty(m.size, dtype=np.uint64)
+    start = skipped = 0
+    while start < m.size:
+        t = np.arange(start + skipped + 1, m.size + skipped + 1, dtype=np.uint64)
+        v = np.uint64(state) + t * np.uint64(_GOLDEN)
+        v = (v ^ (v >> np.uint64(30))) * np.uint64(_MIX1)
+        v = (v ^ (v >> np.uint64(27))) * np.uint64(_MIX2)
+        v ^= v >> np.uint64(31)
+        rejected = np.flatnonzero(v > threshold[start:])
+        stop = start + (rejected[0] if rejected.size else v.size)
+        out[start:stop] = v[: stop - start] % m[start:stop]
+        start = stop
+        skipped += 1
+    return out
+
+
 def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> Permutation:
     """Fisher-Yates shuffle of [0, n) seeded with key.seed XOR domain_tag.
 
-    Swap indexes come from unbiased rejection sampling: values at or
-    above floor(2^64 / m) * m are discarded before reducing mod m.
+    Step i (from n - 1 down to 1) swaps i with j = v mod (i + 1), where v is
+    the next SplitMix64 draw below floor(2^64 / (i + 1)) * (i + 1); draws at
+    or above that limit are discarded so j is unbiased.
     """
     state = (key.seed ^ domain_tag) & MASK64
-    forward = np.arange(n, dtype=np.int64)
-    buf = forward  # shuffled in place
-    for i in range(n - 1, 0, -1):
-        m = i + 1
-        limit = (1 << 64) - ((1 << 64) % m)
-        while True:
-            state, v = prng_next(state)
-            if v < limit:
-                break
-        j = v % m
+    swaps = _swap_indexes(state, np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+    buf = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), swaps):
         buf[i], buf[j] = buf[j], buf[i]
-    return Permutation(forward=forward)
+    return Permutation(forward=np.array(buf, dtype=np.int64))
 
 
 def invert(perm: Permutation) -> Permutation:

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 Y4M_MAGIC = b"YUV4MPEG2"
+# 8-bit 4:2:0 colorspace tags; they differ only in chroma siting.
+Y4M_COLORSPACES = ("420", "420jpeg", "420paldv", "420mpeg2")
 
 
 @dataclass(eq=False)
@@ -98,6 +100,8 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
         if not token:
             continue
         tag, value = chr(token[0]), token[1:].decode("ascii", "replace")
+        if tag in ("W", "H") and not value.isdigit():
+            raise FormatError(f"Y4M header token {tag}{value} is not a decimal integer")
         if tag == "W":
             width = int(value)
         elif tag == "H":
@@ -109,8 +113,8 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
         elif tag == "A":
             aspect = "A" + value
         elif tag == "C":
-            if not value.startswith("420"):
-                raise FormatError(f"unsupported colorspace C{value}; only 4:2:0 is handled")
+            if value not in Y4M_COLORSPACES:
+                raise FormatError(f"unsupported colorspace C{value}; only 8-bit 4:2:0 is handled")
             colorspace = "C" + value
     if width is None or height is None:
         raise FormatError("Y4M header lacks W or H")

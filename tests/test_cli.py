@@ -369,3 +369,40 @@ def test_extract_rejects_malformed_sidecar_frame(workspace, capsys, tamper):
     capsys.readouterr()
     assert main(extract_args(ws, stego)) == 3
     assert_one_error_line(capsys, 3)
+
+
+def test_bench_max_frames_zero_scores_no_frame(tmp_path, capsys):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "three.y4m", w=16, h=16, frames=3, seed=1)
+    report = tmp_path / "bench.csv"
+    assert main(["bench", "--input", str(dataset), "--report", str(report),
+                 "--paper-fidelity", "--seed", "0", "--max-frames", "0"]) == 0
+    assert len(report.read_text().splitlines()) == 1  # header only, no fidelity row
+    assert "skipping empty clip three.y4m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-frames", "--robust-frames"])
+def test_bench_rejects_negative_frame_counts(tmp_path, capsys, flag):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    assert main(["bench", "--input", str(dataset), "--paper-fidelity", "--seed", "0",
+                 flag, "-1"]) == 2
+    assert_one_error_line(capsys, 2)
+
+
+@pytest.mark.parametrize(
+    "header,token",
+    [(b"YUV4MPEG2 Wx H16 F30:1 C420jpeg\n", "Wx"), (b"YUV4MPEG2 W16 H16 F30:1 C420p10\n", "C420p10")],
+    ids=["non-integer-width", "10-bit-colorspace"],
+)
+def test_attack_rejects_bad_y4m_header(tmp_path, capsys, header, token):
+    clip = tmp_path / "bad.y4m"
+    clip.write_bytes(header + b"FRAME\n" + bytes(16 * 16 * 3))  # 10-bit 4:2:0 frame size
+    assert main(["attack", "--input", str(clip), "--output", str(tmp_path / "out.y4m")]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["exit"] == 3
+    assert token in error["message"]  # the header token is blamed, not a later frame

@@ -66,6 +66,86 @@ def test_permutation_known_answer_small(seed, n):
     assert _perm_digest(seed, permute.TAG_COEFF_HL, n) == KAT_SMALL_DIGESTS[(seed, n)]
 
 
+def _scalar_swap_indexes(state, moduli):
+    """Reference draws: one prng_next step per try, rejecting v >= 2^64 - 2^64 % m."""
+    out, rejections = [], 0
+    for m in moduli:
+        limit = (1 << 64) - ((1 << 64) % m)
+        while True:
+            state, v = prng_next(state)
+            if v < limit:
+                break
+            rejections += 1
+        out.append(v % m)
+    return out, rejections
+
+
+def _scalar_keyed_permutation(seed, tag, n):
+    """Reference Fisher-Yates over a list, drawing swaps with _scalar_swap_indexes."""
+    swaps, _ = _scalar_swap_indexes((seed ^ tag) & permute.MASK64, range(n, 1, -1))
+    buf = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), swaps):
+        buf[i], buf[j] = buf[j], buf[i]
+    return buf
+
+
+MIXED_MODULI = [2, 3, 2**63 + 1, 2**63, 2**64 - 1, 3 * 2**62 + 1, 1000, 2**32, 2**62 + 3, 1,
+                2**63 + 1, 5, 2**63 + 2**62 + 7, 2**40, 2**63 + 1, 2**63 + 1, 25_344]
+
+
+@pytest.mark.parametrize("state", [0, 5, 123456789, 2**64 - 1])
+@pytest.mark.parametrize("moduli", [[2**63 + 1] * 64, MIXED_MODULI], ids=["half-rejected", "mixed"])
+def test_swap_indexes_match_scalar_rejection_oracle(state, moduli):
+    expected, rejections = _scalar_swap_indexes(state, moduli)
+    assert rejections > 0  # the rejection branch is really exercised
+    got = permute._swap_indexes(state, np.array(moduli, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected
+
+
+def _state_whose_first_draw_is(v):
+    """Invert the SplitMix64 output mix, so prng_next(state) yields v."""
+    mask = permute.MASK64
+    v ^= (v >> 31) ^ (v >> 62)
+    v = (v * pow(permute._MIX2, -1, 1 << 64)) & mask
+    v ^= (v >> 27) ^ (v >> 54)
+    v = (v * pow(permute._MIX1, -1, 1 << 64)) & mask
+    v ^= (v >> 30) ^ (v >> 60)
+    return (v - permute._GOLDEN) & mask
+
+
+@pytest.mark.parametrize("m", [3, 1000, 2**63 + 1, 3 * 2**62 + 1, 2**64 - 1])
+def test_swap_indexes_rejection_boundary(m):
+    # The largest accepted draw is 2^64 - 1 - (2^64 mod m); one more is rejected.
+    largest = (1 << 64) - 1 - (1 << 64) % m
+    for first, accepted in ((largest, True), (largest + 1, False)):
+        state = _state_whose_first_draw_is(first)
+        assert prng_next(state)[1] == first
+        assert (_scalar_swap_indexes(state, [m])[1] == 0) == accepted
+        moduli = [m, m, 7]
+        got = permute._swap_indexes(state, np.array(moduli, dtype=np.uint64))
+        assert got.tolist() == _scalar_swap_indexes(state, moduli)[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.one_of(st.integers(1, 2**64 - 1), st.integers(2**63 + 1, 2**63 + 2**62)),
+             max_size=40),
+)
+def test_swap_indexes_match_scalar_oracle_on_random_moduli(state, moduli):
+    got = permute._swap_indexes(state, np.array(moduli, dtype=np.uint64))
+    assert got.tolist() == _scalar_swap_indexes(state, moduli)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from(ALL_TAGS), st.integers(0, 300))
+def test_keyed_permutation_matches_scalar_fisher_yates(seed, tag, n):
+    perm = keyed_permutation(StegoKey(seed=seed), tag, n)
+    assert perm.forward.dtype == np.int64
+    assert perm.forward.tolist() == _scalar_keyed_permutation(seed, tag, n)
+
+
 def test_prng_first_output_from_zero_state():
     state, value = prng_next(0)
     assert value == 0xE220A8397B1DCDAF

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ def gray_frame(w=16, h=16, value=128):
         u=np.full((h // 2, w // 2), value, dtype=np.uint8),
         v=np.full((h // 2, w // 2), value, dtype=np.uint8),
     )
+
+
+def test_cif_coder_build_raises_no_overflow_warnings():
+    # Scalar numpy uint64 arithmetic warns on wraparound; the array draws must not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coder = FrameCoder(StegoKey(seed=2**64 - 1), 352, 288)
+    assert coder.capacity_bits == 176 * 144
 
 
 def random_payload(coder, seed):
