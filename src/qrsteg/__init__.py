@@ -18,7 +18,7 @@ from .elgamal import (
     stream_encrypt,
 )
 from .errors import CapacityError, CryptoError, FormatError, QrstegError, ShapeError
-from .permute import Permutation, Splitmix64, StegoKey, keyed_permutation
+from .permute import Splitmix64, StegoKey, keyed_permutation
 from .quality import QualityReport, capacity_bpp, mse, psnr, ssim
 from .stego import (
     FrameCoder,

@@ -72,7 +72,3 @@ def unpack(payload: PackedPayload, width: int, height: int) -> QrPlane:
 def payload_from_bits(bits: np.ndarray) -> PackedPayload:
     """Pack a flat {0,1} bit array MSB-first; pads the final byte with zero bits."""
     return PackedPayload(bit_count=int(bits.size), data=np.packbits(bits).tobytes())
-
-
-def planes_equal(a: QrPlane, b: QrPlane) -> bool:
-    return a.width == b.width and a.height == b.height and bool(np.array_equal(a.bits, b.bits))

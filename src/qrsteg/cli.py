@@ -60,15 +60,17 @@ def resolve_seed(args, *, required: bool) -> int | None:
     return None
 
 
-def _load_qr_files(args) -> dict[str, bitplane.QrPlane]:
+def _load_qr_files(args, *, required: bool) -> dict[str, bitplane.QrPlane]:
+    """The payload planes named by --qr-l/-m/-q/-h, keyed by level."""
     paths = {"L": args.qr_l, "M": args.qr_m, "Q": args.qr_q, "H": args.qr_h}
-    missing = [flag for flag, p in paths.items() if p is None]
-    if missing:
+    missing = [level for level, path in paths.items() if path is None]
+    if required and missing:
         raise UsageError(f"missing payload images for levels {', '.join(missing)}")
     planes = {}
     for level, path in paths.items():
-        with open(path, "rb") as handle:
-            planes[level] = bitplane.load_qr(read_pgm(handle))
+        if path is not None:
+            with open(path, "rb") as handle:
+                planes[level] = bitplane.load_qr(read_pgm(handle))
     return planes
 
 
@@ -96,14 +98,14 @@ def _refuse_overwrite(path: Path, force: bool) -> None:
         raise UsageError(f"{path} exists; pass --force to overwrite")
 
 
-def _make_key(rng, paper_fidelity: bool, bits: int, forced_x: int | None = None):
+def _make_key(rng, paper_fidelity: bool, bits: int):
     """The paper's demo parameters, or a fresh safe prime of the given size."""
     if paper_fidelity:
         p, alpha, factors = elgamal.DEMO_P, elgamal.DEMO_ALPHA, elgamal.DEMO_P_FACTORS
     else:
         p, alpha = elgamal.generate_key_params(bits, rng)
         factors = (2, (p - 1) // 2)
-    return elgamal.keygen(p, alpha, rng, p_minus_1_factors=factors, forced_x=forced_x)
+    return elgamal.keygen(p, alpha, rng, p_minus_1_factors=factors)
 
 
 def cmd_keygen(args) -> int:
@@ -113,7 +115,7 @@ def cmd_keygen(args) -> int:
     _refuse_overwrite(priv_path, args.force)
     seed = resolve_seed(args, required=False)
     rng = Splitmix64(derive_seed(seed, 0x4B4559)) if seed is not None else secrets.SystemRandom()
-    pub, priv = _make_key(rng, args.paper_fidelity, args.bits, args.exponent)
+    pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
     elgamal.save_public_key(pub, pub_path)
     elgamal.save_private_key(priv, priv_path)
     print(f"wrote {pub_path} (p: {pub.p.bit_length()} bits, alpha={pub.alpha}, y={pub.y})")
@@ -125,31 +127,32 @@ def cmd_embed(args) -> int:
     seed = resolve_seed(args, required=True)
     key = StegoKey(seed=seed)
     cfg = StegoConfig(key=key, public=elgamal.load_public_key(args.pub))
-    qr_set = _load_qr_files(args)
+    qr_set = _load_qr_files(args, required=True)
     meta, frames, handle = _open_video(args)
-    coder = FrameCoder(key, meta.width, meta.height)
-    sidecar = new_sidecar(cfg, coder, meta.frame_rate)
-    report = QualityReport()
-
-    def measured():
-        # embed_video pulls one cover per stego frame, so tee buffers one frame at most.
-        covers, feed = itertools.tee(frames)
-        stego = embed_video(feed, [qr_set], cfg, coder=coder, sidecar=sidecar)
-        for cover, stego_frame in zip(covers, stego):
-            ref = clip_cover(cover)
-            report.clip_mse.append(mse(cover, ref))
-            report.add_frame(ref, stego_frame)
-            yield stego_frame
-
     out_path = Path(args.output)
     try:
+        # The header is untrusted: read a whole frame before sizing the coder to it.
+        first = next(frames, None)
+        if first is None:
+            raise FormatError("input video has no frames")
+        coder = FrameCoder(key, meta.width, meta.height)
+        sidecar = new_sidecar(cfg, coder, meta.frame_rate)
+        report = QualityReport()
+
+        def measured():
+            # embed_video pulls one cover per stego frame, so tee buffers one frame at most.
+            covers, feed = itertools.tee(itertools.chain([first], frames))
+            stego = embed_video(feed, [qr_set], cfg, coder=coder, sidecar=sidecar)
+            for cover, stego_frame in zip(covers, stego):
+                ref = clip_cover(cover)
+                report.clip_mse.append(mse(cover, ref))
+                report.add_frame(ref, stego_frame)
+                yield stego_frame
+
         with open(out_path, "wb") as out:
             count = write_y4m(meta, measured(), out)
     finally:
         handle.close()
-    if count == 0:
-        out_path.unlink(missing_ok=True)
-        raise FormatError("input video has no frames")
 
     report.embedded_bits = count * 4 * coder.capacity_bits
     report.luma_pixels = count * meta.width * meta.height
@@ -186,11 +189,7 @@ def cmd_extract(args) -> int:
             "warning: seed fingerprint does not match the sidecar; recovered data will be noise",
             file=sys.stderr,
         )
-    originals = {}
-    for level, path in (("L", args.qr_l), ("M", args.qr_m), ("Q", args.qr_q), ("H", args.qr_h)):
-        if path:
-            with open(path, "rb") as handle:
-                originals[level] = bitplane.load_qr(read_pgm(handle))
+    originals = _load_qr_files(args, required=False)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the small built-in demo parameters (p=997, alpha=809)",
     )
-    p.add_argument("--exponent", type=int, help="fix the private exponent (testing only)")
     p.add_argument("--force", action="store_true", help="overwrite existing files")
     add_seed(p)
     p.set_defaults(func=cmd_keygen)

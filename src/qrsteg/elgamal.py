@@ -137,18 +137,18 @@ DEMO_ALPHA = 809
 DEMO_P_FACTORS = (2, 3, 83)  # p - 1 = 996 = 2^2 * 3 * 83
 
 
-def keygen(p: int, alpha: int, rng, *, p_minus_1_factors: tuple[int, ...] | None = None,
-           forced_x: int | None = None) -> tuple[ElGamalPublic, ElGamalPrivate]:
+def keygen(
+    p: int, alpha: int, rng, *, p_minus_1_factors: tuple[int, ...] | None = None
+) -> tuple[ElGamalPublic, ElGamalPrivate]:
     """Draw a private exponent in (1, p - 2) and derive the public key.
 
-    rng must expose randrange(start, stop). forced_x bypasses the draw
-    so fixed test keys are reproducible.
+    rng must expose randrange(start, stop).
     """
     if p < 5:
         raise CryptoError(f"modulus too small for key generation: {p}")
     if not 1 < alpha < p - 1:
         raise CryptoError("alpha out of range (1, p - 1)")
-    x = forced_x if forced_x is not None else rng.randrange(2, p - 2)
+    x = rng.randrange(2, p - 2)
     if not 1 < x < p - 2:
         raise CryptoError(f"private exponent {x} out of range (1, p - 2)")
     pub = ElGamalPublic(p=p, alpha=alpha, y=pow(alpha, x, p))

@@ -109,17 +109,6 @@ class Splitmix64:
                 return start + v
 
 
-@dataclass(eq=False)
-class Permutation:
-    """A bijection on [0, n) stored as an index array."""
-
-    forward: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.forward.size)
-
-
 def _swap_indexes(state: int, m: np.ndarray) -> np.ndarray:
     """Unbiased draws v mod m[k], taken in order from the SplitMix64 stream at state.
 
@@ -145,8 +134,8 @@ def _swap_indexes(state: int, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> Permutation:
-    """Fisher-Yates shuffle of [0, n) seeded with key.seed XOR domain_tag.
+def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> np.ndarray:
+    """Fisher-Yates shuffle of [0, n) seeded with key.seed XOR domain_tag, as int64 indexes.
 
     Step i (from n - 1 down to 1) swaps i with j = v mod (i + 1), where v is
     the next SplitMix64 draw below floor(2^64 / (i + 1)) * (i + 1); draws at
@@ -157,17 +146,15 @@ def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> Permutation:
     buf = list(range(n))
     for i, j in zip(range(n - 1, 0, -1), swaps):
         buf[i], buf[j] = buf[j], buf[i]
-    return Permutation(forward=np.array(buf, dtype=np.int64))
+    return np.array(buf, dtype=np.int64)
 
 
-def invert(perm: Permutation) -> Permutation:
-    """Inverse bijection: invert(p).forward[p.forward[i]] == i."""
-    n = perm.n
-    fwd = perm.forward
-    counts = np.bincount(fwd, minlength=n) if n else np.zeros(0, dtype=np.int64)
-    if fwd.size and (fwd.min() < 0 or fwd.max() >= n or not (counts == 1).all()):
+def invert(perm: np.ndarray) -> np.ndarray:
+    """Inverse bijection: invert(p)[p[i]] == i."""
+    n = perm.size
+    if n and (perm.min() < 0 or perm.max() >= n or (np.bincount(perm, minlength=n) != 1).any()):
         raise FormatError("corrupt permutation: not a bijection")
     inverse = np.empty(n, dtype=np.int64)
-    inverse[fwd] = np.arange(n, dtype=np.int64)
-    return Permutation(forward=inverse)
+    inverse[perm] = np.arange(n, dtype=np.int64)
+    return inverse
 

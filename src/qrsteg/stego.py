@@ -2,10 +2,11 @@
 
 Per frame: the luma plane is clipped to [2, 253] and decomposed with the
 reversible integer Haar transform; two encrypted payload bit streams go
-into the LSBs of the HL and HH detail coefficients in keyed order, the
-other two into the LSBs of the U and V chroma samples. Payload bits are
-stream-permuted before carrier placement, and every frame gets a fresh
-keystream whose public values land in a sidecar the extractor consumes.
+into the LSBs of the HL and HH detail coefficients, the other two into
+the LSBs of the U and V chroma samples. Each level's bits go to carrier
+positions given by one keyed index (the payload shuffle composed with the
+carrier order), and every frame gets a fresh keystream whose public
+values land in a sidecar the extractor consumes.
 
 The clip guarantees reconstruction stays inside [0, 255]; because the
 transform is an exact integer bijection, a second decomposition of the
@@ -64,7 +65,11 @@ class StegoConfig:
 
 @dataclass
 class FramePayload:
-    """Per-level cipher bundles plus the stream-permuted bit view of each ciphertext."""
+    """Per-level cipher bundles plus the ciphertext bits the carriers take.
+
+    bits[level] holds the first capacity_bits bits of that level's
+    ciphertext, MSB-first, in natural order; FrameCoder places them.
+    """
 
     bundles: dict[str, CipherBundle]
     bits: dict[str, np.ndarray]
@@ -88,8 +93,9 @@ def clip_cover(frame: FrameYuv420) -> FrameYuv420:
 class FrameCoder:
     """Embeds and extracts single frames of one geometry under one key.
 
-    All eight permutations are built once here and reused across frames;
-    they depend only on (key, tag, size).
+    Each level's payload shuffle and carrier order are built once here and
+    composed into one placement index: cipher bit j goes to carrier element
+    place[j]. The indexes depend only on (key, size) and are reused across frames.
     """
 
     def __init__(self, key: permute.StegoKey, width: int, height: int):
@@ -99,26 +105,15 @@ class FrameCoder:
         self.width = width
         self.height = height
         self.capacity_bits = (width // 2) * (height // 2)  # per carrier
-        self._carrier = {
-            level: permute.keyed_permutation(key, tag, self.capacity_bits).forward
-            for level, tag in CARRIER_TAGS.items()
-        }
-        self._payload = {
-            level: permute.keyed_permutation(key, tag, self.capacity_bits).forward
-            for level, tag in PAYLOAD_TAGS.items()
-        }
+        self._place: dict[str, np.ndarray] = {}
+        for level in QR_LEVELS:
+            carrier = permute.keyed_permutation(key, CARRIER_TAGS[level], self.capacity_bits)
+            shuffle = permute.keyed_permutation(key, PAYLOAD_TAGS[level], self.capacity_bits)
+            self._place[level] = carrier[permute.invert(shuffle)]
 
     def qr_shape(self) -> tuple[int, int]:
         """(width, height) every payload plane must have."""
         return self.width // 2, self.height // 2
-
-    def permute_payload(self, level: str, cipher_bits: np.ndarray) -> np.ndarray:
-        return cipher_bits[self._payload[level]]
-
-    def unpermute_payload(self, level: str, permuted: np.ndarray) -> np.ndarray:
-        out = np.empty_like(permuted)
-        out[self._payload[level]] = permuted
-        return out
 
     def embed(self, frame: FrameYuv420, payload: FramePayload) -> FrameYuv420:
         if frame.width != self.width or frame.height != self.height:
@@ -133,7 +128,7 @@ class FrameCoder:
         bands = fwd_haar_int(np.clip(frame.y, CLIP_LO, CLIP_HI))
         for level, band in (("L", bands.hl), ("M", bands.hh)):
             flat = band.reshape(-1)
-            idx = self._carrier[level]
+            idx = self._place[level]
             flat[idx] = set_lsb(flat[idx], payload.bits[level].astype(np.int64))
         y = inv_haar_int(bands)
         if y.min() < 0 or y.max() > 255:
@@ -141,7 +136,7 @@ class FrameCoder:
         out_u = frame.u.reshape(-1).copy()
         out_v = frame.v.reshape(-1).copy()
         for level, plane in (("Q", out_u), ("H", out_v)):
-            idx = self._carrier[level]
+            idx = self._place[level]
             plane[idx] = set_lsb(plane[idx], payload.bits[level].astype(np.uint8))
         h2, w2 = self.height // 2, self.width // 2
         return FrameYuv420(
@@ -155,16 +150,11 @@ class FrameCoder:
         if frame.width != self.width or frame.height != self.height:
             raise ShapeError("frame geometry does not match this coder")
         bands = fwd_haar_int(frame.y)
-        streams: dict[str, np.ndarray] = {}
-        for level, carrier in (
-            ("L", bands.hl.reshape(-1)),
-            ("M", bands.hh.reshape(-1)),
-            ("Q", frame.u.reshape(-1).astype(np.int64)),
-            ("H", frame.v.reshape(-1).astype(np.int64)),
-        ):
-            permuted = get_lsb(carrier[self._carrier[level]]).astype(np.uint8)
-            streams[level] = self.unpermute_payload(level, permuted)
-        return streams
+        carriers = {"L": bands.hl, "M": bands.hh, "Q": frame.u, "H": frame.v}
+        return {
+            level: get_lsb(carrier.reshape(-1)[self._place[level]]).astype(np.uint8)
+            for level, carrier in carriers.items()
+        }
 
 
 def payload_rng(key: permute.StegoKey, level: str, frame_index: int) -> permute.Splitmix64:
@@ -177,7 +167,7 @@ def payload_rng(key: permute.StegoKey, level: str, frame_index: int) -> permute.
 def prepare_payload(
     qr_set: Mapping[str, QrPlane], cfg: StegoConfig, frame_index: int, coder: FrameCoder
 ) -> FramePayload:
-    """Pack, encrypt, and stream-permute one four-plane payload set."""
+    """Pack and encrypt one four-plane payload set."""
     qw, qh = coder.qr_shape()
     bundles: dict[str, CipherBundle] = {}
     bits: dict[str, np.ndarray] = {}
@@ -192,11 +182,10 @@ def prepare_payload(
         packed = pack(plane)
         rng = payload_rng(cfg.key, level, frame_index)
         bundle = elgamal.stream_encrypt(packed.data, cfg.public, rng)
-        cipher_bits = np.unpackbits(
+        bundles[level] = bundle
+        bits[level] = np.unpackbits(
             np.frombuffer(bundle.ciphertext, dtype=np.uint8), count=coder.capacity_bits
         )
-        bundles[level] = bundle
-        bits[level] = coder.permute_payload(level, cipher_bits)
     return FramePayload(bundles=bundles, bits=bits)
 
 

@@ -7,6 +7,7 @@ memory stays flat regardless of clip length.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -17,6 +18,7 @@ from .errors import FormatError, ShapeError
 Y4M_MAGIC = b"YUV4MPEG2"
 # 8-bit 4:2:0 colorspace tags; they differ only in chroma siting.
 Y4M_COLORSPACES = ("420", "420jpeg", "420paldv", "420mpeg2")
+Y4M_INTERLACE = ("p", "t", "b", "m", "?")
 
 
 @dataclass(eq=False)
@@ -102,6 +104,10 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
         tag, value = chr(token[0]), token[1:].decode("ascii", "replace")
         if tag in ("W", "H") and not value.isdigit():
             raise FormatError(f"Y4M header token {tag}{value} is not a decimal integer")
+        if tag in ("F", "A") and not re.fullmatch(r"[0-9]+:[0-9]+", value):
+            raise FormatError(f"Y4M header token {tag}{value} is not a ratio of decimal integers")
+        if tag == "I" and value not in Y4M_INTERLACE:
+            raise FormatError(f"Y4M header token I{value} is not one of I{', I'.join(Y4M_INTERLACE)}")
         if tag == "W":
             width = int(value)
         elif tag == "H":

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from qrsteg import bitplane, elgamal, synth
+from qrsteg import bitplane, cli, elgamal, synth
 from qrsteg.cli import main, parse_seed_text
 from qrsteg.videoio import read_pgm, read_y4m, write_pgm, write_y4m
 
@@ -23,10 +24,11 @@ def write_qr(path, w=16, h=16, seed=0):
 
 @pytest.fixture
 def keys(tmp_path):
+    # The paper's demo key with private exponent 420: y = 809^420 mod 997 = 12.
     pub = tmp_path / "pub.json"
     priv = tmp_path / "priv.json"
-    assert main(["keygen", "--pub", str(pub), "--priv", str(priv), "--paper-fidelity",
-                 "--exponent", "420"]) == 0
+    elgamal.save_public_key(elgamal.ElGamalPublic(p=997, alpha=809, y=12), pub)
+    elgamal.save_private_key(elgamal.ElGamalPrivate(x=420), priv)
     return pub, priv
 
 
@@ -73,11 +75,20 @@ def test_parse_seed_text_forms():
     assert parse_seed_text("hunter2") != parse_seed_text("hunter3")
 
 
-def test_keygen_paper_fidelity_fixed_exponent(keys):
-    pub, priv = keys
-    loaded = elgamal.load_public_key(pub)
-    assert (loaded.p, loaded.alpha, loaded.y) == (997, 809, 12)
-    assert elgamal.load_private_key(priv).x == 420
+def test_keygen_paper_fidelity_fixed_exponent(tmp_path):
+    # --seed fixes the drawn exponent; --paper-fidelity fixes p and alpha.
+    xs = []
+    for name in ("a", "b"):
+        pub_path = tmp_path / f"{name}.pub"
+        priv_path = tmp_path / f"{name}.priv"
+        assert main(["keygen", "--pub", str(pub_path), "--priv", str(priv_path),
+                     "--paper-fidelity", "--seed", "3"]) == 0
+        pub = elgamal.load_public_key(pub_path)
+        x = elgamal.load_private_key(priv_path).x
+        assert (pub.p, pub.alpha) == (997, 809)
+        assert pub.y == pow(809, x, 997)
+        xs.append(x)
+    assert xs[0] == xs[1]
 
 
 def test_keygen_refuses_overwrite(keys, tmp_path):
@@ -147,7 +158,7 @@ def test_embed_extract_roundtrip(workspace, capsys, tmp_path):
     for level in "LMQH":
         with open(outdir / f"0000_{level}.pgm", "rb") as handle:
             recovered = bitplane.load_qr(read_pgm(handle))
-        assert bitplane.planes_equal(recovered, ws["planes"][level])
+        assert np.array_equal(recovered.bits, ws["planes"][level].bits)
     text = (tmp_path / "ssim.csv").read_text()
     assert "qr_level,ssim" in text and "L,1.000000" in text
 
@@ -206,6 +217,25 @@ def test_embed_rejects_empty_video(workspace, capsys):
     args = embed_args(ws, ws["tmp"] / "x.y4m")
     args[args.index(str(ws["cover"]))] = str(empty)
     assert main(args) == 3
+
+
+@pytest.mark.parametrize("body", [b"", b"FRAME\n" + bytes(100)], ids=["no-frames", "truncated"])
+def test_embed_reads_a_frame_before_building_the_coder(workspace, capsys, monkeypatch, body):
+    # The header is untrusted: W4000 H4000 must not buy a 4000x4000 coder build
+    # before a single frame has arrived.
+    def refuse(*args, **kwargs):
+        raise AssertionError("FrameCoder built before a frame was read")
+
+    monkeypatch.setattr(cli, "FrameCoder", refuse)
+    ws = workspace
+    clip = ws["tmp"] / "big.y4m"
+    clip.write_bytes(b"YUV4MPEG2 W4000 H4000 F25:1 C420jpeg\n" + body)
+    output = ws["tmp"] / "x.y4m"
+    args = embed_args(ws, output)
+    args[args.index(str(ws["cover"]))] = str(clip)
+    assert main(args) == 3
+    assert_one_error_line(capsys, 3)
+    assert not output.exists()
 
 
 def test_embed_missing_qr_flag_is_usage_error(workspace):
@@ -394,8 +424,22 @@ def test_bench_rejects_negative_frame_counts(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize(
     "header,token",
-    [(b"YUV4MPEG2 Wx H16 F30:1 C420jpeg\n", "Wx"), (b"YUV4MPEG2 W16 H16 F30:1 C420p10\n", "C420p10")],
-    ids=["non-integer-width", "10-bit-colorspace"],
+    [
+        (b"YUV4MPEG2 Wx H16 F30:1 C420jpeg\n", "Wx"),
+        (b"YUV4MPEG2 W16 H16 F30:1 C420p10\n", "C420p10"),
+        (b"YUV4MPEG2 W16 H16 Fbogus C420jpeg\n", "Fbogus"),
+        (b"YUV4MPEG2 W16 H16 F30 C420jpeg\n", "F30"),
+        (b"YUV4MPEG2 W16 H16 F30:1 Ixyz C420jpeg\n", "Ixyz"),
+        (b"YUV4MPEG2 W16 H16 F30:1 Aq C420jpeg\n", "Aq"),
+    ],
+    ids=[
+        "non-integer-width",
+        "10-bit-colorspace",
+        "non-ratio-frame-rate",
+        "frame-rate-without-denominator",
+        "unknown-interlace",
+        "non-ratio-aspect",
+    ],
 )
 def test_attack_rejects_bad_y4m_header(tmp_path, capsys, header, token):
     clip = tmp_path / "bad.y4m"

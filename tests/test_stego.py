@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qrsteg import bitplane, stego, synth
+from qrsteg import stego, synth
 from qrsteg.elgamal import ElGamalPrivate, ElGamalPublic
 from qrsteg.errors import CapacityError, CryptoError, FormatError, ShapeError
-from qrsteg.permute import StegoKey
+from qrsteg.permute import StegoKey, keyed_permutation
 from qrsteg.stego import (
     FrameCoder,
     FramePayload,
@@ -21,7 +21,7 @@ from qrsteg.stego import (
     set_lsb,
 )
 from qrsteg.videoio import FrameYuv420
-from qrsteg.wavelet import fwd_haar_int
+from qrsteg.wavelet import fwd_haar_int, inv_haar_int
 
 PUB = ElGamalPublic(p=997, alpha=809, y=12)
 PRIV = ElGamalPrivate(x=420)
@@ -55,9 +55,8 @@ def random_payload(coder, seed):
     }
 
 
-def payload_from_bits_dict(coder, bits):
-    permuted = {lvl: coder.permute_payload(lvl, b) for lvl, b in bits.items()}
-    return FramePayload(bundles={}, bits=permuted)
+def bare_payload(bits):
+    return FramePayload(bundles={}, bits=bits)
 
 
 def test_set_get_lsb_hand_values():
@@ -86,7 +85,7 @@ def test_set_lsb_never_moves_floor_half():
 def test_all_gray_zero_payload_yields_even_carriers():
     coder = FrameCoder(StegoKey(seed=7), 16, 16)
     zeros = {lvl: np.zeros(coder.capacity_bits, dtype=np.uint8) for lvl in stego.QR_LEVELS}
-    out = coder.embed(gray_frame(), payload_from_bits_dict(coder, zeros))
+    out = coder.embed(gray_frame(), bare_payload(zeros))
     bands = fwd_haar_int(out.y)
     assert not (bands.hl % 2).any() and not (bands.hh % 2).any()
     assert not (out.u % 2).any() and not (out.v % 2).any()
@@ -103,16 +102,62 @@ def test_embedding_existing_lsbs_changes_nothing_but_clipping():
     )
     coder = FrameCoder(StegoKey(seed=11), 16, 16)
     clipped = clip_cover(frame)
-    bands = fwd_haar_int(clipped.y)
-    existing = {
-        "L": coder.unpermute_payload("L", get_lsb(bands.hl.reshape(-1)[coder._carrier["L"]]).astype(np.uint8)),
-        "M": coder.unpermute_payload("M", get_lsb(bands.hh.reshape(-1)[coder._carrier["M"]]).astype(np.uint8)),
-        "Q": coder.unpermute_payload("Q", (frame.u.reshape(-1)[coder._carrier["Q"]] % 2).astype(np.uint8)),
-        "H": coder.unpermute_payload("H", (frame.v.reshape(-1)[coder._carrier["H"]] % 2).astype(np.uint8)),
-    }
-    out = coder.embed(frame, payload_from_bits_dict(coder, existing))
+    out = coder.embed(frame, bare_payload(coder.extract(clipped)))
     assert np.array_equal(out.y, clipped.y)
     assert np.array_equal(out.u, frame.u) and np.array_equal(out.v, frame.v)
+
+
+def test_placement_matches_two_step_wire_rule():
+    # Wire format, payload path steps 4-5: permuted[t] = cipher_bits[shuffle[t]],
+    # then carrier element order[t] takes permuted[t] in its LSB. At 36x28 each
+    # level carries 252 bits, so the ciphertext's last byte is half transmitted.
+    cfg = make_cfg(seed=0x3628)
+    rng = np.random.default_rng(41)
+    frame = FrameYuv420(
+        y=rng.integers(0, 256, (28, 36), dtype=np.uint8),
+        u=rng.integers(0, 256, (14, 18), dtype=np.uint8),
+        v=rng.integers(0, 256, (14, 18), dtype=np.uint8),
+    )
+    coder = FrameCoder(cfg.key, 36, 28)
+    assert coder.capacity_bits == 252
+    qr_set = {
+        lvl: synth.qr_like_plane(18, 14, seed=50 + i, module=1)
+        for i, lvl in enumerate(stego.QR_LEVELS)
+    }
+    payload = prepare_payload(qr_set, cfg, 0, coder)
+    orders = {
+        lvl: (
+            keyed_permutation(cfg.key, stego.PAYLOAD_TAGS[lvl], 252),
+            keyed_permutation(cfg.key, stego.CARRIER_TAGS[lvl], 252),
+        )
+        for lvl in stego.QR_LEVELS
+    }
+
+    def carriers(f, bands):
+        return {"L": bands.hl, "M": bands.hh, "Q": f.u.astype(np.int64), "H": f.v.astype(np.int64)}
+
+    bands = fwd_haar_int(clip_cover(frame).y)
+    expected = carriers(frame, bands)
+    for lvl, carrier in expected.items():
+        shuffle, order = orders[lvl]
+        ciphertext = np.frombuffer(payload.bundles[lvl].ciphertext, dtype=np.uint8)
+        cipher_bits = np.unpackbits(ciphertext)[:252]
+        assert np.array_equal(payload.bits[lvl], cipher_bits)
+        flat = carrier.reshape(-1)
+        flat[order] = set_lsb(flat[order], cipher_bits[shuffle])
+    out = coder.embed(frame, payload)
+    assert np.array_equal(out.y, inv_haar_int(bands))
+    assert np.array_equal(out.u, expected["Q"]) and np.array_equal(out.v, expected["H"])
+
+    for probe in (out, frame):  # the stego frame, then arbitrary carrier LSBs
+        got = coder.extract(probe)
+        for lvl, carrier in carriers(probe, fwd_haar_int(probe.y)).items():
+            shuffle, order = orders[lvl]
+            cipher_bits = np.empty(252, dtype=np.uint8)
+            cipher_bits[shuffle] = get_lsb(carrier.reshape(-1)[order])
+            assert np.array_equal(got[lvl], cipher_bits), lvl
+    stego_bits = coder.extract(out)
+    assert all(np.array_equal(stego_bits[lvl], payload.bits[lvl]) for lvl in stego.QR_LEVELS)
 
 
 def test_frame_capacity_cif():
@@ -132,7 +177,7 @@ def test_coder_roundtrip_random_frames():
             v=rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
         )
         bits = random_payload(coder, trial)
-        out = coder.embed(frame, payload_from_bits_dict(coder, bits))
+        out = coder.embed(frame, bare_payload(bits))
         got = coder.extract(out)
         for level in stego.QR_LEVELS:
             assert np.array_equal(got[level], bits[level]), level
@@ -146,7 +191,7 @@ def test_distortion_bounds():
         u=rng.integers(0, 256, (16, 16), dtype=np.uint8),
         v=rng.integers(0, 256, (16, 16), dtype=np.uint8),
     )
-    out = coder.embed(frame, payload_from_bits_dict(coder, random_payload(coder, 1)))
+    out = coder.embed(frame, bare_payload(random_payload(coder, 1)))
     ref = clip_cover(frame)
     assert np.abs(out.y.astype(int) - ref.y.astype(int)).max() <= 2
     assert np.abs(out.u.astype(int) - ref.u.astype(int)).max() <= 1
@@ -158,7 +203,7 @@ def test_wrong_key_extracts_uncorrelated_bits():
     frame = gray_frame(128, 128)
     # gray carriers have uniform LSBs only after embedding random bits
     bits = random_payload(coder, 5)
-    out = coder.embed(frame, payload_from_bits_dict(coder, bits))
+    out = coder.embed(frame, bare_payload(bits))
     other = FrameCoder(StegoKey(seed=556), 128, 128)
     got = other.extract(out)
     total = agree = 0
@@ -198,7 +243,7 @@ def test_video_roundtrip_with_sidecar():
         expected = qr_sets[i % 2]
         assert result.pad_clean  # 16*16 bits pack into whole bytes
         for lvl in stego.QR_LEVELS:
-            assert bitplane.planes_equal(result.planes[lvl], expected[lvl]), (i, lvl)
+            assert np.array_equal(result.planes[lvl].bits, expected[lvl].bits), (i, lvl)
 
 
 def test_video_roundtrip_survives_y4m_serialization(tmp_path):
@@ -217,7 +262,7 @@ def test_video_roundtrip_survives_y4m_serialization(tmp_path):
     _, loaded = read_y4m(buf)
     for result in extract_video(loaded, cfg, sidecar, coder=coder):
         for lvl in stego.QR_LEVELS:
-            assert bitplane.planes_equal(result.planes[lvl], qr_set[lvl])
+            assert np.array_equal(result.planes[lvl].bits, qr_set[lvl].bits)
 
 
 def test_fresh_keystreams_per_frame_and_level():
@@ -316,4 +361,4 @@ def test_partial_byte_geometry_roundtrip_with_pad_warning():
     out = list(embed_video(frames, [qr_set], cfg, coder=coder, sidecar=sidecar))
     results = list(extract_video(out, cfg, sidecar, coder=coder))
     for lvl in stego.QR_LEVELS:
-        assert bitplane.planes_equal(results[0].planes[lvl], qr_set[lvl])
+        assert np.array_equal(results[0].planes[lvl].bits, qr_set[lvl].bits)
