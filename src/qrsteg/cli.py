@@ -9,6 +9,7 @@ problems, and 5 for capacity problems.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -93,6 +94,22 @@ def _open_video(args):
     return VideoMeta(width=width, height=height), read_raw_yuv(handle, width, height), handle
 
 
+@contextlib.contextmanager
+def _atomic_outputs(*targets: Path):
+    """Yield one temporary path beside each target; move them onto the targets
+    only when the block succeeds, and delete them on any failure, so a failed
+    command leaves neither partial output nor stray temporaries."""
+    tag = secrets.token_hex(4)
+    temps = [target.parent / f".{target.name}.{tag}.tmp" for target in targets]
+    try:
+        yield temps
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def _refuse_overwrite(path: Path, force: bool) -> None:
     if path.exists() and not force:
         raise UsageError(f"{path} exists; pass --force to overwrite")
@@ -130,6 +147,7 @@ def cmd_embed(args) -> int:
     qr_set = _load_qr_files(args, required=True)
     meta, frames, handle = _open_video(args)
     out_path = Path(args.output)
+    sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(out_path) + ".sidecar.json")
     try:
         # The header is untrusted: read a whole frame before sizing the coder to it.
         first = next(frames, None)
@@ -149,15 +167,15 @@ def cmd_embed(args) -> int:
                 report.add_frame(ref, stego_frame)
                 yield stego_frame
 
-        with open(out_path, "wb") as out:
-            count = write_y4m(meta, measured(), out)
+        with _atomic_outputs(out_path, sidecar_path) as (video_temp, sidecar_temp):
+            with open(video_temp, "wb") as out:
+                count = write_y4m(meta, measured(), out)
+            sidecar.write(sidecar_temp)
     finally:
         handle.close()
 
     report.embedded_bits = count * 4 * coder.capacity_bits
     report.luma_pixels = count * meta.width * meta.height
-    sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(out_path) + ".sidecar.json")
-    sidecar.write(sidecar_path)
 
     print(f"embedded {report.embedded_bits} bits into {count} frames -> {out_path}")
     print(f"capacity: {report.capacity():g} bpp")
@@ -184,6 +202,10 @@ def cmd_extract(args) -> int:
     )
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(args.input) + ".sidecar.json")
     sidecar = Sidecar.read(sidecar_path)
+    # A bad value in any frame must fail the run before the first PGM is written.
+    for record in sidecar.frames:
+        for publics in record.values():
+            elgamal.check_sender_publics(publics, cfg.public.p)
     if key.fingerprint() != sidecar.key_fingerprint:
         print(
             "warning: seed fingerprint does not match the sidecar; recovered data will be noise",
@@ -243,8 +265,9 @@ def cmd_attack(args) -> int:
         seed = 0
     meta, frames, handle = _open_video(args)
     try:
-        with open(args.output, "wb") as out:
-            count = write_y4m(meta, attack_video(frames, specs, seed), out)
+        with _atomic_outputs(Path(args.output)) as (video_temp,):
+            with open(video_temp, "wb") as out:
+                count = write_y4m(meta, attack_video(frames, specs, seed), out)
     finally:
         handle.close()
     labels = ",".join(spec.label() for spec in specs) or "none"

@@ -6,6 +6,16 @@ message. The stream variant draws a sequence of shared secrets, expands
 them into a byte keystream, and XORs that with the payload, so the
 ciphertext has exactly the payload's length. The receiver regenerates
 the keystream from the sender's public values and its private exponent.
+
+The sender's powers alpha^k and y^k have fixed bases, so they come from
+fixed-base window tables (Brickell, Gordon, McCurley and Wilson,
+EUROCRYPT '92; *Handbook of Applied Cryptography* 14.6.3). With
+6-bit windows a table holds ceil(bits(p) / 6) rows of 64 entries: 43 rows
+for a 256-bit p, built in about 2 ms, and 342 rows (about 6 MiB) for a
+2048-bit p, built in about 0.4 s. Each power then costs one modular
+multiplication per window instead of a square-and-multiply chain.
+Builtin pow stays for everything with a varying base: the receiver's d^x,
+key generation and key validation.
 """
 
 from __future__ import annotations
@@ -13,11 +23,18 @@ from __future__ import annotations
 import json
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 from .errors import CryptoError, FormatError
 
 MILLER_RABIN_ROUNDS = 40
+
+# Fixed-base table window: 6 bits keeps nearly all of the 8-bit speed at
+# 256 bits while the build stays cheap enough for a 2048-bit one-frame embed.
+WINDOW_BITS = 6
+_WINDOW_MASK = (1 << WINDOW_BITS) - 1
 
 # Small primes used to pre-sieve candidates during key generation.
 _SIEVE_PRIMES: list[int] = []
@@ -62,13 +79,51 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     return True
 
 
+def _fixed_base_table(base: int, p: int) -> list[list[int]]:
+    """Row i holds base^(j * 2^(WINDOW_BITS * i)) mod p for j < 2^WINDOW_BITS.
+
+    There are enough rows for every exponent below 2^bits(p).
+    """
+    rows = []
+    for _ in range(-(-p.bit_length() // WINDOW_BITS)):
+        row = [1] * (_WINDOW_MASK + 1)
+        for j in range(1, _WINDOW_MASK + 1):
+            row[j] = row[j - 1] * base % p
+        rows.append(row)
+        base = row[-1] * base % p
+    return rows
+
+
+def _table_pow(table: list[list[int]], k: int, p: int) -> int:
+    """base^k mod p for 0 <= k < 2^bits(p): one table entry per window of k."""
+    r = 1
+    for row in table:
+        r = r * row[k & _WINDOW_MASK] % p
+        k >>= WINDOW_BITS
+    return r
+
+
 @dataclass(frozen=True)
 class ElGamalPublic:
-    """Receiver public key: prime modulus p, primitive root alpha, y = alpha^x mod p."""
+    """Receiver public key: prime modulus p, primitive root alpha, y = alpha^x mod p.
+
+    The sender's fixed-base tables for alpha and y are built on first use
+    and kept for the life of the object: 2 x 43 x 64 integers (about 2 ms per
+    base) for a 256-bit p, 2 x 342 x 64 (about 0.4 s and 6 MiB per base)
+    for a 2048-bit p. The receiver never builds them.
+    """
 
     p: int
     alpha: int
     y: int
+
+    @cached_property
+    def _alpha_table(self) -> list[list[int]]:
+        return _fixed_base_table(self.alpha, self.p)
+
+    @cached_property
+    def _y_table(self) -> list[list[int]]:
+        return _fixed_base_table(self.y, self.p)
 
     def validate(self, p_minus_1_factors: tuple[int, ...] | None = None) -> None:
         """Check the key invariants.
@@ -162,8 +217,8 @@ def classic_encrypt(m: int, pub: ElGamalPublic, k: int) -> tuple[int, int]:
         raise CryptoError(f"message unit {m} out of range [0, p - 1]")
     if not 1 < k < pub.p - 2:
         raise CryptoError(f"ephemeral exponent {k} out of range (1, p - 2)")
-    d = pow(pub.alpha, k, pub.p)
-    z = pow(pub.y, k, pub.p) * m % pub.p
+    d = _table_pow(pub._alpha_table, k, pub.p)
+    z = _table_pow(pub._y_table, k, pub.p) * m % pub.p
     return d, z
 
 
@@ -196,13 +251,14 @@ def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
     """
     if nbytes < 0:
         raise CryptoError("requested key length is negative")
+    p, alpha_table, y_table = pub.p, pub._alpha_table, pub._y_table
     publics: list[int] = []
     parts: list[bytes] = []
     total = 0
     while total < nbytes:
-        k = rng.randrange(2, pub.p - 2)
-        publics.append(pow(pub.alpha, k, pub.p))
-        chunk = int_to_bytes_le(pow(pub.y, k, pub.p))
+        k = rng.randrange(2, p - 2)
+        publics.append(_table_pow(alpha_table, k, p))
+        chunk = int_to_bytes_le(_table_pow(y_table, k, p))
         parts.append(chunk)
         total += len(chunk)
     return Keystream(sender_publics=tuple(publics), key_bytes=b"".join(parts)[:nbytes])
@@ -225,11 +281,16 @@ def stream_encrypt(plain: bytes, pub: ElGamalPublic, rng) -> CipherBundle:
     )
 
 
+def check_sender_publics(sender_publics: Sequence[int], p: int) -> None:
+    """Raise CryptoError unless every sender public value lies in (0, p)."""
+    if sender_publics and (min(sender_publics) <= 0 or max(sender_publics) >= p):
+        bad = next(d for d in sender_publics if not 0 < d < p)
+        raise CryptoError(f"sender public value {bad} out of range (0, p)")
+
+
 def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalPrivate, nbytes: int) -> bytes:
     """Receiver-side keystream: expand d^x mod p for every sender public value."""
-    for d in sender_publics:
-        if not 0 < d < p:
-            raise CryptoError(f"sender public value {d} out of range (0, p)")
+    check_sender_publics(sender_publics, p)
     parts = [int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics]
     key = b"".join(parts)
     if len(key) < nbytes:

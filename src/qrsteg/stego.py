@@ -248,8 +248,13 @@ class Sidecar:
                 frame_rate=str(video.get("frame_rate", "25:1")),
                 frames=[_frame_record(record) for record in doc["frames"]],
             )
+            frame_count = int(video["frame_count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed sidecar field: {exc}") from exc
+        if frame_count != len(side.frames):
+            raise FormatError(
+                f"sidecar frame_count {frame_count} disagrees with its {len(side.frames)} frame records"
+            )
         if side.plain_len != (side.qr_width * side.qr_height + 7) // 8:
             raise FormatError(f"sidecar plain_len {side.plain_len} disagrees with the payload size")
         return side

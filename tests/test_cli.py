@@ -238,6 +238,28 @@ def test_embed_reads_a_frame_before_building_the_coder(workspace, capsys, monkey
     assert not output.exists()
 
 
+@pytest.mark.parametrize("command", ["embed", "attack"])
+def test_failed_run_leaves_no_output(workspace, capsys, command):
+    ws = workspace
+    cut = ws["tmp"] / "cut.y4m"
+    cut.write_bytes(ws["cover"].read_bytes()[:-100])  # the third frame is 100 bytes short
+    output = ws["tmp"] / "o.y4m"
+    if command == "embed":
+        args = embed_args(ws, output)
+        args[args.index(str(ws["cover"]))] = str(cut)
+    else:
+        args = ["attack", "--input", str(cut), "--output", str(output), "--attack", "sp:0.1"]
+    before = set(ws["tmp"].iterdir())
+    assert main(args) == 3
+    assert_one_error_line(capsys, 3)
+    assert set(ws["tmp"].iterdir()) == before  # no video, no sidecar, no temporary
+    # A good run leaves exactly its outputs.
+    args[args.index(str(cut))] = str(ws["cover"])
+    assert main(args) == 0
+    expected = {output, ws["tmp"] / "o.y4m.sidecar.json"} if command == "embed" else {output}
+    assert set(ws["tmp"].iterdir()) - before == expected
+
+
 def test_embed_missing_qr_flag_is_usage_error(workspace):
     ws = workspace
     args = embed_args(ws, ws["tmp"] / "x.y4m")
@@ -395,6 +417,34 @@ def test_extract_rejects_malformed_sidecar_frame(workspace, capsys, tamper):
     sidecar = ws["tmp"] / "stego.y4m.sidecar.json"
     doc = json.loads(sidecar.read_text())
     tamper(doc["frames"][1])
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(extract_args(ws, stego)) == 3
+    assert_one_error_line(capsys, 3)
+
+
+@pytest.mark.parametrize("d", ["0", "997"])
+def test_extract_checks_every_public_value_before_writing(workspace, capsys, d):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    sidecar = ws["tmp"] / "stego.y4m.sidecar.json"
+    doc = json.loads(sidecar.read_text())
+    doc["frames"][-1]["H"][-1] = d  # outside (0, p) for p = 997, in the last frame only
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(extract_args(ws, stego)) == 4
+    assert_one_error_line(capsys, 4)
+    assert not list(ws["tmp"].glob("rec/*.pgm"))
+
+
+def test_extract_rejects_sidecar_frame_count_mismatch(workspace, capsys):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    sidecar = ws["tmp"] / "stego.y4m.sidecar.json"
+    doc = json.loads(sidecar.read_text())
+    doc["video"]["frame_count"] += 1
     sidecar.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(extract_args(ws, stego)) == 3

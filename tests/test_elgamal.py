@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedRng
@@ -32,6 +32,42 @@ ENCRYPTED_PIXELS = bytes([16, 65, 252, 205, 148, 190, 2, 15, 75])
 # Tiny field for exhaustive checks: 5 is a primitive root of 23.
 TINY_PUB = ElGamalPublic(p=23, alpha=5, y=8)  # y = 5^6 mod 23
 TINY_PRIV = ElGamalPrivate(x=6)
+
+
+@st.composite
+def table_cases(draw):
+    """(base, k, p) over odd moduli 5 .. 2^300, often a whole number of windows long."""
+    w = elgamal.WINDOW_BITS
+    bits = draw(st.one_of(st.sampled_from(range(w, 301, w)), st.integers(3, 300)))
+    p = max(5, draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1)
+    all_ones = (1 << (w * ((p.bit_length() - 1) // w))) - 1  # every window 2^w - 1, below p
+    k = draw(st.one_of(st.sampled_from([2, p - 3, all_ones]), st.integers(0, p - 1)))
+    return draw(st.integers(0, p - 1)), k, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table_cases())
+@example((3, (1 << 294) - 1, (1 << 300) - 3))
+def test_table_pow_matches_builtin_pow(case):
+    base, k, p = case
+    assert elgamal._table_pow(elgamal._fixed_base_table(base, p), k, p) == pow(base, k, p)
+
+
+def test_keystream_builds_each_table_once(monkeypatch):
+    built = []
+    real = elgamal._fixed_base_table
+
+    def counting(base, p):
+        built.append(base)
+        return real(base, p)
+
+    monkeypatch.setattr(elgamal, "_fixed_base_table", counting)
+    pub = ElGamalPublic(p=997, alpha=809, y=12)
+    for seed in range(4):
+        keystream(pub, 40, random.Random(seed))
+        stream_encrypt(bytes(40), pub, random.Random(seed))
+    assert sorted(built) == [12, 809]  # alpha's table and y's, once each
+    assert pub == PUB
 
 
 def test_regenerate_keystream_rejects_bad_modulus():
