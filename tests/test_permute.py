@@ -49,6 +49,8 @@ KAT_SMALL_DIGESTS = {  # (seed, n) under TAG_COEFF_HL
     (2**64 - 1, 3): "53afea624a503a0bf39e469e8979f67fcb1890ea0392adf9e155124f5ede9ebb",
     (2**64 - 1, 1000): "8b80143f6bd5df9e74b9722d013da9fab57a27c6b98c6bf209ff47041a3f9dd5",
 }
+# One 1080p chroma plane (960 x 540 = 518,400 elements) under TAG_CHROMA_U.
+KAT_1080P_CHROMA_DIGEST = "80eba2768f7ecdc96979dcda9b6acb56872a7fc73ff55ef82f37320540313c39"
 
 
 def _perm_digest(seed, tag, n):
@@ -63,6 +65,10 @@ def test_permutation_known_answer_cif(tag):
 @pytest.mark.parametrize("seed,n", sorted(KAT_SMALL_DIGESTS))
 def test_permutation_known_answer_small(seed, n):
     assert _perm_digest(seed, permute.TAG_COEFF_HL, n) == KAT_SMALL_DIGESTS[(seed, n)]
+
+
+def test_permutation_known_answer_1080p_chroma():
+    assert _perm_digest(KAT_SEED, permute.TAG_CHROMA_U, 518_400) == KAT_1080P_CHROMA_DIGEST
 
 
 def _scalar_swap_indexes(state, moduli):
