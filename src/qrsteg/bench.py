@@ -93,6 +93,7 @@ def run(
 
     # attack label -> level -> (sum, count), aggregated over clips and seeds
     sums: dict[str, dict[str, list[float]]] = {}
+    coders: dict[tuple[int, int], FrameCoder] = {}  # one per geometry, shared across clips
 
     def record(label: str, level: str, value: float):
         slot = sums.setdefault(label, {lvl: [0.0, 0] for lvl in QR_LEVELS})[level]
@@ -104,7 +105,10 @@ def run(
         if not frames:
             print(f"bench: skipping empty clip {clip.name}", file=sys.stderr)
             continue
-        coder = FrameCoder(key, meta.width, meta.height)
+        geometry = (meta.width, meta.height)
+        if geometry not in coders:
+            coders[geometry] = FrameCoder(key, *geometry)
+        coder = coders[geometry]
         qw, qh = coder.qr_shape()
         qr_set = {level: qr_like_plane(qw, qh, seed=i) for i, level in enumerate(QR_LEVELS)}
         references = {level: render(plane) for level, plane in qr_set.items()}

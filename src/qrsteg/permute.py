@@ -134,19 +134,49 @@ def _swap_indexes(state: int, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resolve_swaps(j: np.ndarray) -> np.ndarray:
+    """The array [0, n) after swapping positions s and j[s] for s = n - 1 down to 1.
+
+    j is int64 with 0 <= j[s] <= s. The swaps are resolved by pointer
+    doubling rather than run in order. Let A(q) be what position q holds
+    just before step q (for q = 0: at the end). Only steps s > q with
+    j[s] = q write to q before then, and the last of them, the smallest s,
+    leaves A(s) there; so A(q) = A(s), or q if there is no such s. Each
+    chain q -> s rises, so value = value[value] resolves all of them in at
+    most ceil(log2 n) rounds. Step s with j[s] < s leaves in position s what
+    j[s] holds just before it: A of the next step of its group, or j[s] if
+    it is the group's last.
+    """
+    n = j.size
+    steps = np.arange(n, dtype=np.int64)
+    moved = np.flatnonzero(j != steps)
+    group, step = np.divmod(np.sort(j[moved] * n + moved), n)
+    last = np.diff(group, append=n) != 0
+    first = np.roll(last, 1)  # the entry after a group's last starts the next group
+    value = steps.copy()
+    value[group[first]] = step[first]
+    while True:
+        resolved = value[value]
+        if np.array_equal(resolved, value):
+            break
+        value = resolved
+    out = value.copy()
+    out[step] = np.where(last, group, value[np.roll(step, -1)])
+    return out
+
+
 def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> np.ndarray:
     """Fisher-Yates shuffle of [0, n) seeded with key.seed XOR domain_tag, as int64 indexes.
 
     Step i (from n - 1 down to 1) swaps i with j = v mod (i + 1), where v is
     the next SplitMix64 draw below floor(2^64 / (i + 1)) * (i + 1); draws at
-    or above that limit are discarded so j is unbiased.
+    or above that limit are discarded so j is unbiased. That sequential loop
+    defines the result; _resolve_swaps computes the same array without it.
     """
     state = (key.seed ^ domain_tag) & MASK64
-    swaps = _swap_indexes(state, np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-    buf = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), swaps):
-        buf[i], buf[j] = buf[j], buf[i]
-    return np.array(buf, dtype=np.int64)
+    j = np.zeros(n, dtype=np.int64)
+    j[1:] = _swap_indexes(state, np.arange(n, 1, -1, dtype=np.uint64))[::-1]
+    return _resolve_swaps(j)
 
 
 def invert(perm: np.ndarray) -> np.ndarray:

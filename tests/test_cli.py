@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qrsteg import bitplane, cli, elgamal, synth
+from qrsteg import bench, bitplane, cli, elgamal, synth
 from qrsteg.cli import main, parse_seed_text
+from qrsteg.stego import FrameCoder
 from qrsteg.videoio import read_pgm, read_y4m, write_pgm, write_y4m
 
 
@@ -365,6 +366,25 @@ def test_bench_smoke(tmp_path, capsys):
     none_row = attacks_csv[1].split(",")
     assert none_row[0] == "none"
     assert all(float(v) == 1.0 for v in none_row[1:])
+
+
+@pytest.mark.parametrize("sizes,builds", [([16, 16, 16], 1), ([16, 24, 16], 2)])
+def test_bench_builds_one_coder_per_geometry(tmp_path, monkeypatch, sizes, builds):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    for i, size in enumerate(sizes):
+        write_clip(dataset / f"clip{i}.y4m", w=size, h=16, frames=1, seed=i)
+    built = []
+
+    def counting_coder(*args):
+        built.append(args)
+        return FrameCoder(*args)
+
+    monkeypatch.setattr(bench, "FrameCoder", counting_coder)
+    assert main(["bench", "--input", str(dataset), "--report", str(tmp_path / "b.csv"),
+                 "--paper-fidelity", "--seed", "0", "--attacks", "sp:0.01"]) == 0
+    assert len(built) == builds
+    assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + len(sizes)
 
 
 def test_bench_empty_dataset_writes_headers_only(tmp_path):

@@ -143,6 +143,55 @@ def test_swap_indexes_match_scalar_oracle_on_random_moduli(state, moduli):
     assert got.tolist() == _scalar_swap_indexes(state, moduli)[0]
 
 
+def _scalar_resolve_swaps(j):
+    """Reference: run the swaps of steps s = n - 1 down to 1 one by one."""
+    buf = list(range(len(j)))
+    for s in range(len(j) - 1, 0, -1):
+        buf[s], buf[j[s]] = buf[j[s]], buf[s]
+    return buf
+
+
+def _mixed_swaps(n, seed):
+    rng = np.random.default_rng(seed)
+    j = rng.integers(0, np.arange(1, n + 1), dtype=np.int64)
+    keep = rng.random(n) < 0.3
+    j[keep] = np.arange(n)[keep]
+    return j
+
+
+SWAP_LISTS = {
+    "empty": np.zeros(0, dtype=np.int64),
+    "single": np.zeros(1, dtype=np.int64),
+    "all-self": np.arange(1000, dtype=np.int64),
+    "all-zero": np.zeros(1000, dtype=np.int64),
+    # j_s = s - 1: one chain through every position, the deepest doubling.
+    "neighbour-chain": np.maximum(np.arange(4097, dtype=np.int64) - 1, 0),
+    "mixed-self-small": _mixed_swaps(7, 1),
+    "mixed-self": _mixed_swaps(3000, 2),
+    "five-groups": np.arange(3000, dtype=np.int64) % 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_LISTS))
+def test_resolve_swaps_matches_scalar_loop(name):
+    j = SWAP_LISTS[name]
+    assert (0 <= j).all() and (j <= np.arange(j.size)).all()
+    got = permute._resolve_swaps(j)
+    assert got.dtype == np.int64
+    assert got.tolist() == _scalar_resolve_swaps(j.tolist())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**32), max_size=60), st.booleans())
+def test_resolve_swaps_matches_scalar_loop_on_random_lists(draws, selfish):
+    # draws[s] picks j_s in [0, s]; selfish turns every third step into a self-swap.
+    j = [v % (s + 1) for s, v in enumerate(draws)]
+    if selfish:
+        j = [s if s % 3 == 0 else v for s, v in enumerate(j)]
+    got = permute._resolve_swaps(np.array(j, dtype=np.int64))
+    assert got.tolist() == _scalar_resolve_swaps(j)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.sampled_from(ALL_TAGS), st.integers(0, 300))
 def test_keyed_permutation_matches_scalar_fisher_yates(seed, tag, n):

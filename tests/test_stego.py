@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qrsteg import stego, synth
+from qrsteg import elgamal, stego, synth
+from qrsteg.bitplane import pack
 from qrsteg.elgamal import ElGamalPrivate, ElGamalPublic
 from qrsteg.errors import CapacityError, CryptoError, FormatError, ShapeError
-from qrsteg.permute import StegoKey, keyed_permutation
+from qrsteg.permute import Splitmix64, StegoKey, keyed_permutation
 from qrsteg.stego import (
     FrameCoder,
     FramePayload,
@@ -274,6 +275,22 @@ def test_fresh_keystreams_per_frame_and_level():
     list(embed_video(frames, [qr_set], cfg, coder=coder, sidecar=sidecar))
     seen = {tuple(publics) for record in sidecar.frames for publics in record.values()}
     assert len(seen) == 8  # 2 frames x 4 levels, all distinct draws
+
+
+def test_v1_seed_and_public_key_decrypt_without_private_key():
+    # Documents a v1 weakness (README "Security notes"): the ephemeral exponents
+    # come from the stego seed, so anyone holding the seed and the public key
+    # regenerates every keystream and payload without x.
+    p, alpha = elgamal.generate_key_params(256, Splitmix64(0))
+    pub, _ = elgamal.keygen(p, alpha, Splitmix64(1))
+    cfg = StegoConfig(key=StegoKey(seed=0x5EED), public=pub)
+    coder = FrameCoder(cfg.key, 36, 28)
+    qr_set = {lvl: synth.qr_like_plane(18, 14, seed=i) for i, lvl in enumerate(stego.QR_LEVELS)}
+    payload = prepare_payload(qr_set, cfg, 3, coder)
+    for lvl, bundle in payload.bundles.items():
+        ks = elgamal.keystream(pub, bundle.plain_len, stego.payload_rng(cfg.key, lvl, 3))
+        assert ks.sender_publics == bundle.sender_publics
+        assert elgamal.xor_bytes(bundle.ciphertext, ks.key_bytes) == pack(qr_set[lvl]).data
 
 
 def test_embed_video_determinism():
