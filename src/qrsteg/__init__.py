@@ -19,7 +19,7 @@ from .elgamal import (
 )
 from .errors import CapacityError, CryptoError, FormatError, QrstegError, ShapeError
 from .permute import Splitmix64, StegoKey, keyed_permutation
-from .quality import QualityReport, capacity_bpp, mse, psnr, ssim
+from .quality import QualityReport, capacity_bpp, mse, ssim
 from .stego import (
     FrameCoder,
     FramePayload,

@@ -10,6 +10,7 @@ processed in any order or in parallel with identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -31,6 +32,11 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise FormatError(f"unknown attack kind {self.kind!r}")
+        for name in ("density", "mean", "variance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise FormatError(f"attack {name} {value} is not finite")
+            object.__setattr__(self, name, value + 0.0)  # -0.0 becomes +0.0: numpy rejects -0
         if self.kind == "salt_pepper" and not 0.0 <= self.density <= 1.0:
             raise FormatError(f"salt & pepper density {self.density} outside [0, 1]")
         if self.variance < 0.0:

@@ -23,12 +23,11 @@ from .bitplane import render
 from .elgamal import ElGamalPrivate, ElGamalPublic
 from .errors import FormatError
 from .permute import StegoKey, derive_seed
-from .quality import QualityReport, ssim
+from .quality import QualityReport, fmt_psnr, ssim
 from .stego import (
     QR_LEVELS,
     FrameCoder,
     StegoConfig,
-    clip_cover,
     decrypt_streams,
     embed_video,
     frame_keystreams,
@@ -43,15 +42,8 @@ _ATTACK_SALT = 0xA77AC4
 @dataclass
 class FidelityRow:
     name: str
-    frames: int
-    luma_pixels: int
-    embedded_bits: int
-    capacity_bpp: float
-    psnr_db: float
-    mse: float
-    psnr_luma_db: float
-    mse_luma: float
-    bp_bytes: int
+    report: QualityReport
+    bp_bytes: int  # keystream transport: the sender public values, minimal bytes each
     bp_overhead: float  # keystream transport bytes / payload bytes
 
 
@@ -65,7 +57,6 @@ class RobustnessRow:
 class BenchResult:
     fidelity: list[FidelityRow] = field(default_factory=list)
     robustness: list[RobustnessRow] = field(default_factory=list)
-    attack_seeds: int = 1
 
 
 def _load_clip(path: Path, max_frames: int | None):
@@ -87,7 +78,7 @@ def run(
     if not dataset.is_dir():
         raise FormatError(f"{dataset} is not a directory")
     clips = sorted(dataset.glob("*.y4m"))
-    result = BenchResult(attack_seeds=attack_seeds)
+    result = BenchResult()
     key = StegoKey(seed=seed)
     cfg = StegoConfig(key=key, public=pub, private=priv)
 
@@ -115,13 +106,7 @@ def run(
 
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()
-        stego_frames = []
-        for original, stego_frame in zip(
-            frames, embed_video(frames, [qr_set], cfg, coder=coder, sidecar=sidecar)
-        ):
-            report.add_frame(clip_cover(original), stego_frame)
-            stego_frames.append(stego_frame)
-
+        stego_frames = list(embed_video(frames, qr_set, cfg, coder, sidecar, report))
         count = len(stego_frames)
         bp_bytes = sum(
             (d.bit_length() + 7) // 8
@@ -129,22 +114,8 @@ def run(
             for publics in rec.values()
             for d in publics
         )
-        payload_bytes = count * 4 * sidecar.plain_len
-        result.fidelity.append(
-            FidelityRow(
-                name=clip.name,
-                frames=count,
-                luma_pixels=count * meta.width * meta.height,
-                embedded_bits=count * 4 * coder.capacity_bits,
-                capacity_bpp=(count * 4 * coder.capacity_bits) / (count * meta.width * meta.height),
-                psnr_db=report.average_psnr(),
-                mse=report.average_mse(),
-                psnr_luma_db=report.average_psnr(luma_only=True),
-                mse_luma=report.average_mse(luma_only=True),
-                bp_bytes=bp_bytes,
-                bp_overhead=bp_bytes / payload_bytes if payload_bytes else 0.0,
-            )
-        )
+        payload_bytes = count * len(QR_LEVELS) * sidecar.plain_len
+        result.fidelity.append(FidelityRow(clip.name, report, bp_bytes, bp_bytes / payload_bytes))
 
         subset = stego_frames[: min(robust_frames, count)]
         keys = [
@@ -182,16 +153,14 @@ def print_tables(result: BenchResult) -> None:
     header = f"{'clip':24s} {'frames':>6s} {'bits':>12s} {'bpp':>5s} {'psnr':>8s} {'mse':>8s} {'bp-ovh':>7s}"
     print("  " + header)
     for row in result.fidelity:
-        psnr_text = "ident" if math.isinf(row.psnr_db) else f"{row.psnr_db:8.3f}"
+        r = row.report
         print(
-            f"  {row.name:24s} {row.frames:6d} {row.embedded_bits:12d} "
-            f"{row.capacity_bpp:5.2f} {psnr_text:>8s} {row.mse:8.4f} {row.bp_overhead:7.4f}"
+            f"  {row.name:24s} {len(r.frame_mse):6d} {r.embedded_bits:12d} {r.capacity():5.2f} "
+            f"{fmt_psnr(r.average_psnr()):>8s} {r.average_mse():8.4f} {row.bp_overhead:7.4f}"
         )
-    if result.fidelity:
-        avg = sum(r.psnr_db for r in result.fidelity if math.isfinite(r.psnr_db))
-        finite = [r for r in result.fidelity if math.isfinite(r.psnr_db)]
-        if finite:
-            print(f"  average psnr: {avg / len(finite):.3f} dB")
+    finite = [p for p in (row.report.average_psnr() for row in result.fidelity) if math.isfinite(p)]
+    if finite:
+        print(f"  average psnr: {sum(finite) / len(finite):.3f} dB")
     print("robustness (mean recovered-payload ssim):")
     print("  " + f"{'attack':16s} " + " ".join(f"{lvl:>8s}" for lvl in QR_LEVELS))
     for row in result.robustness:
@@ -222,17 +191,18 @@ def write_reports(result: BenchResult, report: Path) -> None:
             ]
         )
         for row in result.fidelity:
+            r = row.report
             writer.writerow(
                 [
                     row.name,
-                    row.frames,
-                    row.luma_pixels,
-                    row.embedded_bits,
-                    f"{row.capacity_bpp:.6f}",
-                    "identical" if math.isinf(row.psnr_db) else f"{row.psnr_db:.3f}",
-                    f"{row.mse:.6f}",
-                    "identical" if math.isinf(row.psnr_luma_db) else f"{row.psnr_luma_db:.3f}",
-                    f"{row.mse_luma:.6f}",
+                    len(r.frame_mse),
+                    r.luma_pixels,
+                    r.embedded_bits,
+                    f"{r.capacity():.6f}",
+                    fmt_psnr(r.average_psnr()),
+                    f"{r.average_mse():.6f}",
+                    fmt_psnr(r.average_psnr(luma_only=True)),
+                    f"{r.average_mse(luma_only=True):.6f}",
                     row.bp_bytes,
                     f"{row.bp_overhead:.6f}",
                 ]

@@ -22,13 +22,12 @@ from . import bitplane, elgamal
 from .attacks import AttackSpec, attack_video
 from .errors import FormatError, QrstegError, UsageError
 from .permute import Splitmix64, StegoKey, derive_seed
-from .quality import QualityReport, mse, ssim
+from .quality import QualityReport, ssim
 from .stego import (
     QR_LEVELS,
     FrameCoder,
     Sidecar,
     StegoConfig,
-    clip_cover,
     embed_video,
     extract_video,
     new_sidecar,
@@ -156,26 +155,13 @@ def cmd_embed(args) -> int:
         coder = FrameCoder(key, meta.width, meta.height)
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()
-
-        def measured():
-            # embed_video pulls one cover per stego frame, so tee buffers one frame at most.
-            covers, feed = itertools.tee(itertools.chain([first], frames))
-            stego = embed_video(feed, [qr_set], cfg, coder=coder, sidecar=sidecar)
-            for cover, stego_frame in zip(covers, stego):
-                ref = clip_cover(cover)
-                report.clip_mse.append(mse(cover, ref))
-                report.add_frame(ref, stego_frame)
-                yield stego_frame
-
+        stego = embed_video(itertools.chain([first], frames), qr_set, cfg, coder, sidecar, report)
         with _atomic_outputs(out_path, sidecar_path) as (video_temp, sidecar_temp):
             with open(video_temp, "wb") as out:
-                count = write_y4m(meta, measured(), out)
+                count = write_y4m(meta, stego, out)
             sidecar.write(sidecar_temp)
     finally:
         handle.close()
-
-    report.embedded_bits = count * 4 * coder.capacity_bits
-    report.luma_pixels = count * meta.width * meta.height
 
     print(f"embedded {report.embedded_bits} bits into {count} frames -> {out_path}")
     print(f"capacity: {report.capacity():g} bpp")

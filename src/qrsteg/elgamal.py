@@ -352,27 +352,30 @@ def save_private_key(priv: ElGamalPrivate, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
 
 
-def _load_key_doc(path: str | Path, kind: str) -> dict:
+def parse_decimals(texts: list) -> list[int]:
+    """Integers stored as decimal strings, as the key and sidecar writers store them."""
+    if not set(map(type, texts)) <= {str}:  # a JSON number, boolean or null is not coerced
+        bad = next(text for text in texts if type(text) is not str)
+        raise ValueError(f"{bad!r} is not a decimal string")
+    return list(map(int, texts))
+
+
+def _load_key_fields(path: str | Path, kind: str, names: tuple[str, ...]) -> list[int]:
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
     except (OSError, ValueError) as exc:
         raise FormatError(f"cannot read key file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise FormatError(f"{path} is not a {kind} file")
-    return doc
+    try:
+        return parse_decimals([doc[name] for name in names])
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"bad {kind} fields in {path}: {exc}") from exc
 
 
 def load_public_key(path: str | Path) -> ElGamalPublic:
-    doc = _load_key_doc(path, PUBLIC_KIND)
-    try:
-        return ElGamalPublic(p=int(doc["p"]), alpha=int(doc["alpha"]), y=int(doc["y"]))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad public key fields in {path}: {exc}") from exc
+    return ElGamalPublic(*_load_key_fields(path, PUBLIC_KIND, ("p", "alpha", "y")))
 
 
 def load_private_key(path: str | Path) -> ElGamalPrivate:
-    doc = _load_key_doc(path, PRIVATE_KIND)
-    try:
-        return ElGamalPrivate(x=int(doc["x"]))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad private key fields in {path}: {exc}") from exc
+    return ElGamalPrivate(*_load_key_fields(path, PRIVATE_KIND, ("x",)))

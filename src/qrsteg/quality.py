@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QrstegError, ShapeError
+from .stego import CLIP_HI, CLIP_LO
 from .videoio import FrameYuv420
 
 PEAK = 255.0
@@ -30,18 +31,16 @@ def _check_same_geometry(a: FrameYuv420, b: FrameYuv420) -> None:
         raise ShapeError("frames differ in geometry")
 
 
+def _sse(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum of squared differences, in int64: one 256x256 plane can pass int32."""
+    return int(np.square(np.subtract(a, b, dtype=np.int32)).sum(dtype=np.int64))
+
+
 def mse(a: FrameYuv420, b: FrameYuv420, *, luma_only: bool = False) -> float:
     """Mean squared sample difference across the native planes."""
     _check_same_geometry(a, b)
-    planes = (("y",) if luma_only else ("y", "u", "v"))
-    total = 0.0
-    count = 0
-    for name in planes:
-        pa = getattr(a, name).astype(np.float64)
-        pb = getattr(b, name).astype(np.float64)
-        total += float(((pa - pb) ** 2).sum())
-        count += pa.size
-    return total / count
+    planes = [(a.y, b.y)] if luma_only else [(a.y, b.y), (a.u, b.u), (a.v, b.v)]
+    return sum(_sse(pa, pb) for pa, pb in planes) / sum(pa.size for pa, _ in planes)
 
 
 def psnr_from_mse(value: float) -> float:
@@ -50,10 +49,6 @@ def psnr_from_mse(value: float) -> float:
     if value == 0.0:
         return IDENTICAL
     return 10.0 * math.log10(PEAK * PEAK / value)
-
-
-def psnr(a: FrameYuv420, b: FrameYuv420, *, luma_only: bool = False) -> float:
-    return psnr_from_mse(mse(a, b, luma_only=luma_only))
 
 
 def ssim(original: np.ndarray, recovered: np.ndarray) -> float:
@@ -85,31 +80,31 @@ def capacity_bpp(embedded_bits: int, luma_pixels: int) -> float:
 
 @dataclass
 class QualityReport:
-    """Per-frame fidelity numbers for one embedding run."""
+    """Per-frame fidelity numbers for one embedding run; PSNR derives from MSE."""
 
     frame_mse: list[float] = field(default_factory=list)
-    frame_psnr: list[float] = field(default_factory=list)
     frame_mse_luma: list[float] = field(default_factory=list)
-    frame_psnr_luma: list[float] = field(default_factory=list)
+    clip_mse: list[float] = field(default_factory=list)  # cover vs clipped cover
     embedded_bits: int = 0
     luma_pixels: int = 0
-    clip_mse: list[float] = field(default_factory=list)  # cover vs clipped cover
 
-    def add_frame(self, reference: FrameYuv420, stego: FrameYuv420) -> None:
-        m = mse(reference, stego)
-        self.frame_mse.append(m)
-        self.frame_psnr.append(psnr_from_mse(m))
-        ml = mse(reference, stego, luma_only=True)
-        self.frame_mse_luma.append(ml)
-        self.frame_psnr_luma.append(psnr_from_mse(ml))
-
-    @staticmethod
-    def _finite_mean(values: list[float]) -> float:
-        finite = [v for v in values if math.isfinite(v)]
-        return sum(finite) / len(finite) if finite else IDENTICAL
+    def add_frame(self, cover: FrameYuv420, stego: FrameYuv420) -> None:
+        """Score a stego frame against its cover as embedded, luma clipped to
+        [CLIP_LO, CLIP_HI]; an already clipped cover scores the same."""
+        _check_same_geometry(cover, stego)
+        y = np.clip(cover.y, CLIP_LO, CLIP_HI)
+        luma = _sse(y, stego.y)
+        samples = cover.y.size + cover.u.size + cover.v.size
+        self.frame_mse.append((luma + _sse(cover.u, stego.u) + _sse(cover.v, stego.v)) / samples)
+        self.frame_mse_luma.append(luma / cover.y.size)
+        self.clip_mse.append(_sse(cover.y, y) / samples)
+        self.luma_pixels += cover.y.size
 
     def average_psnr(self, *, luma_only: bool = False) -> float:
-        return self._finite_mean(self.frame_psnr_luma if luma_only else self.frame_psnr)
+        """Mean of the per-frame PSNRs, leaving out identical frames."""
+        values = self.frame_mse_luma if luma_only else self.frame_mse
+        finite = [p for p in map(psnr_from_mse, values) if math.isfinite(p)]
+        return sum(finite) / len(finite) if finite else IDENTICAL
 
     def average_mse(self, *, luma_only: bool = False) -> float:
         values = self.frame_mse_luma if luma_only else self.frame_mse
@@ -121,22 +116,22 @@ class QualityReport:
     def write_csv(self, stream) -> None:
         writer = csv.writer(stream)
         writer.writerow(["frame", "mse", "psnr_db", "mse_luma", "psnr_luma_db"])
-        for i, (m, p, ml, pl) in enumerate(
-            zip(self.frame_mse, self.frame_psnr, self.frame_mse_luma, self.frame_psnr_luma)
-        ):
-            writer.writerow([i, f"{m:.6f}", _fmt_psnr(p), f"{ml:.6f}", _fmt_psnr(pl)])
+        for i, (m, ml) in enumerate(zip(self.frame_mse, self.frame_mse_luma)):
+            writer.writerow([i, f"{m:.6f}", fmt_psnr(psnr_from_mse(m)),
+                             f"{ml:.6f}", fmt_psnr(psnr_from_mse(ml))])
         writer.writerow(
             [
                 "average",
                 f"{self.average_mse():.6f}",
-                _fmt_psnr(self.average_psnr()),
+                fmt_psnr(self.average_psnr()),
                 f"{self.average_mse(luma_only=True):.6f}",
-                _fmt_psnr(self.average_psnr(luma_only=True)),
+                fmt_psnr(self.average_psnr(luma_only=True)),
             ]
         )
         if self.luma_pixels:
             writer.writerow(["capacity_bpp", f"{self.capacity():.6f}", "", "", ""])
 
 
-def _fmt_psnr(value: float) -> str:
+def fmt_psnr(value: float) -> str:
+    """PSNR as the reports print it: three decimals, or "identical"."""
     return "identical" if not math.isfinite(value) else f"{value:.3f}"

@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .elgamal import CipherBundle, ElGamalPrivate, ElGamalPublic
 from .errors import CapacityError, CryptoError, FormatError, ShapeError
 from .videoio import FrameYuv420
 from .wavelet import fwd_haar_int, inv_haar_int
+
+if TYPE_CHECKING:  # quality imports this module's clip range
+    from .quality import QualityReport
 
 QR_LEVELS = ("L", "M", "Q", "H")
 
@@ -101,7 +104,6 @@ class FrameCoder:
     def __init__(self, key: permute.StegoKey, width: int, height: int):
         if width % 2 or height % 2 or width <= 0 or height <= 0:
             raise ShapeError(f"cover dimensions must be even and positive, got {width}x{height}")
-        self.key = key
         self.width = width
         self.height = height
         self.capacity_bits = (width // 2) * (height // 2)  # per carrier
@@ -239,16 +241,16 @@ class Sidecar:
         try:
             video = doc["video"]
             side = cls(
-                width=int(video["width"]),
-                height=int(video["height"]),
-                qr_width=int(doc["qr"]["width"]),
-                qr_height=int(doc["qr"]["height"]),
-                plain_len=int(doc["plain_len"]),
+                width=_json_int(video["width"]),
+                height=_json_int(video["height"]),
+                qr_width=_json_int(doc["qr"]["width"]),
+                qr_height=_json_int(doc["qr"]["height"]),
+                plain_len=_json_int(doc["plain_len"]),
                 key_fingerprint=str(doc["key_fingerprint"]),
                 frame_rate=str(video.get("frame_rate", "25:1")),
                 frames=[_frame_record(record) for record in doc["frames"]],
             )
-            frame_count = int(video["frame_count"])
+            frame_count = _json_int(video["frame_count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed sidecar field: {exc}") from exc
         if frame_count != len(side.frames):
@@ -277,7 +279,14 @@ def _frame_record(record) -> dict[str, list[int]]:
         raise FormatError(f"sidecar frame must hold exactly the levels {', '.join(QR_LEVELS)}")
     if not all(isinstance(publics, list) for publics in record.values()):
         raise FormatError("sidecar public values must be lists")
-    return {level: [int(d) for d in record[level]] for level in QR_LEVELS}
+    return {level: elgamal.parse_decimals(record[level]) for level in QR_LEVELS}
+
+
+def _json_int(value) -> int:
+    """A sidecar count or size: a JSON integer, as the writer stores it."""
+    if type(value) is not int:  # rejects floats, strings and booleans
+        raise ValueError(f"{value!r} is not a JSON integer")
+    return value
 
 
 def new_sidecar(cfg: StegoConfig, coder: FrameCoder, frame_rate: str = "25:1") -> Sidecar:
@@ -295,31 +304,26 @@ def new_sidecar(cfg: StegoConfig, coder: FrameCoder, frame_rate: str = "25:1") -
 
 def embed_video(
     frames: Iterable[FrameYuv420],
-    qr_sets: Sequence[Mapping[str, QrPlane]],
+    qr_set: Mapping[str, QrPlane],
     cfg: StegoConfig,
-    *,
-    coder: FrameCoder | None = None,
-    sidecar: Sidecar | None = None,
+    coder: FrameCoder,
+    sidecar: Sidecar,
+    report: QualityReport,
 ) -> Iterator[FrameYuv420]:
-    """Embed one payload set per frame, cycling the supplied sets.
+    """Embed the payload set into every frame.
 
-    Appends one record per frame to the sidecar when given. Every frame
-    draws fresh ephemeral exponents, so identical payloads still produce
-    different ciphertext from frame to frame.
+    Each frame appends its sender public values to the sidecar and its
+    fidelity to the report. Every frame draws fresh ephemeral exponents, so
+    the same payload still produces different ciphertext from frame to frame.
     """
-    if not qr_sets:
-        raise CapacityError("at least one payload set is required")
     cfg.public.validate()
-    sets = itertools.cycle(qr_sets)
     for index, frame in enumerate(frames):
-        if coder is None:
-            coder = FrameCoder(cfg.key, frame.width, frame.height)
-        payload = prepare_payload(next(sets), cfg, index, coder)
-        if sidecar is not None:
-            sidecar.frames.append(
-                {level: list(payload.bundles[level].sender_publics) for level in QR_LEVELS}
-            )
-        yield coder.embed(frame, payload)
+        payload = prepare_payload(qr_set, cfg, index, coder)
+        sidecar.frames.append({lvl: list(payload.bundles[lvl].sender_publics) for lvl in QR_LEVELS})
+        stego = coder.embed(frame, payload)
+        report.embedded_bits += len(QR_LEVELS) * coder.capacity_bits
+        report.add_frame(frame, stego)
+        yield stego
 
 
 @dataclass
@@ -391,23 +395,22 @@ def decode_frame_streams(
 
 
 def extract_video(
-    frames: Iterable[FrameYuv420],
-    cfg: StegoConfig,
-    sidecar: Sidecar,
-    *,
-    coder: FrameCoder | None = None,
+    frames: Iterable[FrameYuv420], cfg: StegoConfig, sidecar: Sidecar
 ) -> Iterator[ExtractedSet]:
-    """Recover one payload set per frame using the sidecar's key material."""
-    for index, frame in enumerate(frames):
-        if coder is None:
-            coder = FrameCoder(cfg.key, frame.width, frame.height)
-        if (frame.width, frame.height) != (sidecar.width, sidecar.height):
-            raise ShapeError("stego video geometry disagrees with the sidecar")
+    """Recover one payload set per frame using the sidecar's key material. The
+    first frame must match the sidecar geometry before the coder is built."""
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
+        return
+    if (first.width, first.height) != (sidecar.width, sidecar.height):
+        raise ShapeError("stego video geometry disagrees with the sidecar")
+    coder = FrameCoder(cfg.key, sidecar.width, sidecar.height)
+    for index, frame in enumerate(itertools.chain([first], frames)):
         if index >= len(sidecar.frames):
             raise FormatError(f"sidecar records {len(sidecar.frames)} frames, video has more")
-        streams = coder.extract(frame)
         yield decode_frame_streams(
-            streams,
+            coder.extract(frame),
             sidecar.frames[index],
             cfg,
             sidecar.qr_width,

@@ -27,7 +27,7 @@ def gradient_video(width: int, height: int, frames: int, *, seed: int = 0) -> tu
         cu = np.clip(118 + 24 * xs[None, : width // 2 * 2 : 2] + rng.normal(0, 1.5, (height // 2, width // 2)), 0, 255)
         cv = np.clip(134 - 20 * ys[None, : height // 2 * 2 : 2].T + rng.normal(0, 1.5, (height // 2, width // 2)), 0, 255)
         out.append(FrameYuv420(y=y, u=cu.astype(np.uint8), v=cv.astype(np.uint8)))
-    return VideoMeta(width=width, height=height, frame_count=frames, frame_rate="30:1"), out
+    return VideoMeta(width=width, height=height, frame_rate="30:1"), out
 
 
 def noise_video(width: int, height: int, frames: int, *, seed: int = 0) -> tuple[VideoMeta, list[FrameYuv420]]:
@@ -40,7 +40,7 @@ def noise_video(width: int, height: int, frames: int, *, seed: int = 0) -> tuple
         )
         for _ in range(frames)
     ]
-    return VideoMeta(width=width, height=height, frame_count=frames, frame_rate="30:1"), out
+    return VideoMeta(width=width, height=height, frame_rate="30:1"), out
 
 
 def moving_block_video(width: int, height: int, frames: int, *, seed: int = 0) -> tuple[VideoMeta, list[FrameYuv420]]:
@@ -56,7 +56,7 @@ def moving_block_video(width: int, height: int, frames: int, *, seed: int = 0) -
         u = np.full((height // 2, width // 2), 120, dtype=np.uint8)
         v = np.full((height // 2, width // 2), 136, dtype=np.uint8)
         out.append(FrameYuv420(y=y, u=u, v=v))
-    return VideoMeta(width=width, height=height, frame_count=frames, frame_rate="30:1"), out
+    return VideoMeta(width=width, height=height, frame_rate="30:1"), out
 
 
 def qr_like_plane(width: int, height: int, *, seed: int = 0, module: int = 4) -> QrPlane:

@@ -44,15 +44,11 @@ class FrameYuv420:
     def height(self) -> int:
         return self.y.shape[0]
 
-    def copy(self) -> "FrameYuv420":
-        return FrameYuv420(y=self.y.copy(), u=self.u.copy(), v=self.v.copy())
-
 
 @dataclass
 class VideoMeta:
     width: int
     height: int
-    frame_count: int | None = None
     frame_rate: str = "25:1"
     interlace: str = "Ip"
     aspect: str = "A1:1"

@@ -19,12 +19,11 @@ from qrsteg.attacks import AttackSpec, attack_video
 from qrsteg.cli import main
 from qrsteg.elgamal import ElGamalPrivate, ElGamalPublic
 from qrsteg.permute import StegoKey, derive_seed, fnv1a64, invert, keyed_permutation
-from qrsteg.quality import capacity_bpp, mse, psnr_from_mse, ssim
+from qrsteg.quality import QualityReport, capacity_bpp, ssim
 from qrsteg.stego import (
     QR_LEVELS,
     FrameCoder,
     StegoConfig,
-    clip_cover,
     decrypt_streams,
     embed_video,
     extract_video,
@@ -110,9 +109,9 @@ def _roundtrip_ssim(width, height, frames, seed):
     qr_set = {lvl: synth.qr_like_plane(qw, qh, seed=60 + i) for i, lvl in enumerate(QR_LEVELS)}
     coder = FrameCoder(cfg.key, width, height)
     sidecar = new_sidecar(cfg, coder)
-    stego = list(embed_video(cover, [qr_set], cfg, coder=coder, sidecar=sidecar))
+    stego = list(embed_video(cover, qr_set, cfg, coder, sidecar, QualityReport()))
     worst = 1.0
-    for result in extract_video(stego, cfg, sidecar, coder=coder):
+    for result in extract_video(stego, cfg, sidecar):
         for lvl in QR_LEVELS:
             value = ssim(bitplane.render(qr_set[lvl]), bitplane.render(result.planes[lvl]))
             worst = min(worst, value)
@@ -151,15 +150,13 @@ def test_c07_imperceptibility_band():
     for clip_seed in (1, 2, 3):
         start = time.perf_counter()
         _, cover = synth.gradient_video(352, 288, 6, seed=clip_seed)
-        psnrs = []
-        for original, stego_frame in zip(cover, embed_video(cover, [qr_set], cfg, coder=coder)):
-            m = mse(clip_cover(original), stego_frame)
-            all_mse.append(m)
-            psnrs.append(psnr_from_mse(m))
-            ok = ok and 0.30 <= m <= 0.55
+        quality = QualityReport()
+        list(embed_video(cover, qr_set, cfg, coder, new_sidecar(cfg, coder), quality))
+        all_mse += quality.frame_mse
+        ok = ok and len(quality.frame_mse) == 6 and all(0.30 <= m <= 0.55 for m in quality.frame_mse)
         elapsed = time.perf_counter() - start
         ok = ok and elapsed < 120.0
-        avg_psnrs.append(sum(psnrs) / len(psnrs))
+        avg_psnrs.append(quality.average_psnr())
     ok = ok and all(50.0 <= p <= 54.0 for p in avg_psnrs)
     report(
         "C7 imperceptibility band",
@@ -188,7 +185,7 @@ def robustness_setup():
     qr_set = {lvl: synth.qr_like_plane(qw, qh, seed=70 + i) for i, lvl in enumerate(QR_LEVELS)}
     coder = FrameCoder(cfg.key, width, height)
     sidecar = new_sidecar(cfg, coder)
-    stego = list(embed_video(cover, [qr_set], cfg, coder=coder, sidecar=sidecar))
+    stego = list(embed_video(cover, qr_set, cfg, coder, sidecar, QualityReport()))
     keys = [frame_keystreams(record, cfg, sidecar.plain_len) for record in sidecar.frames]
     references = {lvl: bitplane.render(plane) for lvl, plane in qr_set.items()}
     return coder, stego, keys, references, (qw, qh)

@@ -427,8 +427,13 @@ def test_extract_rejects_non_positive_private_exponent(workspace, capsys, x):
     [
         lambda frame: frame.pop("H"),  # a frame missing a level
         lambda frame: frame.update(Q="12"),  # a level that is not a list
+        lambda frame: frame["L"].__setitem__(0, 3.7),  # public values are decimal strings
+        lambda frame: frame["L"].__setitem__(0, True),
+        lambda frame: frame["L"].__setitem__(0, 320),
+        lambda frame: frame["L"].__setitem__(0, None),
     ],
-    ids=["missing-level", "string-level"],
+    ids=["missing-level", "string-level", "float-public", "bool-public", "int-public",
+         "null-public"],
 )
 def test_extract_rejects_malformed_sidecar_frame(workspace, capsys, tamper):
     ws = workspace
@@ -469,6 +474,103 @@ def test_extract_rejects_sidecar_frame_count_mismatch(workspace, capsys):
     capsys.readouterr()
     assert main(extract_args(ws, stego)) == 3
     assert_one_error_line(capsys, 3)
+
+
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        ("video", "width", "32"),
+        ("video", "height", 32.0),
+        ("video", "frame_count", True),
+        ("qr", "height", 16.0),
+        (None, "plain_len", "32"),
+    ],
+)
+def test_extract_rejects_sidecar_geometry_that_is_not_a_json_integer(
+    workspace, capsys, section, field, value
+):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    sidecar = ws["tmp"] / "stego.y4m.sidecar.json"
+    doc = json.loads(sidecar.read_text())
+    (doc[section] if section else doc)[field] = value
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(extract_args(ws, stego)) == 3
+    assert_one_error_line(capsys, 3)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("p", [997]), ("p", 997.9), ("p", 997), ("alpha", None), ("y", True), ("y", "12.0")],
+)
+def test_embed_rejects_public_key_field_that_is_not_a_decimal_string(
+    workspace, capsys, field, value
+):
+    ws = workspace
+    doc = json.loads(ws["pub"].read_text())
+    doc[field] = value
+    bad = ws["tmp"] / "bad.pub"
+    bad.write_text(json.dumps(doc))
+    stego = ws["tmp"] / "stego.y4m"
+    args = embed_args(ws, stego)
+    args[args.index(str(ws["pub"]))] = str(bad)
+    assert main(args) == 3
+    assert_one_error_line(capsys, 3)
+    assert not stego.exists()
+
+
+@pytest.mark.parametrize("x", [None, [420], 420, 420.0, True])
+def test_extract_rejects_private_exponent_that_is_not_a_decimal_string(workspace, capsys, x):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    bad = ws["tmp"] / "bad.priv"
+    bad.write_text(json.dumps({"kind": "elgamal-private", "x": x}))
+    capsys.readouterr()
+    assert main(extract_args(ws, stego, priv=bad)) == 3
+    assert_one_error_line(capsys, 3)
+
+
+def one_clip_dataset(tmp_path):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    return dataset
+
+
+@pytest.mark.parametrize("spec", ["speckle:inf", "speckle:nan", "gauss:0:inf", "gauss:nan:0.01"])
+def test_attack_and_bench_reject_non_finite_parameters(workspace, capsys, spec):
+    ws = workspace
+    out = ws["tmp"] / "noisy.y4m"
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(out), "--attack", spec]) == 3
+    assert_one_error_line(capsys, 3)
+    assert not out.exists()
+    dataset = one_clip_dataset(ws["tmp"])
+    assert main(["bench", "--input", str(dataset), "--paper-fidelity", "--seed", "0",
+                 "--attacks", spec]) == 3
+    assert_one_error_line(capsys, 3)
+
+
+@pytest.mark.parametrize(
+    "spec,same_as", [("gauss:0:-0", "gauss:0:0"), ("speckle:-0", "speckle:0"),
+                     ("gauss:-0:0.01", "gauss:0:0.01")]
+)
+def test_attack_and_bench_treat_negative_zero_as_zero(workspace, capsys, spec, same_as):
+    ws = workspace
+    outputs = []
+    for i, text in enumerate((spec, same_as)):
+        outputs.append(ws["tmp"] / f"noisy{i}.y4m")
+        assert main(["attack", "--input", str(ws["cover"]), "--output", str(outputs[-1]),
+                     "--attack", text, "--seed", "3"]) == 0
+        assert f"(attacks: {same_as}, seed: 3)" in capsys.readouterr().out
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    report = ws["tmp"] / "bench.csv"
+    assert main(["bench", "--input", str(one_clip_dataset(ws["tmp"])), "--report", str(report),
+                 "--paper-fidelity", "--seed", "0", "--attacks", spec, "--attack-seeds", "1"]) == 0
+    rows = (ws["tmp"] / "bench.attacks.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["none", same_as]
 
 
 def test_bench_max_frames_zero_scores_no_frame(tmp_path, capsys):

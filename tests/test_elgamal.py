@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from qrsteg.elgamal import (
     xor_bytes,
 )
 from qrsteg.errors import CryptoError, FormatError
+from qrsteg.permute import Splitmix64
 
 # Demo key material: p = 997, alpha = 809, x = 420 -> y = 12.
 PUB = ElGamalPublic(p=997, alpha=809, y=12)
@@ -181,6 +183,19 @@ def test_keystream_empty():
     ks = keystream(PUB, 0, ScriptedRng([]))
     assert ks.sender_publics == ()
     assert ks.key_bytes == b""
+
+
+def test_v1_demo_keystream_is_biased():
+    # Documents a v1 weakness (README "Security notes", ROADMAP item 4): under
+    # the p = 997 demo key each y^k < 997 is written as one or two minimal
+    # little-endian bytes, so every high byte is 1, 2 or 3. A uniform stream
+    # would read a mean bit of 0.5 and give each byte value 1/256 of the bytes.
+    n = 50_000
+    data = np.frombuffer(keystream(PUB, n, Splitmix64(1)).key_bytes, dtype=np.uint8)
+    counts = np.bincount(data, minlength=256)
+    assert np.unpackbits(data).mean() == pytest.approx(0.3513, abs=0.001)
+    assert counts.max() / n == pytest.approx(0.1482, abs=0.001)
+    assert counts[1:4].sum() / n > 0.42
 
 
 def test_keystream_regenerates_from_private_key():

@@ -1,5 +1,4 @@
 import io
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from qrsteg.quality import (
     QualityReport,
     capacity_bpp,
     mse,
-    psnr,
     psnr_from_mse,
     ssim,
 )
@@ -83,7 +81,7 @@ def test_psnr_values():
     assert psnr_from_mse(1.0) == pytest.approx(48.13, abs=0.005)
     assert psnr_from_mse(0.0) is IDENTICAL
     f = frame_from(np.zeros((2, 2)))
-    assert psnr(f, f) is IDENTICAL
+    assert psnr_from_mse(mse(f, f)) is IDENTICAL
 
 
 def test_psnr_strictly_decreasing_in_mse():
@@ -136,13 +134,14 @@ def test_capacity_values():
 
 
 def test_quality_report_csv():
-    report = QualityReport(embedded_bits=400, luma_pixels=400)
+    report = QualityReport(embedded_bits=32)
     a = frame_from(np.full((4, 4), 50))
     b = frame_from(np.full((4, 4), 52))
     report.add_frame(a, b)
     report.add_frame(a, a)  # identical frame -> sentinel, excluded from averages
-    assert report.average_psnr() == pytest.approx(report.frame_psnr[0])
-    assert math.isinf(report.frame_psnr[1])
+    assert report.luma_pixels == 32
+    assert report.average_psnr() == pytest.approx(psnr_from_mse(report.frame_mse[0]))
+    assert report.frame_mse[1] == 0.0
     buf = io.StringIO()
     report.write_csv(buf)
     text = buf.getvalue()
@@ -150,3 +149,48 @@ def test_quality_report_csv():
     assert "identical" in text
     assert "average" in text
     assert "capacity_bpp,1.000000" in text
+
+
+def test_add_frame_matches_float_formula_on_clipped_cover():
+    # Luma at 0, 1, 254 and 255 moves under the [2, 253] clip; 2 and 253 do not.
+    rng = np.random.default_rng(12)
+    y = rng.integers(0, 256, (16, 16))
+    y[0, :6] = [0, 1, 2, 253, 254, 255]
+    cover = frame_from(y, rng.integers(0, 256, (8, 8)), rng.integers(0, 256, (8, 8)))
+    stego = frame_from(
+        rng.integers(0, 256, (16, 16)), rng.integers(0, 256, (8, 8)), rng.integers(0, 256, (8, 8))
+    )
+    report = QualityReport()
+    report.add_frame(cover, stego)
+
+    cy, cu, cv, sy, su, sv = (
+        plane.astype(np.float64) for plane in (cover.y, cover.u, cover.v, stego.y, stego.u, stego.v)
+    )
+    ref_y = np.clip(cy, 2, 253)
+    sse_y = ((ref_y - sy) ** 2).sum()
+    sse = sse_y + ((cu - su) ** 2).sum() + ((cv - sv) ** 2).sum()
+    samples = 256 + 64 + 64
+    assert report.frame_mse == [sse / samples]
+    assert report.frame_mse_luma == [sse_y / 256]
+    assert report.average_psnr() == psnr_from_mse(sse / samples)
+    assert report.average_psnr(luma_only=True) == psnr_from_mse(sse_y / 256)
+    assert report.clip_mse == [((cy - ref_y) ** 2).sum() / samples]
+    assert report.clip_mse[0] > 0
+    assert report.luma_pixels == 256
+
+    # A cover that is already clipped scores the same.
+    clipped = QualityReport()
+    clipped.add_frame(frame_from(ref_y, cover.u, cover.v), stego)
+    assert clipped.frame_mse == report.frame_mse and clipped.frame_mse_luma == report.frame_mse_luma
+
+
+def test_squared_error_sums_past_int32():
+    # 256x256 luma differing by 255 everywhere: SSE 65536 * 65025 = 4.26e9 > 2^31.
+    black = frame_from(np.zeros((256, 256)), np.zeros((128, 128)), np.zeros((128, 128)))
+    white = frame_from(np.full((256, 256), 255), np.full((128, 128), 255), np.full((128, 128), 255))
+    assert mse(black, white) == 65025.0
+    assert mse(black, white, luma_only=True) == 65025.0
+    report = QualityReport()
+    report.add_frame(black, white)  # luma reference clips to 2: SSE 65536 * 253^2 = 4.19e9
+    assert report.frame_mse_luma == [253.0**2]
+    assert report.clip_mse == [4.0 * 65536 / (65536 + 2 * 16384)]

@@ -8,6 +8,7 @@ from qrsteg.bitplane import pack
 from qrsteg.elgamal import ElGamalPrivate, ElGamalPublic
 from qrsteg.errors import CapacityError, CryptoError, FormatError, ShapeError
 from qrsteg.permute import Splitmix64, StegoKey, keyed_permutation
+from qrsteg.quality import QualityReport
 from qrsteg.stego import (
     FrameCoder,
     FramePayload,
@@ -229,22 +230,21 @@ def test_capacity_validation():
 def test_video_roundtrip_with_sidecar():
     cfg = make_cfg(seed=0xBEEF)
     meta, frames = synth.gradient_video(32, 32, 5, seed=8)
-    qr_sets = [
-        {lvl: synth.qr_like_plane(16, 16, seed=10 + i) for i, lvl in enumerate(stego.QR_LEVELS)},
-        {lvl: synth.qr_like_plane(16, 16, seed=20 + i) for i, lvl in enumerate(stego.QR_LEVELS)},
-    ]
+    qr_set = {lvl: synth.qr_like_plane(16, 16, seed=10 + i) for i, lvl in enumerate(stego.QR_LEVELS)}
     coder = FrameCoder(cfg.key, 32, 32)
     sidecar = new_sidecar(cfg, coder, meta.frame_rate)
-    stego_frames = list(embed_video(frames, qr_sets, cfg, coder=coder, sidecar=sidecar))
+    report = QualityReport()
+    stego_frames = list(embed_video(frames, qr_set, cfg, coder, sidecar, report))
     assert len(stego_frames) == 5
     assert len(sidecar.frames) == 5
+    assert len(report.frame_mse) == 5 and report.capacity() == 1.0
 
-    recovered = list(extract_video(stego_frames, cfg, sidecar, coder=coder))
+    recovered = list(extract_video(stego_frames, cfg, sidecar))
+    assert len(recovered) == 5
     for i, result in enumerate(recovered):
-        expected = qr_sets[i % 2]
         assert result.pad_clean  # 16*16 bits pack into whole bytes
         for lvl in stego.QR_LEVELS:
-            assert np.array_equal(result.planes[lvl].bits, expected[lvl].bits), (i, lvl)
+            assert np.array_equal(result.planes[lvl].bits, qr_set[lvl].bits), (i, lvl)
 
 
 def test_video_roundtrip_survives_y4m_serialization(tmp_path):
@@ -258,10 +258,10 @@ def test_video_roundtrip_survives_y4m_serialization(tmp_path):
     coder = FrameCoder(cfg.key, 24, 16)
     sidecar = new_sidecar(cfg, coder, meta.frame_rate)
     buf = io.BytesIO()
-    write_y4m(meta, embed_video(frames, [qr_set], cfg, coder=coder, sidecar=sidecar), buf)
+    write_y4m(meta, embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport()), buf)
     buf.seek(0)
     _, loaded = read_y4m(buf)
-    for result in extract_video(loaded, cfg, sidecar, coder=coder):
+    for result in extract_video(loaded, cfg, sidecar):
         for lvl in stego.QR_LEVELS:
             assert np.array_equal(result.planes[lvl].bits, qr_set[lvl].bits)
 
@@ -272,7 +272,7 @@ def test_fresh_keystreams_per_frame_and_level():
     qr_set = {lvl: synth.qr_like_plane(8, 8, seed=4) for lvl in stego.QR_LEVELS}
     coder = FrameCoder(cfg.key, 16, 16)
     sidecar = new_sidecar(cfg, coder)
-    list(embed_video(frames, [qr_set], cfg, coder=coder, sidecar=sidecar))
+    list(embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport()))
     seen = {tuple(publics) for record in sidecar.frames for publics in record.values()}
     assert len(seen) == 8  # 2 frames x 4 levels, all distinct draws
 
@@ -301,7 +301,7 @@ def test_embed_video_determinism():
         _, frames = synth.gradient_video(16, 16, 4, seed=9)
         coder = FrameCoder(cfg.key, 16, 16)
         sidecar = new_sidecar(cfg, coder)
-        out = list(embed_video(frames, [qr_set], cfg, coder=coder, sidecar=sidecar))
+        out = list(embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport()))
         return out, sidecar.to_json()
 
     a_frames, a_json = run()
@@ -342,7 +342,7 @@ def test_extract_requires_private_key():
     sidecar = new_sidecar(cfg, coder)
     sidecar.frames.append({lvl: [320] for lvl in stego.QR_LEVELS})
     with pytest.raises(CryptoError):
-        list(extract_video([gray_frame()], cfg, sidecar, coder=coder))
+        list(extract_video([gray_frame()], cfg, sidecar))
 
 
 def test_extract_rejects_missing_sidecar_frames():
@@ -350,17 +350,20 @@ def test_extract_rejects_missing_sidecar_frames():
     coder = FrameCoder(cfg.key, 16, 16)
     sidecar = new_sidecar(cfg, coder)  # zero frame records
     with pytest.raises(FormatError):
-        list(extract_video([gray_frame()], cfg, sidecar, coder=coder))
+        list(extract_video([gray_frame()], cfg, sidecar))
 
 
-def test_extract_rejects_geometry_mismatch():
+def test_extract_rejects_geometry_mismatch(monkeypatch):
     cfg = make_cfg()
     coder = FrameCoder(cfg.key, 16, 16)
     sidecar = new_sidecar(cfg, coder)
     sidecar.width = 64
     sidecar.frames.append({lvl: [320] for lvl in stego.QR_LEVELS})
+    built = []
+    monkeypatch.setattr(stego, "FrameCoder", lambda *args: built.append(args))
     with pytest.raises(ShapeError):
-        list(extract_video([gray_frame()], cfg, sidecar, coder=coder))
+        list(extract_video([gray_frame()], cfg, sidecar))
+    assert not built  # the mismatch is caught before a coder is built
 
 
 def test_partial_byte_geometry_roundtrip_with_pad_warning():
@@ -375,7 +378,7 @@ def test_partial_byte_geometry_roundtrip_with_pad_warning():
     }
     coder = FrameCoder(cfg.key, 6, 6)
     sidecar = new_sidecar(cfg, coder)
-    out = list(embed_video(frames, [qr_set], cfg, coder=coder, sidecar=sidecar))
-    results = list(extract_video(out, cfg, sidecar, coder=coder))
+    out = list(embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport()))
+    results = list(extract_video(out, cfg, sidecar))
     for lvl in stego.QR_LEVELS:
         assert np.array_equal(results[0].planes[lvl].bits, qr_set[lvl].bits)
