@@ -41,6 +41,9 @@ class AttackSpec:
             raise FormatError(f"salt & pepper density {self.density} outside [0, 1]")
         if self.variance < 0.0:
             raise FormatError(f"negative variance {self.variance}")
+        if self.kind == "speckle" and not math.isfinite(3.0 * self.variance):
+            # speckle draws from +-sqrt(3 * variance), which must be finite
+            raise FormatError(f"speckle variance {self.variance} too large")
 
     def label(self) -> str:
         if self.kind == "salt_pepper":

@@ -14,8 +14,10 @@ EUROCRYPT '92; *Handbook of Applied Cryptography* 14.6.3). With
 for a 256-bit p, built in about 2 ms, and 342 rows (about 6 MiB) for a
 2048-bit p, built in about 0.4 s. Each power then costs one modular
 multiplication per window instead of a square-and-multiply chain.
-Builtin pow stays for everything with a varying base: the receiver's d^x,
-key generation and key validation.
+For p < 2^32 the tables are uint64 arrays, and the sender draws and
+raises each round of exponents in numpy. Builtin pow stays for
+everything with a varying base: the receiver's d^x, key generation and
+key validation.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .errors import CryptoError, FormatError
 
@@ -79,10 +83,12 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     return True
 
 
-def _fixed_base_table(base: int, p: int) -> list[list[int]]:
+def _fixed_base_table(base: int, p: int) -> list[list[int]] | np.ndarray:
     """Row i holds base^(j * 2^(WINDOW_BITS * i)) mod p for j < 2^WINDOW_BITS.
 
-    There are enough rows for every exponent below 2^bits(p).
+    There are enough rows for every exponent below 2^bits(p). For p < 2^32
+    the rows are one uint64 array: a product of two entries stays below
+    2^64, so keystream raises a whole round of exponents with numpy gathers.
     """
     rows = []
     for _ in range(-(-p.bit_length() // WINDOW_BITS)):
@@ -91,16 +97,28 @@ def _fixed_base_table(base: int, p: int) -> list[list[int]]:
             row[j] = row[j - 1] * base % p
         rows.append(row)
         base = row[-1] * base % p
-    return rows
+    return np.array(rows, dtype=np.uint64) if p < 1 << 32 else rows
 
 
-def _table_pow(table: list[list[int]], k: int, p: int) -> int:
+def _table_pow(table: list[list[int]] | np.ndarray, k: int, p: int) -> int:
     """base^k mod p for 0 <= k < 2^bits(p): one table entry per window of k."""
     r = 1
     for row in table:
         r = r * row[k & _WINDOW_MASK] % p
         k >>= WINDOW_BITS
-    return r
+    return int(r)
+
+
+def _array_table_pows(tables: np.ndarray, k: np.ndarray, p: int) -> list[list[int]]:
+    """_table_pow of every exponent in the uint64 array k, for each of the stacked uint64 tables."""
+    rows = tables.shape[1]
+    shifts = np.arange(0, rows * WINDOW_BITS, WINDOW_BITS, dtype=np.uint64)[:, None]
+    windows = (k >> shifts) & np.uint64(_WINDOW_MASK)  # row i: window i of each k
+    factors = tables[:, np.arange(rows)[:, None], windows]  # table x row x exponent
+    r = factors[:, 0]
+    for i in range(1, rows):
+        r = r * factors[:, i] % np.uint64(p)
+    return r.tolist()
 
 
 @dataclass(frozen=True)
@@ -118,11 +136,11 @@ class ElGamalPublic:
     y: int
 
     @cached_property
-    def _alpha_table(self) -> list[list[int]]:
+    def _alpha_table(self) -> list[list[int]] | np.ndarray:
         return _fixed_base_table(self.alpha, self.p)
 
     @cached_property
-    def _y_table(self) -> list[list[int]]:
+    def _y_table(self) -> list[list[int]] | np.ndarray:
         return _fixed_base_table(self.y, self.p)
 
     def validate(self, p_minus_1_factors: tuple[int, ...] | None = None) -> None:
@@ -248,19 +266,35 @@ def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
     for the receiver, and appends the minimal little-endian bytes of
     y^k mod p to the key. Excess bytes are dropped from the end; the
     public value that produced them is still recorded.
+
+    rng must expose randrange_array(start, stop, count), returning the
+    next count values of randrange(start, stop) in order (an array or a
+    list), as permute.Splitmix64 does. The draws are taken in rounds: a
+    draw adds at most ceil(bits(p) / 8) bytes, so a round of
+    ceil(remaining / that) draws never takes one the sequential rule
+    would not.
     """
     if nbytes < 0:
         raise CryptoError("requested key length is negative")
-    p, alpha_table, y_table = pub.p, pub._alpha_table, pub._y_table
+    p = pub.p
+    tables = (pub._alpha_table, pub._y_table)
+    as_uint64 = isinstance(tables[0], np.ndarray)  # else one Python chain per power
+    if as_uint64:
+        tables = np.array(tables)
+    most = -(-p.bit_length() // 8)
     publics: list[int] = []
     parts: list[bytes] = []
     total = 0
     while total < nbytes:
-        k = rng.randrange(2, p - 2)
-        publics.append(_table_pow(alpha_table, k, p))
-        chunk = int_to_bytes_le(_table_pow(y_table, k, p))
-        parts.append(chunk)
-        total += len(chunk)
+        k = rng.randrange_array(2, p - 2, -(-(nbytes - total) // most))
+        if as_uint64:
+            d, e = _array_table_pows(tables, np.asarray(k, dtype=np.uint64), p)
+        else:
+            d, e = ([_table_pow(t, v, p) for v in k] for t in tables)
+        publics += d
+        chunks = list(map(int_to_bytes_le, e))
+        parts += chunks
+        total += sum(map(len, chunks))
     return Keystream(sender_publics=tuple(publics), key_bytes=b"".join(parts)[:nbytes])
 
 

@@ -108,24 +108,64 @@ class Splitmix64:
             if v < width:
                 return start + v
 
+    def randrange_array(self, start: int, stop: int, count: int) -> np.ndarray:
+        """The next count values of randrange(start, stop), leaving the state where those calls would.
+
+        An attempt takes ceil(bits / 64) draws, low word first as in
+        getrandbits, and all attempts come from the counter form at once
+        (see _mix). Returns uint64 when every value in [start, stop) fits,
+        else an object array of ints.
+        """
+        width = stop - start
+        if width <= 0:
+            raise ValueError(f"empty range [{start}, {stop})")
+        bits = width.bit_length()
+        words = -(-bits // 64)
+        as_uint64 = words == 1 and 0 <= start and stop <= 1 << 64
+        out = np.empty(count, dtype=np.uint64 if as_uint64 else object)
+        got = 0
+        while got < count:
+            # Expected attempts plus a margin; a shortfall takes another pass.
+            attempts = (count - got) * (1 << bits) // width + 16
+            w = _mix(self._state, np.arange(1, attempts * words + 1, dtype=np.uint64))
+            if words == 1:
+                v = w & np.uint64((1 << bits) - 1)
+            else:
+                w = w.reshape(attempts, words).astype(object)
+                v = sum(w[:, i] << 64 * i for i in range(words)) & ((1 << bits) - 1)
+            accepted = np.flatnonzero(v < width)[: count - got]
+            used = accepted[-1] + 1 if got + accepted.size == count else attempts
+            self._state = (self._state + int(used) * words * _GOLDEN) & MASK64
+            out[got : got + accepted.size] = v[accepted]
+            got += accepted.size
+        return out + (np.uint64(start) if as_uint64 else start)
+
+
+def _mix(state: int, t: np.ndarray) -> np.ndarray:
+    """SplitMix64 draws number t (t = 1, 2, ...) from state, for a uint64 array t.
+
+    SplitMix64 is counter-based: draw t from state s is
+    mix(s + t * golden mod 2^64), so any set of draws is one uint64 pass
+    (array arithmetic wraps without warnings).
+    """
+    v = np.uint64(state) + t * np.uint64(_GOLDEN)
+    v = (v ^ (v >> np.uint64(30))) * np.uint64(_MIX1)
+    v = (v ^ (v >> np.uint64(27))) * np.uint64(_MIX2)
+    return v ^ (v >> np.uint64(31))
+
 
 def _swap_indexes(state: int, m: np.ndarray) -> np.ndarray:
     """Unbiased draws v mod m[k], taken in order from the SplitMix64 stream at state.
 
-    SplitMix64 is counter-based: draw t (t = 1, 2, ...) from state s is
-    mix(s + t * golden mod 2^64), so all draws are computed in one uint64
-    pass. A draw above MASK64 - (2^64 mod m) is rejected and uses up its
-    counter; the steps after it are recomputed with counters shifted by one.
+    All draws come from the counter form (_mix). A draw above
+    MASK64 - (2^64 mod m) is rejected and uses up its counter; the steps
+    after it are recomputed with counters shifted by one.
     """
     threshold = np.uint64(MASK64) - (0 - m) % m  # (2^64 - m) mod m == 2^64 mod m
     out = np.empty(m.size, dtype=np.uint64)
     start = skipped = 0
     while start < m.size:
-        t = np.arange(start + skipped + 1, m.size + skipped + 1, dtype=np.uint64)
-        v = np.uint64(state) + t * np.uint64(_GOLDEN)
-        v = (v ^ (v >> np.uint64(30))) * np.uint64(_MIX1)
-        v = (v ^ (v >> np.uint64(27))) * np.uint64(_MIX2)
-        v ^= v >> np.uint64(31)
+        v = _mix(state, np.arange(start + skipped + 1, m.size + skipped + 1, dtype=np.uint64))
         rejected = np.flatnonzero(v > threshold[start:])
         stop = start + (rejected[0] if rejected.size else v.size)
         out[start:stop] = v[: stop - start] % m[start:stop]

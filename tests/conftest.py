@@ -5,7 +5,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 
 class ScriptedRng:
-    """Hands out a fixed sequence of values through the randrange interface."""
+    """Hands out a fixed sequence of values through the randrange interfaces."""
 
     def __init__(self, values):
         self._values = list(values)
@@ -20,3 +20,6 @@ class ScriptedRng:
 
     def getrandbits(self, k):
         return self.randrange(0, 1 << k)
+
+    def randrange_array(self, start, stop, count):
+        return [self.randrange(start, stop) for _ in range(count)]

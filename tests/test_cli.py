@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qrsteg import bench, bitplane, cli, elgamal, synth
 from qrsteg.cli import main, parse_seed_text
@@ -540,7 +542,9 @@ def one_clip_dataset(tmp_path):
     return dataset
 
 
-@pytest.mark.parametrize("spec", ["speckle:inf", "speckle:nan", "gauss:0:inf", "gauss:nan:0.01"])
+@pytest.mark.parametrize(
+    "spec", ["speckle:inf", "speckle:nan", "gauss:0:inf", "gauss:nan:0.01", "speckle:1e308", "speckle:6e307"]
+)
 def test_attack_and_bench_reject_non_finite_parameters(workspace, capsys, spec):
     ws = workspace
     out = ws["tmp"] / "noisy.y4m"
@@ -571,6 +575,52 @@ def test_attack_and_bench_treat_negative_zero_as_zero(workspace, capsys, spec, s
                  "--paper-fidelity", "--seed", "0", "--attacks", spec, "--attack-seeds", "1"]) == 0
     rows = (ws["tmp"] / "bench.attacks.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["none", same_as]
+
+
+@pytest.mark.parametrize("spec", ["speckle:1e300", "speckle:5.9e307"])
+def test_attack_and_bench_run_the_largest_speckle_variances(workspace, spec):
+    ws = workspace
+    out = ws["tmp"] / "noisy.y4m"
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(out), "--attack", spec]) == 0
+    assert out.exists()
+    assert main(["bench", "--input", str(one_clip_dataset(ws["tmp"])), "--paper-fidelity", "--seed", "0",
+                 "--attacks", spec, "--attack-seeds", "1"]) == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_clip(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "clip.y4m"
+    write_clip(path, w=36, h=28, frames=1, seed=2)
+    return path
+
+
+def any_double():
+    # the whole double range: +-0, subnormals, the largest finite values, inf and nan
+    return st.one_of(
+        st.floats(),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 6e307, 5.9e307, 1.7976931348623157e308]),
+    )
+
+
+@st.composite
+def attack_specs(draw):
+    kind = draw(st.sampled_from(["sp", "gauss", "speckle"]))
+    values = [draw(any_double()) for _ in range(2 if kind == "gauss" else 1)]
+    return ":".join([kind, *map(repr, values)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
+@given(attack_specs())
+def test_attack_spec_fuzz_exits_cleanly(fuzz_clip, capsys, spec):
+    out = fuzz_clip.parent / "noisy.y4m"
+    capsys.readouterr()
+    code = main(["attack", "--input", str(fuzz_clip), "--output", str(out), "--attack", spec])
+    if code == 0:
+        assert capsys.readouterr().err == ""
+    else:
+        assert code == 3, spec
+        assert_one_error_line(capsys, 3)
 
 
 def test_bench_max_frames_zero_scores_no_frame(tmp_path, capsys):

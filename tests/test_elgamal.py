@@ -66,8 +66,8 @@ def test_keystream_builds_each_table_once(monkeypatch):
     monkeypatch.setattr(elgamal, "_fixed_base_table", counting)
     pub = ElGamalPublic(p=997, alpha=809, y=12)
     for seed in range(4):
-        keystream(pub, 40, random.Random(seed))
-        stream_encrypt(bytes(40), pub, random.Random(seed))
+        keystream(pub, 40, Splitmix64(seed))
+        stream_encrypt(bytes(40), pub, Splitmix64(seed))
     assert sorted(built) == [12, 809]  # alpha's table and y's, once each
     assert pub == PUB
 
@@ -185,6 +185,63 @@ def test_keystream_empty():
     assert ks.key_bytes == b""
 
 
+# A 256-bit safe prime (from generate_key_params(256, Splitmix64(2026))) with generator 2.
+P256 = 91663258358405166274873982642583064051996121153396843919186821880374269746659
+# Table powers run in uint64 below 2^32 and as Python ints above; exponent
+# draws come back as uint64 below 2^64 and as Python ints above.
+ORACLE_KEYS = [
+    PUB,
+    ElGamalPublic(p=4294967291, alpha=7, y=pow(7, 123456789, 4294967291)),  # largest prime below 2^32
+    ElGamalPublic(p=4294967311, alpha=3, y=pow(3, 987654321, 4294967311)),  # smallest prime above 2^32
+    ElGamalPublic(p=2**33 - 9, alpha=3, y=pow(3, 10**9, 2**33 - 9)),
+    ElGamalPublic(p=2**64 - 59, alpha=5, y=pow(5, 10**18, 2**64 - 59)),
+    ElGamalPublic(p=P256, alpha=2, y=pow(2, 3**150, P256)),
+]
+
+
+def sequential_keystream(pub, nbytes, rng):
+    """The sequential rule keystream must reproduce: one randrange draw at a time.
+
+    Returns the sender publics, the key bytes and the drawn exponents.
+    """
+    publics, parts, exponents = [], [], []
+    total = 0
+    while total < nbytes:
+        k = rng.randrange(2, pub.p - 2)
+        exponents.append(k)
+        publics.append(pow(pub.alpha, k, pub.p))
+        parts.append(int_to_bytes_le(pow(pub.y, k, pub.p)))
+        total += len(parts[-1])
+    return publics, b"".join(parts)[:nbytes], exponents
+
+
+@pytest.mark.parametrize("pub", ORACLE_KEYS, ids=lambda pub: f"{pub.p.bit_length()}bit")
+def test_keystream_matches_sequential_oracle(pub):
+    for n in (0, 1, 2, 3, 31, 1000, 3168):
+        for seed in (0, 5, 2**64 - 1):
+            oracle, batch = Splitmix64(seed), Splitmix64(seed)
+            publics, key, _ = sequential_keystream(pub, n, oracle)
+            ks = keystream(pub, n, batch)
+            assert list(ks.sender_publics) == publics
+            assert ks.key_bytes == key
+            assert batch._state == oracle._state
+            # bench.run calls d.bit_length() and the sidecar writer str(d)
+            assert {type(d) for d in ks.sender_publics} <= {int}
+
+
+@pytest.mark.parametrize("pub", ORACLE_KEYS, ids=lambda pub: f"{pub.p.bit_length()}bit")
+def test_keystream_takes_exactly_the_sequential_draws(pub):
+    # ScriptedRng raises once its script is exhausted, so a round that drew
+    # past the sequential stopping point would fail here.
+    for n in (1, 2, 3, 31, 1000):
+        for seed in range(4):
+            publics, key, exponents = sequential_keystream(pub, n, Splitmix64(seed))
+            rng = ScriptedRng(exponents)
+            ks = keystream(pub, n, rng)
+            assert (list(ks.sender_publics), ks.key_bytes) == (publics, key)
+            assert rng._values == []
+
+
 def test_v1_demo_keystream_is_biased():
     # Documents a v1 weakness (README "Security notes", ROADMAP item 4): under
     # the p = 997 demo key each y^k < 997 is written as one or two minimal
@@ -199,7 +256,7 @@ def test_v1_demo_keystream_is_biased():
 
 
 def test_keystream_regenerates_from_private_key():
-    rng = random.Random(7)
+    rng = Splitmix64(7)
     for _ in range(10):
         n = rng.randrange(0, 200)
         ks = keystream(PUB, n, rng)
@@ -215,7 +272,7 @@ def test_stream_encrypt_demo_image():
 
 
 def test_stream_encrypt_no_expansion():
-    rng = random.Random(3)
+    rng = Splitmix64(3)
     for n in (0, 1, 7, 100):
         bundle = stream_encrypt(bytes(n), PUB, rng)
         assert len(bundle.ciphertext) == n == bundle.plain_len
@@ -265,7 +322,7 @@ def test_xor_bytes_involution_at_scale():
 @settings(max_examples=150, deadline=None)
 @given(st.binary(max_size=4096), st.integers(min_value=0, max_value=2**32 - 1))
 def test_stream_roundtrip_random(plain, seed):
-    rng = random.Random(seed)
+    rng = Splitmix64(seed)
     pub, priv = keygen(997, 809, rng)
     bundle = stream_encrypt(plain, pub, rng)
     assert stream_decrypt(bundle, pub.p, priv) == plain
@@ -288,4 +345,4 @@ def test_generate_key_params_safe_prime():
     assert elgamal.is_probable_prime(q)
     assert pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1
     pub, priv = keygen(p, alpha, random.Random(6), p_minus_1_factors=(2, q))
-    assert stream_decrypt(stream_encrypt(b"payload", pub, random.Random(7)), p, priv) == b"payload"
+    assert stream_decrypt(stream_encrypt(b"payload", pub, Splitmix64(7)), p, priv) == b"payload"

@@ -317,3 +317,50 @@ def test_splitmix_getrandbits_masks_correctly():
     rng = Splitmix64(3)
     for k in (1, 8, 63, 64, 65, 130):
         assert 0 <= rng.getrandbits(k) < 1 << k
+
+
+def _words_drawn(before: int, after: int) -> int:
+    """How many 64-bit draws took a Splitmix64 state from before to after."""
+    return (after - before) * pow(permute._GOLDEN, -1, 1 << 64) % (1 << 64)
+
+
+# (start, stop) by bit length of the width: 1, 2, 10, 11, 63, 64, 65, 256, 257;
+# each 2^b + 1 width rejects nearly half of its attempts.
+RANDRANGE_CASES = [
+    (0, 1), (5, 6), (0, 2), (2, 5), (2, 995), (0, 2**10 + 1),
+    (0, 2**62 + 1), (0, 2**63 - 25), (3, 2**63 + 4), (0, 2**64 - 59),
+    (0, 2**64 + 1), (7, 2**65 - 3), (0, 2**255 + 1), (2, 2**256 - 189),
+    (0, 2**256 + 1), (0, 2**257 - 93), (-40, 60), (2**64, 2**64 + 1000),
+]
+
+
+@pytest.mark.parametrize("start,stop", RANDRANGE_CASES)
+def test_randrange_array_matches_scalar_randrange(start, stop):
+    words = -(-(stop - start).bit_length() // 64)
+    heavy = stop - start > 2 and (stop - start - 1) & (stop - start - 2) == 0  # a 2^b + 1 width
+    for seed in (0, 1, 2**64 - 1, 0x0123456789ABCDEF):
+        for count in (0, 1, 2, 3, 17, 1000):
+            scalar, batch = Splitmix64(seed), Splitmix64(seed)
+            expected = [scalar.randrange(start, stop) for _ in range(count)]
+            got = batch.randrange_array(start, stop, count)
+            assert got.tolist() == expected
+            assert batch._state == scalar._state
+            assert got.dtype == (np.uint64 if words == 1 and 0 <= start < stop <= 2**64 else object)
+            rejected = _words_drawn(seed, batch._state) // words - count
+            assert rejected >= 0
+            if heavy and count == 1000:
+                assert rejected > 250  # rejection sampling really ran
+
+
+def test_randrange_array_continues_the_scalar_stream():
+    scalar, batch = Splitmix64(9), Splitmix64(9)
+    expected = [scalar.randrange(2, 995) for _ in range(600)]
+    got = [batch.randrange(2, 995)]
+    for count in (0, 5, 94, 400, 99, 1):
+        got += batch.randrange_array(2, 995, count).tolist()
+    assert got == expected and batch._state == scalar._state
+
+
+def test_randrange_array_rejects_empty_range():
+    with pytest.raises(ValueError):
+        Splitmix64(0).randrange_array(5, 5, 3)
