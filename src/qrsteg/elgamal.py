@@ -14,10 +14,14 @@ EUROCRYPT '92; *Handbook of Applied Cryptography* 14.6.3). With
 for a 256-bit p, built in about 2 ms, and 342 rows (about 6 MiB) for a
 2048-bit p, built in about 0.4 s. Each power then costs one modular
 multiplication per window instead of a square-and-multiply chain.
-For p < 2^32 the tables are uint64 arrays, and the sender draws and
-raises each round of exponents in numpy. Builtin pow stays for
-everything with a varying base: the receiver's d^x, key generation and
-key validation.
+For p < 2^32 every product of two residues stays below 2^64, so both
+ends of the stream cipher run on uint64 arrays: the tables are arrays, the
+sender raises each round of exponents with numpy gathers, the receiver
+raises all the sender publics to its fixed exponent x by one
+square-and-multiply chain over the whole array, and each end expands its
+powers into key bytes in one numpy pass. Larger p keeps Python integers:
+table chains for the sender, builtin pow for the receiver's d^x. Key
+generation and key validation use builtin pow at every size.
 """
 
 from __future__ import annotations
@@ -39,6 +43,14 @@ MILLER_RABIN_ROUNDS = 40
 # 256 bits while the build stays cheap enough for a 2048-bit one-frame embed.
 WINDOW_BITS = 6
 _WINDOW_MASK = (1 << WINDOW_BITS) - 1
+
+# Moduli below this bound run the keystream on uint64 arrays: a product of
+# two residues stays below 2^64.
+_UINT64_MODULUS_BOUND = 1 << 32
+
+# Byte i of a value below 2^32 belongs to its minimal encoding iff the value is at least 2^(8i).
+_BYTE_FLOORS = np.array([1, 1 << 8, 1 << 16, 1 << 24], dtype=np.uint64)
+_LE_UINT32 = np.dtype("<u4")
 
 # Small primes used to pre-sieve candidates during key generation.
 _SIEVE_PRIMES: list[int] = []
@@ -97,7 +109,7 @@ def _fixed_base_table(base: int, p: int) -> list[list[int]] | np.ndarray:
             row[j] = row[j - 1] * base % p
         rows.append(row)
         base = row[-1] * base % p
-    return np.array(rows, dtype=np.uint64) if p < 1 << 32 else rows
+    return np.array(rows, dtype=np.uint64) if p < _UINT64_MODULUS_BOUND else rows
 
 
 def _table_pow(table: list[list[int]] | np.ndarray, k: int, p: int) -> int:
@@ -109,7 +121,7 @@ def _table_pow(table: list[list[int]] | np.ndarray, k: int, p: int) -> int:
     return int(r)
 
 
-def _array_table_pows(tables: np.ndarray, k: np.ndarray, p: int) -> list[list[int]]:
+def _array_table_pows(tables: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
     """_table_pow of every exponent in the uint64 array k, for each of the stacked uint64 tables."""
     rows = tables.shape[1]
     shifts = np.arange(0, rows * WINDOW_BITS, WINDOW_BITS, dtype=np.uint64)[:, None]
@@ -118,7 +130,31 @@ def _array_table_pows(tables: np.ndarray, k: np.ndarray, p: int) -> list[list[in
     r = factors[:, 0]
     for i in range(1, rows):
         r = r * factors[:, i] % np.uint64(p)
-    return r.tolist()
+    return r
+
+
+def _array_pow(b: np.ndarray, x: int, p: int) -> np.ndarray:
+    """b^x mod p for every entry of the uint64 array b, each in [0, p), p < 2^32 and x >= 1.
+
+    Left-to-right square-and-multiply on the bits of x (*HAC* Alg. 14.79),
+    one whole-array product per step. x is not reduced mod p - 1, since p
+    is not known to be prime here.
+    """
+    m = np.uint64(p)
+    r = b
+    for bit in bin(x)[3:]:  # the leading 1 bit is r = b
+        r = r * r % m
+        if bit == "1":
+            r = r * b % m
+    return r
+
+
+def _le_bytes(e: np.ndarray) -> bytes:
+    """b"".join(map(int_to_bytes_le, e)) for a uint64 array of values below 2^32, in one pass."""
+    if np.count_nonzero(e) < e.size:
+        raise CryptoError("cannot expand non-positive value 0")
+    keep = e[:, None] >= _BYTE_FLOORS  # row j: which bytes of e[j] are in its encoding
+    return e.astype(_LE_UINT32).view(np.uint8).reshape(-1, 4)[keep].tobytes()
 
 
 @dataclass(frozen=True)
@@ -143,19 +179,29 @@ class ElGamalPublic:
     def _y_table(self) -> list[list[int]] | np.ndarray:
         return _fixed_base_table(self.y, self.p)
 
-    def validate(self, p_minus_1_factors: tuple[int, ...] | None = None) -> None:
-        """Check the key invariants.
-
-        The primitive-root property is only verified when the prime
-        factorization of p - 1 is supplied; factoring arbitrary moduli
-        is out of scope, so unverified keys are accepted as-is.
-        """
+    @cached_property
+    def _checked(self) -> bool:
+        """The checks validate makes without factors. Cached only when they pass."""
         if not is_probable_prime(self.p):
             raise CryptoError(f"p = {self.p} is not prime")
         if not 1 < self.alpha < self.p - 1:
             raise CryptoError("alpha out of range (1, p - 1)")
         if not 0 < self.y < self.p:
             raise CryptoError("y out of range (0, p)")
+        return True
+
+    def validate(self, p_minus_1_factors: tuple[int, ...] | None = None) -> None:
+        """Check the key invariants.
+
+        The primitive-root property is only verified when the prime
+        factorization of p - 1 is supplied; factoring arbitrary moduli
+        is out of scope, so unverified keys are accepted as-is.
+
+        The primality and range checks run once per object: the object is
+        frozen, so a pass is remembered, while a failing key raises on
+        every call. A key loaded afresh is a new object and is checked again.
+        """
+        self._checked  # raises until the checks pass, then reads the cached pass
         if p_minus_1_factors:
             for q in p_minus_1_factors:
                 if (self.p - 1) % q != 0:
@@ -289,12 +335,13 @@ def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
         k = rng.randrange_array(2, p - 2, -(-(nbytes - total) // most))
         if as_uint64:
             d, e = _array_table_pows(tables, np.asarray(k, dtype=np.uint64), p)
+            publics += d.tolist()
+            parts.append(_le_bytes(e))
         else:
             d, e = ([_table_pow(t, v, p) for v in k] for t in tables)
-        publics += d
-        chunks = list(map(int_to_bytes_le, e))
-        parts += chunks
-        total += sum(map(len, chunks))
+            publics += d
+            parts.append(b"".join(map(int_to_bytes_le, e)))
+        total += len(parts[-1])
     return Keystream(sender_publics=tuple(publics), key_bytes=b"".join(parts)[:nbytes])
 
 
@@ -323,10 +370,17 @@ def check_sender_publics(sender_publics: Sequence[int], p: int) -> None:
 
 
 def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalPrivate, nbytes: int) -> bytes:
-    """Receiver-side keystream: expand d^x mod p for every sender public value."""
+    """Receiver-side keystream: expand d^x mod p for every sender public value.
+
+    The values are range-checked first, as Python ints. For p < 2^32 all
+    the powers are then raised at once on a uint64 array, otherwise one
+    builtin pow per value; both give the same bytes.
+    """
     check_sender_publics(sender_publics, p)
-    parts = [int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics]
-    key = b"".join(parts)
+    if sender_publics and p < _UINT64_MODULUS_BOUND:  # so the check proved 0 < d < p < 2^32
+        key = _le_bytes(_array_pow(np.array(sender_publics, dtype=np.uint64), priv.x, p))
+    else:
+        key = b"".join(int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics)
     if len(key) < nbytes:
         raise CryptoError(
             f"corrupt bundle: regenerated keystream has {len(key)} bytes, need {nbytes}"

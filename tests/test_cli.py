@@ -389,6 +389,25 @@ def test_bench_builds_one_coder_per_geometry(tmp_path, monkeypatch, sizes, build
     assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + len(sizes)
 
 
+def test_bench_proves_the_key_once_for_all_clips(tmp_path, monkeypatch):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    for i in range(2):
+        write_clip(dataset / f"clip{i}.y4m", w=16, h=16, frames=1, seed=i)
+    proved = []
+    real = elgamal.is_probable_prime
+
+    def counting(n, *args):
+        proved.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(elgamal, "is_probable_prime", counting)
+    result = bench.run(dataset, elgamal.ElGamalPublic(p=997, alpha=809, y=12),
+                       elgamal.ElGamalPrivate(x=420), seed=0, attack_specs=[], attack_seeds=1)
+    assert len(result.fidelity) == 2
+    assert proved == [997]
+
+
 def test_bench_empty_dataset_writes_headers_only(tmp_path):
     dataset = tmp_path / "none"
     dataset.mkdir()
@@ -450,7 +469,7 @@ def test_extract_rejects_malformed_sidecar_frame(workspace, capsys, tamper):
     assert_one_error_line(capsys, 3)
 
 
-@pytest.mark.parametrize("d", ["0", "997"])
+@pytest.mark.parametrize("d", ["0", "997", "-1", str(2**64)])
 def test_extract_checks_every_public_value_before_writing(workspace, capsys, d):
     ws = workspace
     stego = ws["tmp"] / "stego.y4m"
@@ -463,6 +482,20 @@ def test_extract_checks_every_public_value_before_writing(workspace, capsys, d):
     assert main(extract_args(ws, stego)) == 4
     assert_one_error_line(capsys, 4)
     assert not list(ws["tmp"].glob("rec/*.pgm"))
+
+
+def test_extract_rejects_a_zero_keystream_power(workspace, capsys):
+    # load_public_key does not prove p prime: under p = 1000 and x = 420 every
+    # sender public that is a multiple of 10 has d^x = 0, which has no bytes.
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    doc = json.loads((ws["tmp"] / "stego.y4m.sidecar.json").read_text())
+    assert any(int(d) % 10 == 0 for frame in doc["frames"] for level in frame.values() for d in level)
+    elgamal.save_public_key(elgamal.ElGamalPublic(p=1000, alpha=809, y=12), ws["pub"])
+    capsys.readouterr()
+    assert main(extract_args(ws, stego)) == 4
+    assert_one_error_line(capsys, 4)
 
 
 def test_extract_rejects_sidecar_frame_count_mismatch(workspace, capsys):

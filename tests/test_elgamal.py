@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -79,9 +80,46 @@ def test_regenerate_keystream_rejects_bad_modulus():
 
 
 def test_regenerate_keystream_rejects_out_of_range_publics():
-    for d in (0, 997, -3):
-        with pytest.raises(CryptoError):
+    # -1 and 2^64 would not fit a uint64 array: the range check must come first.
+    for d in (0, 997, -3, -1, 2**64):
+        with pytest.raises(CryptoError, match="out of range"):
             regenerate_keystream((320, d), 997, PRIV, 2)
+
+
+def test_regenerate_keystream_rejects_a_zero_power():
+    # 10^3 = 0 (mod 1000): p is not prime, and extract never proves that it is.
+    with pytest.raises(CryptoError, match="non-positive value 0"):
+        regenerate_keystream((10,), 1000, ElGamalPrivate(3), 1)
+    with pytest.raises(CryptoError, match="non-positive value 0"):
+        regenerate_keystream((3, 10, 7), 1000, ElGamalPrivate(3), 1)
+
+
+def test_validate_proves_each_key_object_once(monkeypatch):
+    proved = []
+    real = elgamal.is_probable_prime
+
+    def counting(n, *args):
+        proved.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(elgamal, "is_probable_prime", counting)
+    pub = ElGamalPublic(p=997, alpha=809, y=12)
+    for _ in range(3):
+        pub.validate()
+    pub.validate((2, 3, 83))
+    assert proved == [997]
+    ElGamalPublic(p=997, alpha=809, y=12).validate()  # a key loaded afresh is checked again
+    assert proved == [997, 997]
+    for bad in (ElGamalPublic(p=996, alpha=809, y=12), ElGamalPublic(p=997, alpha=1, y=12)):
+        for _ in range(2):  # a failing key raises on every call
+            with pytest.raises(CryptoError):
+                bad.validate()
+    assert proved == [997, 997, 996, 996, 997, 997]
+    non_generator = ElGamalPublic(p=997, alpha=4, y=12)
+    non_generator.validate()
+    for _ in range(2):
+        with pytest.raises(CryptoError):
+            non_generator.validate((2, 3, 83))
 
 
 def test_private_key_rejects_non_positive_exponent():
@@ -171,6 +209,29 @@ def test_int_to_bytes_le_rejects_non_positive():
             int_to_bytes_le(v)
 
 
+def test_array_pow_matches_builtin_pow():
+    rng = random.Random(5)
+    cases = [(997, range(1, 997))] + [
+        (p, [1, p - 1] + [rng.randrange(1, p) for _ in range(200)]) for p in (3, 65537, 4294967291)
+    ]
+    for p, bases in cases:
+        b = np.array(bases, dtype=np.uint64)
+        for x in (1, 2, 3, p - 2, p - 1, p, 2**64 + 1, 10**30):
+            r = elgamal._array_pow(b, x, p)
+            assert r.dtype == np.uint64
+            assert r.tolist() == [pow(d, x, p) for d in bases]
+
+
+def test_le_bytes_matches_int_to_bytes_le():
+    values = [1, 255, 256, 65535, 65536, 2**24 - 1, 2**24, 4294967290]
+    for chosen in ([], values[:1], values, values[::-1]):
+        out = elgamal._le_bytes(np.array(chosen, dtype=np.uint64))
+        assert type(out) is bytes
+        assert out == b"".join(map(int_to_bytes_le, chosen))
+    with pytest.raises(CryptoError, match=re.escape("cannot expand non-positive value 0")):
+        elgamal._le_bytes(np.array([7, 0, 7], dtype=np.uint64))
+
+
 def test_keystream_demo_vector():
     ks = keystream(PUB, 9, ScriptedRng(K_SEQUENCE))
     assert list(ks.sender_publics) == [320, 619, 122, 273, 171, 918]
@@ -227,6 +288,39 @@ def test_keystream_matches_sequential_oracle(pub):
             assert batch._state == oracle._state
             # bench.run calls d.bit_length() and the sidecar writer str(d)
             assert {type(d) for d in ks.sender_publics} <= {int}
+
+
+def sequential_regenerate(sender_publics, p, priv, nbytes):
+    """The receiver rule regenerate_keystream must reproduce: one builtin pow per public value."""
+    key = b"".join(int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics)
+    if len(key) < nbytes:
+        raise CryptoError(f"corrupt bundle: regenerated keystream has {len(key)} bytes, need {nbytes}")
+    return key[:nbytes]
+
+
+# Keys on both sides of the uint64 bound, with their private exponents.
+RECEIVER_KEYS = [
+    (ORACLE_KEYS[0], ElGamalPrivate(420)),
+    (ORACLE_KEYS[1], ElGamalPrivate(123456789)),
+    (ORACLE_KEYS[2], ElGamalPrivate(987654321)),
+    (ORACLE_KEYS[5], ElGamalPrivate(3**150)),
+]
+
+
+@pytest.mark.parametrize("pub,priv", RECEIVER_KEYS,
+                         ids=[f"{pub.p.bit_length()}bit" for pub, _ in RECEIVER_KEYS])
+def test_regenerate_keystream_matches_sequential_oracle(pub, priv):
+    assert pub.y == pow(pub.alpha, priv.x, pub.p)
+    for n in (0, 1, 2, 3, 31, 1000, 3168):
+        ks = keystream(pub, n, Splitmix64(n))
+        key = sequential_regenerate(ks.sender_publics, pub.p, priv, n)
+        assert regenerate_keystream(ks.sender_publics, pub.p, priv, n) == key == ks.key_bytes
+        if n:  # the last public's bytes are needed: without it the keystream is short
+            short = ks.sender_publics[:-1]
+            with pytest.raises(CryptoError) as want:
+                sequential_regenerate(short, pub.p, priv, n)
+            with pytest.raises(CryptoError, match=re.escape(str(want.value))):
+                regenerate_keystream(short, pub.p, priv, n)
 
 
 @pytest.mark.parametrize("pub", ORACLE_KEYS, ids=lambda pub: f"{pub.p.bit_length()}bit")
