@@ -20,7 +20,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import bitplane, elgamal
 from .attacks import AttackSpec, attack_video
-from .errors import FormatError, QrstegError, UsageError
+from .errors import CryptoError, FormatError, QrstegError, UsageError
 from .permute import Splitmix64, StegoKey, derive_seed
 from .quality import QualityReport, ssim
 from .stego import (
@@ -72,6 +72,16 @@ def _load_qr_files(args, *, required: bool) -> dict[str, bitplane.QrPlane]:
             with open(path, "rb") as handle:
                 planes[level] = bitplane.load_qr(read_pgm(handle))
     return planes
+
+
+def _load_public_key(path) -> elgamal.ElGamalPublic:
+    """The public key in path, proved before any other input is read."""
+    public = elgamal.load_public_key(path)
+    try:
+        public.validate()
+    except CryptoError as exc:
+        raise CryptoError(f"public key {path}: {exc}") from exc
+    return public
 
 
 def _open_video(args):
@@ -142,7 +152,7 @@ def cmd_keygen(args) -> int:
 def cmd_embed(args) -> int:
     seed = resolve_seed(args, required=True)
     key = StegoKey(seed=seed)
-    cfg = StegoConfig(key=key, public=elgamal.load_public_key(args.pub))
+    cfg = StegoConfig(key=key, public=_load_public_key(args.pub))
     qr_set = _load_qr_files(args, required=True)
     meta, frames, handle = _open_video(args)
     out_path = Path(args.output)
@@ -183,7 +193,7 @@ def cmd_extract(args) -> int:
     key = StegoKey(seed=seed)
     cfg = StegoConfig(
         key=key,
-        public=elgamal.load_public_key(args.pub),
+        public=_load_public_key(args.pub),
         private=elgamal.load_private_key(args.priv),
     )
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(args.input) + ".sidecar.json")
@@ -197,7 +207,9 @@ def cmd_extract(args) -> int:
             "warning: seed fingerprint does not match the sidecar; recovered data will be noise",
             file=sys.stderr,
         )
-    originals = _load_qr_files(args, required=False)
+    originals = {
+        level: bitplane.render(plane) for level, plane in _load_qr_files(args, required=False).items()
+    }
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,9 +224,7 @@ def cmd_extract(args) -> int:
                 with open(out_dir / f"{count:04d}_{level}.pgm", "wb") as out:
                     write_pgm(bitplane.render(plane), out)
                 if level in originals:
-                    ssim_sums[level] += ssim(
-                        bitplane.render(originals[level]), bitplane.render(plane)
-                    )
+                    ssim_sums[level] += ssim(originals[level], bitplane.render(plane))
             if not result.pad_clean and not pad_warned:
                 print(
                     "warning: packing pad bits are nonzero (expected for geometries "

@@ -148,19 +148,35 @@ def _mix(state: int, t: np.ndarray) -> np.ndarray:
     mix(s + t * golden mod 2^64), so any set of draws is one uint64 pass
     (array arithmetic wraps without warnings).
     """
-    v = np.uint64(state) + t * np.uint64(_GOLDEN)
-    v = (v ^ (v >> np.uint64(30))) * np.uint64(_MIX1)
-    v = (v ^ (v >> np.uint64(27))) * np.uint64(_MIX2)
-    return v ^ (v >> np.uint64(31))
+    return _splitmix(np.uint64(state) + t * np.uint64(_GOLDEN))
 
 
-def _swap_indexes(state: int, m: np.ndarray) -> np.ndarray:
-    """Unbiased draws v mod m[k], taken in order from the SplitMix64 stream at state.
+def _splitmix(v: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix, in place on a uint64 array of advanced states."""
+    v ^= v >> np.uint64(30)
+    v *= np.uint64(_MIX1)
+    v ^= v >> np.uint64(27)
+    v *= np.uint64(_MIX2)
+    v ^= v >> np.uint64(31)
+    return v
 
-    All draws come from the counter form (_mix). A draw above
-    MASK64 - (2^64 mod m) is rejected and uses up its counter; the steps
-    after it are recomputed with counters shifted by one.
+
+def _swap_indexes(state: int, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unbiased draws v mod m[k] from the SplitMix64 stream at state, laid out by step.
+
+    m[k] takes draw m.size - k (the last entry draws first, as Fisher-Yates
+    step k + 1 = m[k] does), and v holds those draws in the same layout. A
+    draw above MASK64 - (2^64 mod m) is rejected; since 2^64 mod m < m,
+    every rejected draw is at least 2^64 - m + 1. So when no draw reaches
+    2^64 - max(m) + 1, none is rejected and v mod m is exact: one scalar
+    check instead of a threshold per element. Otherwise (probability below
+    m.size * max(m) / 2^64) the exact loop runs in draw order: all draws
+    come from the counter form (_mix), a rejected draw uses up its counter,
+    and the steps after it are recomputed with counters shifted by one.
     """
+    if not m.size or int(v.max()) <= MASK64 + 1 - int(m.max()):
+        return v % m
+    m = m[::-1]
     threshold = np.uint64(MASK64) - (0 - m) % m  # (2^64 - m) mod m == 2^64 mod m
     out = np.empty(m.size, dtype=np.uint64)
     start = skipped = 0
@@ -171,10 +187,10 @@ def _swap_indexes(state: int, m: np.ndarray) -> np.ndarray:
         out[start:stop] = v[: stop - start] % m[start:stop]
         start = stop
         skipped += 1
-    return out
+    return out[::-1]
 
 
-def _resolve_swaps(j: np.ndarray) -> np.ndarray:
+def _resolve_swaps(j: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The array [0, n) after swapping positions s and j[s] for s = n - 1 down to 1.
 
     j is int64 with 0 <= j[s] <= s. The swaps are resolved by pointer
@@ -185,14 +201,22 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
     chain q -> s rises, so value = value[value] resolves all of them in at
     most ceil(log2 n) rounds. Step s with j[s] < s leaves in position s what
     j[s] holds just before it: A of the next step of its group, or j[s] if
-    it is the group's last.
+    it is the group's last. steps is np.arange(n) as int64.
     """
-    n = j.size
-    steps = np.arange(n, dtype=np.int64)
     moved = np.flatnonzero(j != steps)
-    group, step = np.divmod(np.sort(j[moved] * n + moved), n)
-    last = np.diff(group, append=n) != 0
-    first = np.roll(last, 1)  # the entry after a group's last starts the next group
+    if not moved.size:
+        return steps.copy()
+    # Pack (j[s], s) as j[s] << bits | s, so one sort orders by group, then step.
+    bits = j.size.bit_length()
+    packed = j[moved]
+    packed <<= bits
+    packed |= moved
+    packed.sort()
+    group = packed >> bits
+    step = packed
+    step &= (1 << bits) - 1
+    last = np.append(np.flatnonzero(group[1:] != group[:-1]), group.size - 1)
+    first = np.append(0, last[:-1] + 1)
     value = steps.copy()
     value[group[first]] = step[first]
     while True:
@@ -201,8 +225,32 @@ def _resolve_swaps(j: np.ndarray) -> np.ndarray:
             break
         value = resolved
     out = value.copy()
-    out[step] = np.where(last, group, value[np.roll(step, -1)])
+    out[step[:-1]] = value[step[1:]]
+    out[step[last]] = group[last]
     return out
+
+
+class DrawPlan:
+    """What every keyed permutation of [0, n) shares, whatever its seed.
+
+    Laid out by Fisher-Yates step s in [0, n): the modulus s + 1 and the
+    counter offset (n - s) * golden, since step s takes draw n - s (step 0
+    takes a draw past the stream's end, and any draw mod 1 is its j = 0),
+    plus np.arange(n). FrameCoder builds one plan for its eight
+    same-size permutations.
+    """
+
+    def __init__(self, n: int):
+        self.steps = np.arange(n, dtype=np.int64)
+        self.moduli = self.steps.astype(np.uint64) + np.uint64(1)
+        self.offsets = np.arange(n, 0, -1, dtype=np.uint64) * np.uint64(_GOLDEN)
+
+    def permutation(self, key: StegoKey, domain_tag: int) -> np.ndarray:
+        """keyed_permutation(key, domain_tag, n)."""
+        state = (key.seed ^ domain_tag) & MASK64
+        v = _splitmix(self.offsets + np.uint64(state))
+        j = _swap_indexes(state, self.moduli, v)
+        return _resolve_swaps(j.view(np.int64), self.steps)
 
 
 def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> np.ndarray:
@@ -211,12 +259,11 @@ def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> np.ndarray:
     Step i (from n - 1 down to 1) swaps i with j = v mod (i + 1), where v is
     the next SplitMix64 draw below floor(2^64 / (i + 1)) * (i + 1); draws at
     or above that limit are discarded so j is unbiased. That sequential loop
-    defines the result; _resolve_swaps computes the same array without it.
+    defines the result. DrawPlan computes the same array without it: all
+    draws at once, checked against the scalar bound 2^64 - n + 1 that every
+    rejected draw reaches (see _swap_indexes), then _resolve_swaps.
     """
-    state = (key.seed ^ domain_tag) & MASK64
-    j = np.zeros(n, dtype=np.int64)
-    j[1:] = _swap_indexes(state, np.arange(n, 1, -1, dtype=np.uint64))[::-1]
-    return _resolve_swaps(j)
+    return DrawPlan(n).permutation(key, domain_tag)
 
 
 def invert(perm: np.ndarray) -> np.ndarray:

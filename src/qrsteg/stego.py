@@ -108,9 +108,10 @@ class FrameCoder:
         self.height = height
         self.capacity_bits = (width // 2) * (height // 2)  # per carrier
         self._place: dict[str, np.ndarray] = {}
+        plan = permute.DrawPlan(self.capacity_bits)
         for level in QR_LEVELS:
-            carrier = permute.keyed_permutation(key, CARRIER_TAGS[level], self.capacity_bits)
-            shuffle = permute.keyed_permutation(key, PAYLOAD_TAGS[level], self.capacity_bits)
+            carrier = plan.permutation(key, CARRIER_TAGS[level])
+            shuffle = plan.permutation(key, PAYLOAD_TAGS[level])
             self._place[level] = carrier[permute.invert(shuffle)]
 
     def qr_shape(self) -> tuple[int, int]:

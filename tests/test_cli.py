@@ -485,8 +485,9 @@ def test_extract_checks_every_public_value_before_writing(workspace, capsys, d):
 
 
 def test_extract_rejects_a_zero_keystream_power(workspace, capsys):
-    # load_public_key does not prove p prime: under p = 1000 and x = 420 every
-    # sender public that is a multiple of 10 has d^x = 0, which has no bytes.
+    # Under p = 1000 and x = 420 every sender public that is a multiple of 10
+    # has d^x = 0, which has no bytes; extract refuses the composite p when
+    # it loads the key, before any keystream is regenerated.
     ws = workspace
     stego = ws["tmp"] / "stego.y4m"
     assert main(embed_args(ws, stego)) == 0
@@ -496,6 +497,38 @@ def test_extract_rejects_a_zero_keystream_power(workspace, capsys):
     capsys.readouterr()
     assert main(extract_args(ws, stego)) == 4
     assert_one_error_line(capsys, 4)
+
+
+@pytest.mark.parametrize("p", [1003, 1000], ids=["17x59", "even"])
+def test_extract_validates_the_public_key_when_it_loads_it(workspace, capsys, p):
+    # Unchecked, both keys would reach the keystream and fail there with a
+    # misleading message: p = 1003 as a short keystream, p = 1000 as a zero power.
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    elgamal.save_public_key(elgamal.ElGamalPublic(p=p, alpha=809, y=12), ws["pub"])
+    capsys.readouterr()
+    assert main(extract_args(ws, stego)) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["exit"] == 4
+    assert error["message"] == f"public key {ws['pub']}: p = {p} is not prime"
+    assert not (ws["tmp"] / "rec").exists()
+    # The key is checked before the sidecar is read.
+    (ws["tmp"] / "stego.y4m.sidecar.json").unlink()
+    assert main(extract_args(ws, stego)) == 4
+    assert_one_error_line(capsys, 4)
+
+
+def test_embed_names_the_public_key_it_refuses(workspace, capsys):
+    ws = workspace
+    elgamal.save_public_key(elgamal.ElGamalPublic(p=1003, alpha=809, y=12), ws["pub"])
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 4
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == f"public key {ws['pub']}: p = 1003 is not prime"
+    assert not stego.exists()
 
 
 def test_extract_rejects_sidecar_frame_count_mismatch(workspace, capsys):

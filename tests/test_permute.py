@@ -94,6 +94,13 @@ def _scalar_keyed_permutation(seed, tag, n):
     return buf
 
 
+def _swap_indexes(state, moduli):
+    """permute._swap_indexes for moduli in draw order: laid out by step, with their draws."""
+    m = np.array(moduli[::-1], dtype=np.uint64)
+    v = permute._mix(state, np.arange(m.size, 0, -1, dtype=np.uint64))
+    return permute._swap_indexes(state, m, v)[::-1]
+
+
 MIXED_MODULI = [2, 3, 2**63 + 1, 2**63, 2**64 - 1, 3 * 2**62 + 1, 1000, 2**32, 2**62 + 3, 1,
                 2**63 + 1, 5, 2**63 + 2**62 + 7, 2**40, 2**63 + 1, 2**63 + 1, 25_344]
 
@@ -103,7 +110,7 @@ MIXED_MODULI = [2, 3, 2**63 + 1, 2**63, 2**64 - 1, 3 * 2**62 + 1, 1000, 2**32, 2
 def test_swap_indexes_match_scalar_rejection_oracle(state, moduli):
     expected, rejections = _scalar_swap_indexes(state, moduli)
     assert rejections > 0  # the rejection branch is really exercised
-    got = permute._swap_indexes(state, np.array(moduli, dtype=np.uint64))
+    got = _swap_indexes(state, moduli)
     assert got.dtype == np.uint64
     assert got.tolist() == expected
 
@@ -119,7 +126,9 @@ def _state_whose_first_draw_is(v):
     return (v - permute._GOLDEN) & mask
 
 
-@pytest.mark.parametrize("m", [3, 1000, 2**63 + 1, 3 * 2**62 + 1, 2**64 - 1])
+# 274177 divides 2^64 + 1, so its smallest rejected draw is 2^64 - m + 1, the
+# lowest draw the pre-check lets through to the exact loop.
+@pytest.mark.parametrize("m", [3, 1000, 274_177, 2**63 + 1, 3 * 2**62 + 1, 2**64 - 1])
 def test_swap_indexes_rejection_boundary(m):
     # The largest accepted draw is 2^64 - 1 - (2^64 mod m); one more is rejected.
     largest = (1 << 64) - 1 - (1 << 64) % m
@@ -128,8 +137,24 @@ def test_swap_indexes_rejection_boundary(m):
         assert prng_next(state)[1] == first
         assert (_scalar_swap_indexes(state, [m])[1] == 0) == accepted
         moduli = [m, m, 7]
-        got = permute._swap_indexes(state, np.array(moduli, dtype=np.uint64))
+        got = _swap_indexes(state, moduli)
         assert got.tolist() == _scalar_swap_indexes(state, moduli)[0]
+
+
+@pytest.mark.parametrize("n", [3, 1000, 25_344])
+@pytest.mark.parametrize("rejected", [False, True], ids=["flagged-accepted", "rejected"])
+def test_keyed_permutation_takes_the_exact_route_for_a_flagged_draw(n, rejected):
+    # The first draw belongs to step n - 1 (modulus n). Every draw at or above
+    # 2^64 - n + 1 is flagged by the scalar pre-check; below 2^64 - 2^64 mod n it
+    # is still accepted, at or above it is rejected.
+    limit = (1 << 64) - (1 << 64) % n
+    first = limit if rejected else limit - 1
+    assert first >= (1 << 64) - n + 1
+    tag = permute.TAG_CHROMA_U
+    seed = _state_whose_first_draw_is(first) ^ tag
+    assert _scalar_swap_indexes(seed ^ tag, [n])[1] == int(rejected)
+    perm = keyed_permutation(StegoKey(seed=seed), tag, n)
+    assert perm.tolist() == _scalar_keyed_permutation(seed, tag, n)
 
 
 @settings(max_examples=50, deadline=None)
@@ -139,7 +164,7 @@ def test_swap_indexes_rejection_boundary(m):
              max_size=40),
 )
 def test_swap_indexes_match_scalar_oracle_on_random_moduli(state, moduli):
-    got = permute._swap_indexes(state, np.array(moduli, dtype=np.uint64))
+    got = _swap_indexes(state, moduli)
     assert got.tolist() == _scalar_swap_indexes(state, moduli)[0]
 
 
@@ -176,7 +201,7 @@ SWAP_LISTS = {
 def test_resolve_swaps_matches_scalar_loop(name):
     j = SWAP_LISTS[name]
     assert (0 <= j).all() and (j <= np.arange(j.size)).all()
-    got = permute._resolve_swaps(j)
+    got = permute._resolve_swaps(j, np.arange(j.size))
     assert got.dtype == np.int64
     assert got.tolist() == _scalar_resolve_swaps(j.tolist())
 
@@ -188,7 +213,7 @@ def test_resolve_swaps_matches_scalar_loop_on_random_lists(draws, selfish):
     j = [v % (s + 1) for s, v in enumerate(draws)]
     if selfish:
         j = [s if s % 3 == 0 else v for s, v in enumerate(j)]
-    got = permute._resolve_swaps(np.array(j, dtype=np.int64))
+    got = permute._resolve_swaps(np.array(j, dtype=np.int64), np.arange(len(j)))
     assert got.tolist() == _scalar_resolve_swaps(j)
 
 
