@@ -6,6 +6,13 @@ to [0, 1] and clamp before rescaling, poisson draws use the raw 8-bit
 value as the rate, and salt & pepper replaces samples with 0 or 255.
 All three planes are attacked. Seeding is per frame, so clips can be
 processed in any order or in parallel with identical output.
+
+The random draws (which generator calls, in which order, of which shapes)
+are fixed: pinned outputs depend on them. Only the arithmetic around them
+is free to change, and gaussian and speckle do theirs in place on the
+noise array they draw. IEEE addition and multiplication are commutative,
+so noise + x and noise * x give the same samples as x + noise and
+x * noise.
 """
 
 from __future__ import annotations
@@ -77,6 +84,13 @@ def _per_plane(frame: FrameYuv420, fn) -> FrameYuv420:
     return FrameYuv420(y=fn(frame.y), u=fn(frame.u), v=fn(frame.v))
 
 
+def _to_samples(noisy: np.ndarray) -> np.ndarray:
+    """round(clip(noisy, 0, 1) * 255) as uint8, computed in place on noisy."""
+    np.clip(noisy, 0.0, 1.0, out=noisy)
+    noisy *= 255.0
+    return np.round(noisy, out=noisy).astype(np.uint8)
+
+
 def salt_pepper(frame: FrameYuv420, density: float, rng: np.random.Generator) -> FrameYuv420:
     def corrupt(plane):
         hit = rng.random(plane.shape) < density
@@ -92,8 +106,9 @@ def gaussian(frame: FrameYuv420, mean: float, variance: float, rng: np.random.Ge
     sigma = float(np.sqrt(variance))
 
     def corrupt(plane):
-        noisy = plane.astype(np.float64) / 255.0 + rng.normal(mean, sigma, plane.shape)
-        return np.round(np.clip(noisy, 0.0, 1.0) * 255.0).astype(np.uint8)
+        noisy = rng.normal(mean, sigma, plane.shape)
+        noisy += plane / 255.0
+        return _to_samples(noisy)
 
     return _per_plane(frame, corrupt)
 
@@ -110,9 +125,10 @@ def speckle(frame: FrameYuv420, variance: float, rng: np.random.Generator) -> Fr
     limit = float(np.sqrt(3.0 * variance))
 
     def corrupt(plane):
-        factor = 1.0 + rng.uniform(-limit, limit, plane.shape)
-        noisy = plane.astype(np.float64) / 255.0 * factor
-        return np.round(np.clip(noisy, 0.0, 1.0) * 255.0).astype(np.uint8)
+        noisy = rng.uniform(-limit, limit, plane.shape)
+        noisy += 1.0
+        noisy *= plane / 255.0
+        return _to_samples(noisy)
 
     return _per_plane(frame, corrupt)
 

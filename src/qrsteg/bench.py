@@ -15,6 +15,7 @@ import csv
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .bitplane import render
 from .elgamal import ElGamalPrivate, ElGamalPublic
 from .errors import FormatError
 from .permute import StegoKey, derive_seed
-from .quality import QualityReport, fmt_psnr, ssim
+from .quality import QualityReport, SsimReference, fmt_psnr
 from .stego import (
     QR_LEVELS,
     FrameCoder,
@@ -102,18 +103,17 @@ def run(
         coder = coders[geometry]
         qw, qh = coder.qr_shape()
         qr_set = {level: qr_like_plane(qw, qh, seed=i) for i, level in enumerate(QR_LEVELS)}
-        references = {level: render(plane) for level, plane in qr_set.items()}
+        references = {level: SsimReference(render(plane)) for level, plane in qr_set.items()}
 
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()
         stego_frames = list(embed_video(frames, qr_set, cfg, coder, sidecar, report))
         count = len(stego_frames)
-        bp_bytes = sum(
-            (d.bit_length() + 7) // 8
-            for rec in sidecar.frames
-            for publics in rec.values()
-            for d in publics
-        )
+        bit_lengths = Counter()
+        for rec in sidecar.frames:
+            for publics in rec.values():
+                bit_lengths.update(map(int.bit_length, publics))
+        bp_bytes = sum((bits + 7) // 8 * n for bits, n in bit_lengths.items())
         payload_bytes = count * len(QR_LEVELS) * sidecar.plain_len
         result.fidelity.append(FidelityRow(clip.name, report, bp_bytes, bp_bytes / payload_bytes))
 
@@ -130,7 +130,7 @@ def run(
             for i, frame in enumerate(copy):
                 planes = decrypt_streams(coder.extract(frame), keys[i], qw, qh).planes
                 for level in QR_LEVELS:
-                    record(label, level, ssim(references[level], render(planes[level])))
+                    record(label, level, references[level].score(render(planes[level])))
         print(f"bench: {clip.name}: {count} frames done", file=sys.stderr)
 
     labels = ["none"] + [spec.label() for spec in attack_specs]

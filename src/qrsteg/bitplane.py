@@ -52,7 +52,7 @@ def load_qr(raster: np.ndarray) -> QrPlane:
 
 def render(plane: QrPlane) -> np.ndarray:
     """Back to 8-bit grayscale: dark module 0, light module 255."""
-    return np.where(plane.bits != 0, 0, 255).astype(np.uint8)
+    return (plane.bits == 0).view(np.uint8) * np.uint8(255)
 
 
 def pack(plane: QrPlane) -> PackedPayload:

@@ -22,7 +22,7 @@ from . import bitplane, elgamal
 from .attacks import AttackSpec, attack_video
 from .errors import CryptoError, FormatError, QrstegError, UsageError
 from .permute import Splitmix64, StegoKey, derive_seed
-from .quality import QualityReport, ssim
+from .quality import QualityReport, SsimReference
 from .stego import (
     QR_LEVELS,
     FrameCoder,
@@ -208,7 +208,8 @@ def cmd_extract(args) -> int:
             file=sys.stderr,
         )
     originals = {
-        level: bitplane.render(plane) for level, plane in _load_qr_files(args, required=False).items()
+        level: SsimReference(bitplane.render(plane))
+        for level, plane in _load_qr_files(args, required=False).items()
     }
 
     out_dir = Path(args.output)
@@ -220,11 +221,11 @@ def cmd_extract(args) -> int:
     try:
         for result in extract_video(frames, cfg, sidecar):
             for level in QR_LEVELS:
-                plane = result.planes[level]
+                image = bitplane.render(result.planes[level])
                 with open(out_dir / f"{count:04d}_{level}.pgm", "wb") as out:
-                    write_pgm(bitplane.render(plane), out)
+                    write_pgm(image, out)
                 if level in originals:
-                    ssim_sums[level] += ssim(originals[level], bitplane.render(plane))
+                    ssim_sums[level] += originals[level].score(image)
             if not result.pad_clean and not pad_warned:
                 print(
                     "warning: packing pad bits are nonzero (expected for geometries "

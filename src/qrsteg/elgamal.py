@@ -15,13 +15,16 @@ for a 256-bit p, built in about 2 ms, and 342 rows (about 6 MiB) for a
 2048-bit p, built in about 0.4 s. Each power then costs one modular
 multiplication per window instead of a square-and-multiply chain.
 For p < 2^32 every product of two residues stays below 2^64, so both
-ends of the stream cipher run on uint64 arrays: the tables are arrays, the
-sender raises each round of exponents with numpy gathers, the receiver
-raises all the sender publics to its fixed exponent x by one
-square-and-multiply chain over the whole array, and each end expands its
-powers into key bytes in one numpy pass. Larger p keeps Python integers:
-table chains for the sender, builtin pow for the receiver's d^x. Key
-generation and key validation use builtin pow at every size.
+ends of the stream cipher run batches of values on uint64 arrays: the
+sender stacks its two tables into one array and raises each round of
+exponents with numpy gathers, the receiver raises all the sender publics
+to its fixed exponent x by one square-and-multiply chain over the whole
+array, and each end expands its powers into key bytes in one numpy pass.
+Larger p, and batches of fewer than _ARRAY_MIN_VALUES values at any p,
+keep Python integers: table chains for the sender, builtin pow for the
+receiver's d^x. A numpy call has a fixed cost of 15-60 us, more on a
+process's first calls, which a few values never earn back. Key generation
+and key validation use builtin pow at every size.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ _WINDOW_MASK = (1 << WINDOW_BITS) - 1
 # Moduli below this bound run the keystream on uint64 arrays: a product of
 # two residues stays below 2^64.
 _UINT64_MODULUS_BOUND = 1 << 32
+
+# Fewer values than this take the Python-int path even below the bound: at
+# p = 997 and p = 2^32 - 5, one round of this many costs about the same either way.
+_ARRAY_MIN_VALUES = 16
 
 # Byte i of a value below 2^32 belongs to its minimal encoding iff the value is at least 2^(8i).
 _BYTE_FLOORS = np.array([1, 1 << 8, 1 << 16, 1 << 24], dtype=np.uint64)
@@ -95,12 +102,10 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     return True
 
 
-def _fixed_base_table(base: int, p: int) -> list[list[int]] | np.ndarray:
+def _fixed_base_table(base: int, p: int) -> list[list[int]]:
     """Row i holds base^(j * 2^(WINDOW_BITS * i)) mod p for j < 2^WINDOW_BITS.
 
-    There are enough rows for every exponent below 2^bits(p). For p < 2^32
-    the rows are one uint64 array: a product of two entries stays below
-    2^64, so keystream raises a whole round of exponents with numpy gathers.
+    There are enough rows for every exponent below 2^bits(p).
     """
     rows = []
     for _ in range(-(-p.bit_length() // WINDOW_BITS)):
@@ -109,16 +114,16 @@ def _fixed_base_table(base: int, p: int) -> list[list[int]] | np.ndarray:
             row[j] = row[j - 1] * base % p
         rows.append(row)
         base = row[-1] * base % p
-    return np.array(rows, dtype=np.uint64) if p < _UINT64_MODULUS_BOUND else rows
+    return rows
 
 
-def _table_pow(table: list[list[int]] | np.ndarray, k: int, p: int) -> int:
+def _table_pow(table: list[list[int]], k: int, p: int) -> int:
     """base^k mod p for 0 <= k < 2^bits(p): one table entry per window of k."""
     r = 1
     for row in table:
         r = r * row[k & _WINDOW_MASK] % p
         k >>= WINDOW_BITS
-    return int(r)
+    return r
 
 
 def _array_table_pows(tables: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
@@ -172,11 +177,11 @@ class ElGamalPublic:
     y: int
 
     @cached_property
-    def _alpha_table(self) -> list[list[int]] | np.ndarray:
+    def _alpha_table(self) -> list[list[int]]:
         return _fixed_base_table(self.alpha, self.p)
 
     @cached_property
-    def _y_table(self) -> list[list[int]] | np.ndarray:
+    def _y_table(self) -> list[list[int]]:
         return _fixed_base_table(self.y, self.p)
 
     @cached_property
@@ -324,21 +329,21 @@ def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
         raise CryptoError("requested key length is negative")
     p = pub.p
     tables = (pub._alpha_table, pub._y_table)
-    as_uint64 = isinstance(tables[0], np.ndarray)  # else one Python chain per power
-    if as_uint64:
-        tables = np.array(tables)
+    stacked = None  # both tables as one uint64 array, built by the first array round
     most = -(-p.bit_length() // 8)
     publics: list[int] = []
     parts: list[bytes] = []
     total = 0
     while total < nbytes:
         k = rng.randrange_array(2, p - 2, -(-(nbytes - total) // most))
-        if as_uint64:
-            d, e = _array_table_pows(tables, np.asarray(k, dtype=np.uint64), p)
+        if p < _UINT64_MODULUS_BOUND and len(k) >= _ARRAY_MIN_VALUES:
+            if stacked is None:
+                stacked = np.array(tables, dtype=np.uint64)
+            d, e = _array_table_pows(stacked, np.asarray(k, dtype=np.uint64), p)
             publics += d.tolist()
             parts.append(_le_bytes(e))
-        else:
-            d, e = ([_table_pow(t, v, p) for v in k] for t in tables)
+        else:  # one Python chain per power
+            d, e = ([_table_pow(t, v, p) for v in map(int, k)] for t in tables)
             publics += d
             parts.append(b"".join(map(int_to_bytes_le, e)))
         total += len(parts[-1])
@@ -372,12 +377,14 @@ def check_sender_publics(sender_publics: Sequence[int], p: int) -> None:
 def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalPrivate, nbytes: int) -> bytes:
     """Receiver-side keystream: expand d^x mod p for every sender public value.
 
-    The values are range-checked first, as Python ints. For p < 2^32 all
-    the powers are then raised at once on a uint64 array, otherwise one
-    builtin pow per value; both give the same bytes.
+    The values are range-checked first, as Python ints. For p < 2^32 and
+    at least _ARRAY_MIN_VALUES values, all the powers are then raised at
+    once on a uint64 array, otherwise one builtin pow per value; both give
+    the same bytes.
     """
     check_sender_publics(sender_publics, p)
-    if sender_publics and p < _UINT64_MODULUS_BOUND:  # so the check proved 0 < d < p < 2^32
+    if p < _UINT64_MODULUS_BOUND and len(sender_publics) >= _ARRAY_MIN_VALUES:
+        # the check proved 0 < d < p < 2^32
         key = _le_bytes(_array_pow(np.array(sender_publics, dtype=np.uint64), priv.x, p))
     else:
         key = b"".join(int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics)

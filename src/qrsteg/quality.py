@@ -51,24 +51,40 @@ def psnr_from_mse(value: float) -> float:
     return 10.0 * math.log10(PEAK * PEAK / value)
 
 
+class SsimReference:
+    """One original image's SSIM statistics, computed once to score many recovered images.
+
+    score runs the same float operations in the same order as ssim, its one-shot form.
+    """
+
+    def __init__(self, original: np.ndarray):
+        if original.size < 2:
+            raise ShapeError("SSIM needs at least 2 pixels")
+        o = original.astype(np.float64)
+        self.shape = o.shape
+        self.mean = o.mean()
+        self.centred = o - self.mean
+        self.variance = (self.centred**2).mean()
+
+    def score(self, recovered: np.ndarray) -> float:
+        """Global single-window SSIM of recovered against the original."""
+        if recovered.shape != self.shape:
+            raise ShapeError("SSIM inputs differ in shape")
+        e = recovered.astype(np.float64)
+        mu_o, mu_e = self.mean, e.mean()
+        centred_e = e - mu_e
+        var_e = (centred_e**2).mean()
+        cov = (self.centred * centred_e).mean()
+        return float(
+            (2 * mu_o * mu_e + SSIM_C1)
+            * (2 * cov + SSIM_C2)
+            / ((mu_o**2 + mu_e**2 + SSIM_C1) * (self.variance + var_e + SSIM_C2))
+        )
+
+
 def ssim(original: np.ndarray, recovered: np.ndarray) -> float:
     """Global single-window SSIM between two grayscale images."""
-    if original.shape != recovered.shape:
-        raise ShapeError("SSIM inputs differ in shape")
-    if original.size < 2:
-        raise ShapeError("SSIM needs at least 2 pixels")
-    o = original.astype(np.float64)
-    e = recovered.astype(np.float64)
-    mu_o = o.mean()
-    mu_e = e.mean()
-    var_o = ((o - mu_o) ** 2).mean()
-    var_e = ((e - mu_e) ** 2).mean()
-    cov = ((o - mu_o) * (e - mu_e)).mean()
-    return float(
-        (2 * mu_o * mu_e + SSIM_C1)
-        * (2 * cov + SSIM_C2)
-        / ((mu_o**2 + mu_e**2 + SSIM_C1) * (var_o + var_e + SSIM_C2))
-    )
+    return SsimReference(original).score(recovered)
 
 
 def capacity_bpp(embedded_bits: int, luma_pixels: int) -> float:

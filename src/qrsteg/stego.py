@@ -79,13 +79,23 @@ class FramePayload:
 
 
 def set_lsb(value, bit):
-    """Force the floor-parity LSB: 2 * floor(v / 2) + bit. Never moves floor(v / 2)."""
-    return 2 * (value // 2) + bit
+    """Force the floor-parity LSB: 2 * floor(v / 2) + bit. Never moves floor(v / 2).
+
+    Computed as v ^ ((v ^ bit) & 1), which flips bit 0 of v exactly when it
+    differs from bit. In two's complement, as numpy integers and Python ints
+    both behave, bit 0 is v - 2 * floor(v / 2) and the other bits are
+    floor(v / 2), so this is the floor form without a floor division. It
+    keeps the dtype of v, uint8 included (v & ~1 would not: ~1 is negative).
+    """
+    return value ^ ((value ^ bit) & 1)
 
 
 def get_lsb(value):
-    """Floor-parity LSB: v - 2 * floor(v / 2), always 0 or 1."""
-    return value - 2 * (value // 2)
+    """Floor-parity LSB: v - 2 * floor(v / 2), always 0 or 1.
+
+    In two's complement that is bit 0, v & 1, for negative v as well.
+    """
+    return value & 1
 
 
 def clip_cover(frame: FrameYuv420) -> FrameYuv420:
@@ -132,7 +142,7 @@ class FrameCoder:
         for level, band in (("L", bands.hl), ("M", bands.hh)):
             flat = band.reshape(-1)
             idx = self._place[level]
-            flat[idx] = set_lsb(flat[idx], payload.bits[level].astype(np.int64))
+            flat[idx] = set_lsb(flat[idx], payload.bits[level].astype(band.dtype))
         y = inv_haar_int(bands)
         if y.min() < 0 or y.max() > 255:
             raise ShapeError("internal error: reconstruction left the sample range")
@@ -155,7 +165,7 @@ class FrameCoder:
         bands = fwd_haar_int(frame.y)
         carriers = {"L": bands.hl, "M": bands.hh, "Q": frame.u, "H": frame.v}
         return {
-            level: get_lsb(carrier.reshape(-1)[self._place[level]]).astype(np.uint8)
+            level: get_lsb(carrier.reshape(-1)[self._place[level]]).astype(np.uint8, copy=False)
             for level, carrier in carriers.items()
         }
 
@@ -210,7 +220,12 @@ class Sidecar:
     frames: list[dict[str, list[int]]] = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
+        """The text json.dumps(doc, indent=1) gives for the whole document.
+
+        With indent set, json.dumps runs its pure-Python encoder, so only
+        the head goes through it; the frames block is joined from strings.
+        """
+        head = {
             "format": SIDECAR_FORMAT,
             "version": SIDECAR_VERSION,
             "video": {
@@ -222,12 +237,8 @@ class Sidecar:
             "qr": {"width": self.qr_width, "height": self.qr_height},
             "plain_len": self.plain_len,
             "key_fingerprint": self.key_fingerprint,
-            "frames": [
-                {level: [str(d) for d in publics] for level, publics in record.items()}
-                for record in self.frames
-            ],
         }
-        return json.dumps(doc, indent=1)
+        return f'{json.dumps(head, indent=1)[:-2]},\n "frames": {_frames_json(self.frames)}\n}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Sidecar":
@@ -272,6 +283,27 @@ class Sidecar:
         except OSError as exc:
             raise FormatError(f"cannot read sidecar {path}: {exc}") from exc
         return cls.from_json(text)
+
+
+def _json_block(items: list[str], depth: int, brackets: str) -> str:
+    """items as json.dumps(indent=1) lays out an array ("[]") or object ("{}") at nesting depth."""
+    if not items:
+        return brackets
+    pad = " " * depth
+    return f"{brackets[0]}\n{pad} " + f",\n{pad} ".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _frames_json(frames: list[dict[str, list[int]]]) -> str:
+    """The sidecar's "frames" value, public values as decimal strings, laid out as json.dumps would."""
+    records = []
+    for record in frames:
+        levels = []
+        for level, publics in record.items():
+            # all values as one item, pre-joined with the separator _json_block uses at depth 3
+            values = '"' + '",\n    "'.join(map(str, publics)) + '"'
+            levels.append(f"{json.dumps(level)}: " + _json_block([values] if publics else [], 3, "[]"))
+        records.append(_json_block(levels, 2, "{}"))
+    return _json_block(records, 1, "[]")
 
 
 def _frame_record(record) -> dict[str, list[int]]:

@@ -9,6 +9,13 @@ reconstruct/decompose cycle bit for bit.
 Rows are split first (averages to the left half, differences to the
 right), then the columns of each half, giving four quarter-size bands:
 LL and LH from the left half, HL and HH from the right.
+
+The work dtype is the narrowest that stays exact. For uint8 planes it is
+int16: LL stays in [0, 255] and the detail bands in [-510, 510]. An LSB
+edit moves a coefficient by at most one, and every value the inverse
+computes from such bands stays within +-2600. Any other input is taken as
+generic integer samples and works in int64. The inverse runs in the
+bands' common dtype, so its output is int16 for the bands of a uint8 plane.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ def fwd_haar_int(plane: np.ndarray) -> SubBands:
     h, w = plane.shape
     if h % 2 or w % 2 or h == 0 or w == 0:
         raise ShapeError(f"plane dimensions must be even and positive, got {w}x{h}")
-    a = plane.astype(np.int64)
+    a = plane.astype(np.int16 if plane.dtype == np.uint8 else np.int64)
     s, d = _pair_fwd(a[:, 0::2], a[:, 1::2])
     ll, lh = _pair_fwd(s[0::2, :], s[1::2, :])
     hl, hh = _pair_fwd(d[0::2, :], d[1::2, :])
@@ -59,14 +66,16 @@ def fwd_haar_int(plane: np.ndarray) -> SubBands:
 def inv_haar_int(bands: SubBands) -> np.ndarray:
     """Exact integer inverse of fwd_haar_int.
 
-    Output can leave [0, 255] if the bands were edited beyond what the
-    input range allows; range policy is the caller's business.
+    The output has the bands' common dtype. It can leave [0, 255] if the
+    bands were edited beyond what the input range allows; range policy is
+    the caller's business.
     """
     h2, w2 = bands.ll.shape
-    s = np.empty((h2 * 2, w2), dtype=np.int64)
-    d = np.empty((h2 * 2, w2), dtype=np.int64)
-    s[0::2, :], s[1::2, :] = _pair_inv(bands.ll.astype(np.int64), bands.lh.astype(np.int64))
-    d[0::2, :], d[1::2, :] = _pair_inv(bands.hl.astype(np.int64), bands.hh.astype(np.int64))
-    plane = np.empty((h2 * 2, w2 * 2), dtype=np.int64)
+    work = np.result_type(bands.ll, bands.lh, bands.hl, bands.hh)
+    s = np.empty((h2 * 2, w2), dtype=work)
+    d = np.empty((h2 * 2, w2), dtype=work)
+    s[0::2, :], s[1::2, :] = _pair_inv(bands.ll, bands.lh)
+    d[0::2, :], d[1::2, :] = _pair_inv(bands.hl, bands.hh)
+    plane = np.empty((h2 * 2, w2 * 2), dtype=work)
     plane[:, 0::2], plane[:, 1::2] = _pair_inv(s, d)
     return plane

@@ -142,3 +142,52 @@ def test_empty_spec_list_passes_through():
     frames = [constant_frame(50)]
     out = list(attack_video(frames, [], seed=0))
     assert frames_equal(out[0], frames[0])
+
+
+def oracle_attack(frame, spec, rng):
+    """The attack arithmetic as first written, out of place: apply_attack must equal it."""
+
+    def corrupt(plane):
+        if spec.kind == "salt_pepper":
+            hit = rng.random(plane.shape) < spec.density
+            values = rng.integers(0, 2, plane.shape, dtype=np.uint8) * np.uint8(255)
+            return np.where(hit, values, plane)
+        if spec.kind == "gaussian":
+            sigma = float(np.sqrt(spec.variance))
+            noisy = plane.astype(np.float64) / 255.0 + rng.normal(spec.mean, sigma, plane.shape)
+            return np.round(np.clip(noisy, 0.0, 1.0) * 255.0).astype(np.uint8)
+        if spec.kind == "poisson":
+            return np.clip(rng.poisson(plane.astype(np.float64)), 0, 255).astype(np.uint8)
+        limit = float(np.sqrt(3.0 * spec.variance))
+        factor = 1.0 + rng.uniform(-limit, limit, plane.shape)
+        noisy = plane.astype(np.float64) / 255.0 * factor
+        return np.round(np.clip(noisy, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+    return FrameYuv420(y=corrupt(frame.y), u=corrupt(frame.u), v=corrupt(frame.v))
+
+
+ORACLE_SPECS = ["sp:0", "sp:0.01", "sp:0.5", "sp:1", "gauss:0:0", "gauss:0:0.01", "gauss:0.3:0",
+                "gauss:-0.2:0.05", "gauss:0.1:2", "poisson", "speckle:0", "speckle:0.05", "speckle:3"]
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_attack_matches_the_out_of_place_oracle(text):
+    spec = AttackSpec.parse(text)
+    rng = np.random.default_rng(19)
+    edges = np.array([0, 1, 2, 127, 128, 253, 254, 255], dtype=np.uint8)
+    frames = [
+        FrameYuv420(y=rng.integers(0, 256, (48, 64), dtype=np.uint8),
+                    u=rng.integers(0, 256, (24, 32), dtype=np.uint8),
+                    v=np.resize(edges, (24, 32))),
+        constant_frame(0),
+        constant_frame(255),
+    ]
+    for seed in range(3):
+        for index, frame in enumerate(frames):
+            ours, theirs = frame_rng(seed, index), frame_rng(seed, index)
+            got = apply_attack(frame, spec, ours)
+            want = oracle_attack(frame, spec, theirs)
+            assert frames_equal(got, want)
+            assert all(p.dtype == np.uint8 for p in (got.y, got.u, got.v))
+            # the same draws, no more and no fewer
+            assert ours.bit_generator.state == theirs.bit_generator.state

@@ -103,3 +103,13 @@ def test_render_then_load_is_identity():
     bits = rng.integers(0, 2, size=(17, 23)).astype(np.uint8)
     plane = QrPlane(width=23, height=17, bits=bits)
     assert np.array_equal(load_qr(render(plane)).bits, plane.bits)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (17, 23), (144, 176)])
+def test_render_matches_the_where_form(shape):
+    rng = np.random.default_rng(shape[0])
+    for bits in (rng.integers(0, 2, size=shape), np.zeros(shape), np.ones(shape)):
+        plane = QrPlane(width=shape[1], height=shape[0], bits=bits.astype(np.uint8))
+        image = render(plane)
+        assert image.dtype == np.uint8 and image.shape == shape
+        assert np.array_equal(image, np.where(plane.bits != 0, 0, 255).astype(np.uint8))

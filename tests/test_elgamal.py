@@ -440,3 +440,33 @@ def test_generate_key_params_safe_prime():
     assert pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1
     pub, priv = keygen(p, alpha, random.Random(6), p_minus_1_factors=(2, q))
     assert stream_decrypt(stream_encrypt(b"payload", pub, Splitmix64(7)), p, priv) == b"payload"
+
+
+@pytest.mark.parametrize("pub,priv", RECEIVER_KEYS[:2],
+                         ids=[f"{pub.p.bit_length()}bit" for pub, _ in RECEIVER_KEYS[:2]])
+def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch):
+    # Below 2^32, rounds and regenerations of fewer than _ARRAY_MIN_VALUES
+    # values skip numpy; either path must give the sequential rule's bytes.
+    cut = elgamal._ARRAY_MIN_VALUES
+    most = -(-pub.p.bit_length() // 8)  # bytes per draw at most, so n = draws * most opens with draws
+    calls = []
+    for name in ("_array_table_pows", "_array_pow"):
+        real = getattr(elgamal, name)
+        monkeypatch.setattr(elgamal, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for draws in (1, 2, cut - 1, cut, cut + 1, 4 * cut):
+        for seed in (0, 3):
+            n = draws * most
+            calls.clear()
+            oracle, batch = Splitmix64(seed), Splitmix64(seed)
+            publics, key, _ = sequential_keystream(pub, n, oracle)
+            ks = keystream(pub, n, batch)
+            assert (list(ks.sender_publics), ks.key_bytes) == (publics, key)
+            assert batch._state == oracle._state
+            assert {type(d) for d in ks.sender_publics} <= {int}
+            assert ("_array_table_pows" in calls) == (draws >= cut)  # later rounds are smaller
+            for m in (1, cut - 1, cut, cut + 1, len(publics)):
+                calls.clear()
+                head = ks.sender_publics[:m]
+                want = sequential_regenerate(head, pub.p, priv, len(head))
+                assert regenerate_keystream(head, pub.p, priv, len(head)) == want
+                assert calls == (["_array_pow"] if len(head) >= cut else [])

@@ -10,6 +10,7 @@ from qrsteg.quality import (
     capacity_bpp,
     mse,
     psnr_from_mse,
+    SsimReference,
     ssim,
 )
 from qrsteg.videoio import FrameYuv420
@@ -194,3 +195,53 @@ def test_squared_error_sums_past_int32():
     report.add_frame(black, white)  # luma reference clips to 2: SSE 65536 * 253^2 = 4.19e9
     assert report.frame_mse_luma == [253.0**2]
     assert report.clip_mse == [4.0 * 65536 / (65536 + 2 * 16384)]
+
+
+def formula_ssim(original, recovered):
+    """Global SSIM written straight from the formula: ssim must equal it exactly."""
+    o = original.astype(np.float64)
+    e = recovered.astype(np.float64)
+    mu_o = o.mean()
+    mu_e = e.mean()
+    var_o = ((o - mu_o) ** 2).mean()
+    var_e = ((e - mu_e) ** 2).mean()
+    cov = ((o - mu_o) * (e - mu_e)).mean()
+    return float(
+        (2 * mu_o * mu_e + C1)
+        * (2 * cov + C2)
+        / ((mu_o**2 + mu_e**2 + C1) * (var_o + var_e + C2))
+    )
+
+
+def ssim_cases():
+    rng = np.random.default_rng(61)
+    bilevel = [rng.integers(0, 2, (144, 176)).astype(np.uint8) * np.uint8(255) for _ in range(3)]
+    gray = [rng.integers(0, 256, (31, 17)).astype(np.uint8) for _ in range(3)]
+    constant = [np.full((8, 8), v, dtype=np.uint8) for v in (0, 128, 255)]
+    for group in (bilevel, gray, constant):
+        for a in group:
+            for b in group:
+                yield a, b
+    yield bilevel[0], np.zeros_like(bilevel[0])
+    yield constant[0], rng.integers(0, 2, (8, 8)).astype(np.uint8) * np.uint8(255)
+
+
+def test_ssim_equals_the_formula_exactly():
+    for original, recovered in ssim_cases():
+        assert ssim(original, recovered) == formula_ssim(original, recovered)
+
+
+def test_ssim_reference_scores_equal_one_shot_ssim():
+    cases = list(ssim_cases())
+    for original in {id(o): o for o, _ in cases}.values():
+        reference = SsimReference(original)
+        for _, recovered in cases:
+            if recovered.shape == original.shape:
+                assert reference.score(recovered) == formula_ssim(original, recovered)
+
+
+def test_ssim_reference_rejects_bad_shapes():
+    with pytest.raises(ShapeError):
+        SsimReference(np.zeros((1, 1)))
+    with pytest.raises(ShapeError):
+        SsimReference(np.zeros((2, 2))).score(np.zeros((2, 3)))

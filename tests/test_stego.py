@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -82,6 +83,47 @@ def test_set_lsb_never_moves_floor_half():
     for v in range(-512, 513):
         for b in (0, 1):
             assert set_lsb(v, b) // 2 == v // 2
+
+
+def floor_set_lsb(value, bit):
+    """The floor form set_lsb must equal."""
+    return 2 * (value // 2) + bit
+
+
+def floor_get_lsb(value):
+    """The floor form get_lsb must equal."""
+    return value - 2 * (value // 2)
+
+
+@pytest.mark.parametrize("dtype,values", [
+    (np.int16, np.arange(-511, 512)),  # every value a detail band can hold after an edit
+    (np.uint8, np.arange(0, 256)),
+    (np.int64, np.arange(-511, 512)),
+])
+def test_lsb_bit_forms_equal_the_floor_forms_on_arrays(dtype, values):
+    v = values.astype(dtype)
+    assert get_lsb(v).dtype == dtype
+    assert np.array_equal(get_lsb(v), floor_get_lsb(v))
+    for bit in (0, 1):
+        bits = np.full(v.shape, bit, dtype=dtype)
+        got = set_lsb(v, bits)
+        assert got.dtype == dtype
+        assert np.array_equal(got, floor_set_lsb(v, bits))
+
+
+def test_lsb_bit_forms_equal_the_floor_forms_at_the_uint8_ends():
+    for value in (0, 1, 254, 255):
+        v = np.array([value], dtype=np.uint8)
+        for bit in (0, 1):
+            assert set_lsb(v, np.uint8(bit)).tolist() == floor_set_lsb(v, np.uint8(bit)).tolist()
+            assert set_lsb(v, np.array([bit], dtype=np.uint8)).dtype == np.uint8
+
+
+def test_lsb_bit_forms_equal_the_floor_forms_on_python_ints():
+    for v in (*range(-600, 600), -(2**70) - 1, 2**70 + 1):
+        assert get_lsb(v) == floor_get_lsb(v)
+        for bit in (0, 1):
+            assert set_lsb(v, bit) == floor_set_lsb(v, bit)
 
 
 def test_all_gray_zero_payload_yields_even_carriers():
@@ -326,6 +368,54 @@ def test_sidecar_json_roundtrip(tmp_path):
         Sidecar.from_json("{}")
     with pytest.raises(FormatError):
         Sidecar.from_json("not json")
+
+
+def json_dumps_sidecar(sidecar):
+    """The sidecar text as json.dumps writes the whole document: to_json must equal it."""
+    doc = {
+        "format": stego.SIDECAR_FORMAT,
+        "version": stego.SIDECAR_VERSION,
+        "video": {
+            "width": sidecar.width,
+            "height": sidecar.height,
+            "frame_count": len(sidecar.frames),
+            "frame_rate": sidecar.frame_rate,
+        },
+        "qr": {"width": sidecar.qr_width, "height": sidecar.qr_height},
+        "plain_len": sidecar.plain_len,
+        "key_fingerprint": sidecar.key_fingerprint,
+        "frames": [
+            {level: [str(d) for d in publics] for level, publics in record.items()}
+            for record in sidecar.frames
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
+
+@pytest.mark.parametrize("frames", [
+    [],  # no frames
+    [{"L": [], "M": [5], "Q": [], "H": []}],  # empty level lists
+    [{lvl: [1, 996, 2**255 + 7] for lvl in stego.QR_LEVELS}] * 3,  # several frames
+    [{}, {"L": [3]}],  # records need not hold every level to be written
+])
+@pytest.mark.parametrize("frame_rate,fingerprint", [
+    ("30:1", "0123456789abcdef"),
+    ('30"\\:1\n', "f\u00e9\t\"x\u2028"),  # needs escaping, ASCII or not
+])
+def test_sidecar_text_equals_json_dumps(frames, frame_rate, fingerprint):
+    sidecar = Sidecar(width=16, height=16, qr_width=8, qr_height=8, plain_len=8,
+                      key_fingerprint=fingerprint, frame_rate=frame_rate, frames=frames)
+    assert sidecar.to_json() == json_dumps_sidecar(sidecar)
+
+
+def test_sidecar_text_equals_json_dumps_for_an_embedded_clip():
+    cfg = make_cfg(seed=12)
+    _, frames = synth.gradient_video(32, 32, 3, seed=8)
+    qr_set = {lvl: synth.qr_like_plane(16, 16, seed=i) for i, lvl in enumerate(stego.QR_LEVELS)}
+    coder = FrameCoder(cfg.key, 32, 32)
+    sidecar = new_sidecar(cfg, coder, "25:1")
+    list(embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport()))
+    assert sidecar.to_json() == json_dumps_sidecar(sidecar)
 
 
 def test_sidecar_rejects_inconsistent_plain_len():
