@@ -5,8 +5,13 @@ reports per-clip fidelity (capacity, PSNR, MSE, keystream transport
 overhead), then measures recovered-payload SSIM under each configured
 noise attack, averaged over frames, noise seeds, and clips.
 
-Repeated extraction of the same clip reuses one regenerated keystream
-per frame, since noise changes the carried bits, never the keys.
+Every clean and attacked copy of a frame is decoded with the keystream
+the sender derived while embedding it: the keystream is a function of
+the key, seed, frame and level, and noise changes the carried bits,
+never the keys. So bench never regenerates a keystream from the sidecar;
+that receiver path is what the extract command runs. Because the private
+exponent then takes no part in a decode, run first checks that it
+matches the public key.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 
 from .attacks import AttackSpec, attack_video
 from .bitplane import render
-from .elgamal import ElGamalPrivate, ElGamalPublic
+from .elgamal import ElGamalPrivate, ElGamalPublic, check_key_pair
 from .errors import FormatError
 from .permute import StegoKey, derive_seed
 from .quality import QualityReport, SsimReference, fmt_psnr
@@ -31,7 +36,6 @@ from .stego import (
     StegoConfig,
     decrypt_streams,
     embed_video,
-    frame_keystreams,
     new_sidecar,
 )
 from .synth import qr_like_plane
@@ -76,6 +80,7 @@ def run(
     max_frames: int | None = None,
     robust_frames: int = 30,
 ) -> BenchResult:
+    check_key_pair(pub, priv)
     if not dataset.is_dir():
         raise FormatError(f"{dataset} is not a directory")
     clips = sorted(dataset.glob("*.y4m"))
@@ -107,8 +112,14 @@ def run(
 
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()
-        stego_frames = list(embed_video(frames, qr_set, cfg, coder, sidecar, report))
-        count = len(stego_frames)
+        keys: list[dict[str, bytes]] = []  # the sender's keystreams, for the decoded frames only
+        subset = []
+        for stego in embed_video(frames, qr_set, cfg, coder, sidecar, report, keys):
+            if len(subset) < robust_frames:
+                subset.append(stego)
+            else:
+                keys.pop()  # this frame is not decoded
+        count = len(sidecar.frames)
         bit_lengths = Counter()
         for rec in sidecar.frames:
             for publics in rec.values():
@@ -117,10 +128,6 @@ def run(
         payload_bytes = count * len(QR_LEVELS) * sidecar.plain_len
         result.fidelity.append(FidelityRow(clip.name, report, bp_bytes, bp_bytes / payload_bytes))
 
-        subset = stego_frames[: min(robust_frames, count)]
-        keys = [
-            frame_keystreams(rec, cfg, sidecar.plain_len) for rec in sidecar.frames[: len(subset)]
-        ]
         copies = [("none", subset)] + [  # no-attack baseline, then lazily attacked copies
             (spec.label(), attack_video(subset, [spec], derive_seed(seed, _ATTACK_SALT, a, s)))
             for a, spec in enumerate(attack_specs)

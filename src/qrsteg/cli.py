@@ -84,6 +84,19 @@ def _load_public_key(path) -> elgamal.ElGamalPublic:
     return public
 
 
+def _load_key_pair(pub_path, priv_path) -> tuple[elgamal.ElGamalPublic, elgamal.ElGamalPrivate]:
+    """The proved public key and the private key that matches it."""
+    public = _load_public_key(pub_path)
+    private = elgamal.load_private_key(priv_path)
+    try:
+        elgamal.check_key_pair(public, private)
+    except CryptoError as exc:
+        raise CryptoError(
+            f"private key {priv_path} does not match public key {pub_path} (alpha^x != y mod p)"
+        ) from exc
+    return public, private
+
+
 def _open_video(args):
     """Returns (meta, frame iterator, file handle). Caller closes the handle."""
     path = Path(args.input)
@@ -191,11 +204,8 @@ def cmd_embed(args) -> int:
 def cmd_extract(args) -> int:
     seed = resolve_seed(args, required=True)
     key = StegoKey(seed=seed)
-    cfg = StegoConfig(
-        key=key,
-        public=_load_public_key(args.pub),
-        private=elgamal.load_private_key(args.priv),
-    )
+    public, private = _load_key_pair(args.pub, args.priv)
+    cfg = StegoConfig(key=key, public=public, private=private)
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(args.input) + ".sidecar.json")
     sidecar = Sidecar.read(sidecar_path)
     # A bad value in any frame must fail the run before the first PGM is written.
@@ -281,8 +291,7 @@ def cmd_bench(args) -> int:
         if value is not None and value < 0:
             raise UsageError(f"{flag} must not be negative, got {value}")
     if args.pub and args.priv:
-        pub = elgamal.load_public_key(args.pub)
-        priv = elgamal.load_private_key(args.priv)
+        pub, priv = _load_key_pair(args.pub, args.priv)
     elif args.pub or args.priv:
         raise UsageError("bench needs both --pub and --priv, or neither")
     else:

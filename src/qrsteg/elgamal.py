@@ -226,6 +226,16 @@ class ElGamalPrivate:
             raise CryptoError(f"private exponent {self.x} must be positive")
 
 
+def check_key_pair(pub: ElGamalPublic, priv: ElGamalPrivate) -> None:
+    """Raise CryptoError unless priv is the private half of pub: alpha^x = y (mod p).
+
+    One builtin pow. A receiver with the wrong x regenerates a keystream
+    of noise, or of the wrong length, so callers check before any decode.
+    """
+    if pow(pub.alpha, priv.x, pub.p) != pub.y:
+        raise CryptoError("private exponent does not match the public key (alpha^x != y mod p)")
+
+
 @dataclass(frozen=True)
 class CipherBundle:
     """Stream-cipher output: sender public values plus XORed payload bytes.

@@ -72,10 +72,13 @@ class FramePayload:
 
     bits[level] holds the first capacity_bits bits of that level's
     ciphertext, MSB-first, in natural order; FrameCoder places them.
+    keys[level] is the keystream the sender XORed in: the bytes the
+    receiver regenerates from the bundle's public values.
     """
 
     bundles: dict[str, CipherBundle]
     bits: dict[str, np.ndarray]
+    keys: dict[str, bytes] = field(default_factory=dict)
 
 
 def set_lsb(value, bit):
@@ -184,6 +187,7 @@ def prepare_payload(
     qw, qh = coder.qr_shape()
     bundles: dict[str, CipherBundle] = {}
     bits: dict[str, np.ndarray] = {}
+    keys: dict[str, bytes] = {}
     for level in QR_LEVELS:
         plane = qr_set.get(level)
         if plane is None:
@@ -199,7 +203,8 @@ def prepare_payload(
         bits[level] = np.unpackbits(
             np.frombuffer(bundle.ciphertext, dtype=np.uint8), count=coder.capacity_bits
         )
-    return FramePayload(bundles=bundles, bits=bits)
+        keys[level] = elgamal.xor_bytes(bundle.ciphertext, packed.data)
+    return FramePayload(bundles=bundles, bits=bits, keys=keys)
 
 
 @dataclass
@@ -342,17 +347,22 @@ def embed_video(
     coder: FrameCoder,
     sidecar: Sidecar,
     report: QualityReport,
+    keys: list[dict[str, bytes]] | None = None,
 ) -> Iterator[FrameYuv420]:
     """Embed the payload set into every frame.
 
     Each frame appends its sender public values to the sidecar and its
-    fidelity to the report. Every frame draws fresh ephemeral exponents, so
-    the same payload still produces different ciphertext from frame to frame.
+    fidelity to the report and, when a keys list is given, its keystreams
+    (FramePayload.keys) to that list. Every frame draws fresh ephemeral
+    exponents, so the same payload still produces different ciphertext
+    from frame to frame.
     """
     cfg.public.validate()
     for index, frame in enumerate(frames):
         payload = prepare_payload(qr_set, cfg, index, coder)
         sidecar.frames.append({lvl: list(payload.bundles[lvl].sender_publics) for lvl in QR_LEVELS})
+        if keys is not None:
+            keys.append(payload.keys)
         stego = coder.embed(frame, payload)
         report.embedded_bits += len(QR_LEVELS) * coder.capacity_bits
         report.add_frame(frame, stego)

@@ -6,8 +6,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qrsteg import bench, bitplane, cli, elgamal, synth
+from qrsteg.attacks import AttackSpec
 from qrsteg.cli import main, parse_seed_text
-from qrsteg.stego import FrameCoder
+from qrsteg.errors import CryptoError, FormatError
+from qrsteg.permute import StegoKey
+from qrsteg.stego import FrameCoder, StegoConfig, frame_keystreams
 from qrsteg.videoio import read_pgm, read_y4m, write_pgm, write_y4m
 
 
@@ -408,6 +411,73 @@ def test_bench_proves_the_key_once_for_all_clips(tmp_path, monkeypatch):
     assert proved == [997]
 
 
+def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    for i in range(2):
+        write_clip(dataset / f"clip{i}.y4m", w=16, h=16, frames=2, seed=i)
+    calls = []
+    real = elgamal.regenerate_keystream
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(elgamal, "regenerate_keystream", counting)
+    pub, priv = elgamal.ElGamalPublic(p=997, alpha=809, y=12), elgamal.ElGamalPrivate(x=420)
+    result = bench.run(dataset, pub, priv, seed=0, attack_specs=[AttackSpec.parse("sp:0.01")],
+                       attack_seeds=2)
+    assert calls == []
+    assert result.robustness[0].attack == "none"
+    assert set(result.robustness[0].ssim_by_level.values()) == {1.0}
+    # The counter sits on the receiver's path: one frame record regenerates four keystreams.
+    cfg = StegoConfig(key=StegoKey(seed=0), public=pub, private=priv)
+    frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1)
+    assert len(calls) == 4
+
+
+def test_bench_proves_a_loaded_key_once(tmp_path, monkeypatch, keys):
+    pub, priv = keys
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    for i in range(2):
+        write_clip(dataset / f"clip{i}.y4m", w=16, h=16, frames=1, seed=i)
+    proved = []
+    real = elgamal.is_probable_prime
+
+    def counting(n, *args):
+        proved.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(elgamal, "is_probable_prime", counting)
+    assert main(["bench", "--input", str(dataset), "--pub", str(pub), "--priv", str(priv),
+                 "--seed", "0", "--attacks", "sp:0.01"]) == 0
+    assert proved == [997]
+
+
+def test_bench_validates_the_public_key_when_it_loads_it(tmp_path, capsys, keys):
+    # Unchecked, a composite p with an empty corpus exits 0.
+    pub, priv = keys
+    elgamal.save_public_key(elgamal.ElGamalPublic(p=1001, alpha=809, y=12), pub)
+    dataset = tmp_path / "none"
+    dataset.mkdir()
+    report = tmp_path / "bench.csv"
+    capsys.readouterr()
+    assert main(["bench", "--input", str(dataset), "--report", str(report),
+                 "--pub", str(pub), "--priv", str(priv), "--seed", "0"]) == 4
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == f"public key {pub}: p = 1001 is not prime"
+    assert not report.exists()
+
+
+def test_bench_run_checks_the_key_pair_before_reading_any_clip(tmp_path):
+    pub = elgamal.ElGamalPublic(p=997, alpha=809, y=12)
+    with pytest.raises(CryptoError, match="does not match the public key"):
+        bench.run(tmp_path / "missing", pub, elgamal.ElGamalPrivate(x=421), seed=0, attack_specs=[])
+    with pytest.raises(FormatError, match="is not a directory"):
+        bench.run(tmp_path / "missing", pub, elgamal.ElGamalPrivate(x=420), seed=0, attack_specs=[])
+
+
 def test_bench_empty_dataset_writes_headers_only(tmp_path):
     dataset = tmp_path / "none"
     dataset.mkdir()
@@ -529,6 +599,62 @@ def test_embed_names_the_public_key_it_refuses(workspace, capsys):
     message = json.loads(capsys.readouterr().err)["message"]
     assert message == f"public key {ws['pub']}: p = 1003 is not prime"
     assert not stego.exists()
+
+
+# keygen arguments for two key pairs of one kind, drawn under --seed 1 and --seed 2
+OTHER_PAIR_KEYGEN = {"paper": ["--paper-fidelity"], "bits64": ["--bits", "64"]}
+
+
+def write_two_key_pairs(tmp_path, kind):
+    """(public key of pair a, private key of pair b)."""
+    paths = {}
+    for name, seed in (("a", "1"), ("b", "2")):
+        paths[name] = tmp_path / f"{name}.pub", tmp_path / f"{name}.priv"
+        assert main(["keygen", "--pub", str(paths[name][0]), "--priv", str(paths[name][1]),
+                     *OTHER_PAIR_KEYGEN[kind], "--seed", seed]) == 0
+    return paths["a"][0], paths["b"][1]
+
+
+def assert_key_pair_error(capsys, pub, priv):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["exit"] == 4
+    assert error["message"] == f"private key {priv} does not match public key {pub} (alpha^x != y mod p)"
+
+
+@pytest.mark.parametrize("kind", sorted(OTHER_PAIR_KEYGEN))
+def test_extract_refuses_a_private_key_of_another_pair(workspace, capsys, kind):
+    # Unchecked, the wrong x regenerates noise, or a keystream of the wrong
+    # length reported as a corrupt bundle.
+    ws = workspace
+    ws["pub"], other = write_two_key_pairs(ws["tmp"], kind)
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    capsys.readouterr()
+    assert main(extract_args(ws, stego, priv=other)) == 4
+    assert_key_pair_error(capsys, ws["pub"], other)
+    assert not (ws["tmp"] / "rec").exists()
+    # The pair is checked before the sidecar is read.
+    (ws["tmp"] / "stego.y4m.sidecar.json").unlink()
+    assert main(extract_args(ws, stego, priv=other)) == 4
+    assert_key_pair_error(capsys, ws["pub"], other)
+
+
+@pytest.mark.parametrize("kind", sorted(OTHER_PAIR_KEYGEN))
+def test_bench_refuses_a_private_key_of_another_pair(tmp_path, capsys, kind):
+    # Bench decodes with the sender's keystreams, so unchecked it would print
+    # perfect tables for a private key that cannot decrypt anything.
+    pub, other = write_two_key_pairs(tmp_path, kind)
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    report = tmp_path / "bench.csv"
+    capsys.readouterr()
+    assert main(["bench", "--input", str(dataset), "--report", str(report), "--pub", str(pub),
+                 "--priv", str(other), "--seed", "0", "--attacks", "sp:0.01"]) == 4
+    assert_key_pair_error(capsys, pub, other)
+    assert not report.exists()
 
 
 def test_extract_rejects_sidecar_frame_count_mismatch(workspace, capsys):

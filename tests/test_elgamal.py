@@ -122,6 +122,14 @@ def test_validate_proves_each_key_object_once(monkeypatch):
             non_generator.validate((2, 3, 83))
 
 
+def test_check_key_pair():
+    elgamal.check_key_pair(PUB, PRIV)
+    elgamal.check_key_pair(PUB, ElGamalPrivate(420 + 996))  # the same exponent mod p - 1
+    for x in (421, 1):
+        with pytest.raises(CryptoError, match="does not match the public key"):
+            elgamal.check_key_pair(PUB, ElGamalPrivate(x))
+
+
 def test_private_key_rejects_non_positive_exponent():
     for x in (0, -3):
         with pytest.raises(CryptoError):

@@ -319,6 +319,28 @@ def test_fresh_keystreams_per_frame_and_level():
     assert len(seen) == 8  # 2 frames x 4 levels, all distinct draws
 
 
+@pytest.mark.parametrize("bits", [None, 64, 256], ids=["p997", "64bit", "256bit"])
+def test_sender_keys_equal_the_receivers_regenerated_keystreams(bits):
+    # The receiver is the reference: bench decodes with FramePayload.keys
+    # in place of frame_keystreams, so the two must agree byte for byte.
+    if bits is None:
+        pub, priv = PUB, PRIV
+    else:
+        p, alpha = elgamal.generate_key_params(bits, Splitmix64(bits))
+        pub, priv = elgamal.keygen(p, alpha, Splitmix64(1))
+    cfg = StegoConfig(key=StegoKey(seed=0x5EED), public=pub, private=priv)
+    _, frames = synth.gradient_video(36, 28, 3, seed=5)  # 252 payload bits: a partial last byte
+    qr_set = {lvl: synth.qr_like_plane(18, 14, seed=i) for i, lvl in enumerate(stego.QR_LEVELS)}
+    coder = FrameCoder(cfg.key, 36, 28)
+    sidecar = new_sidecar(cfg, coder)
+    keys = []
+    list(embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport(), keys))
+    assert len(keys) == len(sidecar.frames) == 3
+    for index, record in enumerate(sidecar.frames):
+        assert keys[index] == stego.frame_keystreams(record, cfg, sidecar.plain_len)
+        assert prepare_payload(qr_set, cfg, index, coder).keys == keys[index]
+
+
 def test_v1_seed_and_public_key_decrypt_without_private_key():
     # Documents a v1 weakness (README "Security notes"): the ephemeral exponents
     # come from the stego seed, so anyone holding the seed and the public key
