@@ -140,7 +140,7 @@ def run(
                     record(label, level, references[level].score(render(planes[level])))
         print(f"bench: {clip.name}: {count} frames done", file=sys.stderr)
 
-    labels = ["none"] + [spec.label() for spec in attack_specs]
+    labels = dict.fromkeys(["none"] + [spec.label() for spec in attack_specs])
     for label in labels:
         if label in sums:
             result.robustness.append(

@@ -227,7 +227,6 @@ def cmd_extract(args) -> int:
     meta, frames, handle = _open_video(args)
     ssim_sums = {level: 0.0 for level in QR_LEVELS}
     count = 0
-    pad_warned = False
     try:
         for result in extract_video(frames, cfg, sidecar):
             for level in QR_LEVELS:
@@ -236,13 +235,6 @@ def cmd_extract(args) -> int:
                     write_pgm(image, out)
                 if level in originals:
                     ssim_sums[level] += originals[level].score(image)
-            if not result.pad_clean and not pad_warned:
-                print(
-                    "warning: packing pad bits are nonzero (expected for geometries "
-                    "whose payload bit count is not a whole number of bytes)",
-                    file=sys.stderr,
-                )
-                pad_warned = True
             count += 1
     finally:
         handle.close()
@@ -287,7 +279,8 @@ def cmd_bench(args) -> int:
     if seed is None:
         seed = 0
     specs = [AttackSpec.parse(text) for text in args.attacks.split(",") if text.strip()]
-    for flag, value in (("--max-frames", args.max_frames), ("--robust-frames", args.robust_frames)):
+    for flag in ("--max-frames", "--robust-frames", "--attack-seeds"):
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value < 0:
             raise UsageError(f"{flag} must not be negative, got {value}")
     if args.pub and args.priv:

@@ -243,18 +243,13 @@ class CipherBundle:
     sender_publics holds one group element per keystream draw; together
     with the receiver's private exponent they regenerate the keystream.
     Trailing entries may contribute only truncated bytes but are kept,
-    so regeneration mirrors encryption exactly.
+    so regeneration mirrors encryption exactly. stream_decrypt refuses a
+    malformed bundle in regenerate_keystream (too few publics) or xor_bytes.
     """
 
     sender_publics: tuple[int, ...]
     ciphertext: bytes
     plain_len: int
-
-    def validate(self) -> None:
-        if len(self.ciphertext) != self.plain_len:
-            raise CryptoError("ciphertext length disagrees with plain_len")
-        if self.plain_len > 0 and not self.sender_publics:
-            raise CryptoError("bundle carries payload but no sender public values")
 
 
 @dataclass(frozen=True)
@@ -407,7 +402,6 @@ def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalP
 
 def stream_decrypt(bundle: CipherBundle, p: int, priv: ElGamalPrivate) -> bytes:
     """Invert stream_encrypt using the receiver's private exponent."""
-    bundle.validate()
     key = regenerate_keystream(bundle.sender_publics, p, priv, bundle.plain_len)
     return xor_bytes(bundle.ciphertext, key)
 

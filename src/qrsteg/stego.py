@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import elgamal, permute
-from .bitplane import PackedPayload, QrPlane, pack, payload_from_bits, unpack
+from .bitplane import QrPlane, pack
 from .elgamal import CipherBundle, ElGamalPrivate, ElGamalPublic
 from .errors import CapacityError, CryptoError, FormatError, ShapeError
 from .videoio import FrameYuv420
@@ -274,6 +274,10 @@ class Sidecar:
             raise FormatError(
                 f"sidecar frame_count {frame_count} disagrees with its {len(side.frames)} frame records"
             )
+        if (side.qr_width, side.qr_height) != (side.width // 2, side.height // 2):
+            raise FormatError(
+                f"sidecar qr size {side.qr_width}x{side.qr_height} is not half of the {side.width}x{side.height} video"
+            )
         if side.plain_len != (side.qr_width * side.qr_height + 7) // 8:
             raise FormatError(f"sidecar plain_len {side.plain_len} disagrees with the payload size")
         return side
@@ -371,10 +375,9 @@ def embed_video(
 
 @dataclass
 class ExtractedSet:
-    """One frame's recovered payload planes plus a padding sanity verdict."""
+    """One frame's recovered payload planes, keyed by level."""
 
     planes: dict[str, QrPlane]
-    pad_clean: bool
 
 
 def frame_keystreams(
@@ -398,30 +401,19 @@ def frame_keystreams(
 def decrypt_streams(
     streams: Mapping[str, np.ndarray], keys: Mapping[str, bytes], qr_width: int, qr_height: int
 ) -> ExtractedSet:
-    """XOR extracted ciphertext bit streams with their keystreams into payload planes."""
+    """XOR each level's extracted bits with the first bits of its keystream, MSB-first."""
     bit_count = qr_width * qr_height
+    key_len = (bit_count + 7) // 8
     planes: dict[str, QrPlane] = {}
-    pad_clean = True
     for level in QR_LEVELS:
-        bits = streams[level]
+        bits, key = streams[level], keys[level]
         if bits.size != bit_count:
-            raise ShapeError(
-                f"level {level} stream has {bits.size} bits, payload needs {bit_count}"
-            )
-        packed = payload_from_bits(bits)
-        key = keys[level]
-        if len(packed.data) != len(key):
-            raise FormatError(
-                f"level {level} keystream has {len(key)} bytes, payload needs {len(packed.data)}"
-            )
-        plain = elgamal.xor_bytes(packed.data, key)
-        if bit_count % 8:
-            # Pad bits are never transmitted, so after decryption they hold
-            # keystream residue; report them for the caller's warning.
-            tail = plain[-1] & ((1 << (8 - bit_count % 8)) - 1)
-            pad_clean = pad_clean and tail == 0
-        planes[level] = unpack(PackedPayload(bit_count=bit_count, data=plain), qr_width, qr_height)
-    return ExtractedSet(planes=planes, pad_clean=pad_clean)
+            raise ShapeError(f"level {level} stream has {bits.size} bits, payload needs {bit_count}")
+        if len(key) != key_len:
+            raise FormatError(f"level {level} keystream has {len(key)} bytes, payload needs {key_len}")
+        plain = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=bit_count) ^ bits
+        planes[level] = QrPlane(qr_width, qr_height, plain.reshape(qr_height, qr_width))
+    return ExtractedSet(planes=planes)
 
 
 def decode_frame_streams(

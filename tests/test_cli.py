@@ -815,6 +815,55 @@ def test_attack_spec_fuzz_exits_cleanly(fuzz_clip, capsys, spec):
         assert_one_error_line(capsys, 3)
 
 
+def test_extract_refuses_a_sidecar_qr_size_that_is_not_half_the_video(tmp_path, capsys, keys):
+    # 24x32 planes hold as many bits as the 32x24 ones a 64x48 clip carries,
+    # so plain_len agrees; the extract must still write nothing.
+    pub, priv = keys
+    cover = tmp_path / "cover.y4m"
+    write_clip(cover, w=64, h=48, frames=2, seed=5)
+    qr_args = []
+    for i, level in enumerate("lmqh"):
+        path = tmp_path / f"qr_{level}.pgm"
+        write_qr(path, w=32, h=24, seed=i)
+        qr_args += [f"--qr-{level}", str(path)]
+    stego = tmp_path / "stego.y4m"
+    assert main(["embed", "--input", str(cover), "--output", str(stego), *qr_args,
+                 "--pub", str(pub), "--seed", "7"]) == 0
+    sidecar = tmp_path / "stego.y4m.sidecar.json"
+    doc = json.loads(sidecar.read_text())
+    doc["qr"] = {"width": 24, "height": 32}
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out_dir = tmp_path / "rec"
+    assert main(["extract", "--input", str(stego), "--output", str(out_dir),
+                 "--pub", str(pub), "--priv", str(priv), "--seed", "7"]) == 3
+    assert_one_error_line(capsys, 3)
+    assert not list(out_dir.glob("*.pgm"))
+
+
+def test_bench_rejects_negative_attack_seeds(tmp_path, capsys):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    assert main(["bench", "--input", str(dataset), "--paper-fidelity", "--seed", "0",
+                 "--attack-seeds", "-3", "--attacks", "sp:0.1"]) == 2
+    assert_one_error_line(capsys, 2)
+
+
+def test_bench_prints_one_row_per_distinct_attack_label(tmp_path, capsys):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    report = tmp_path / "bench.csv"
+    assert main(["bench", "--input", str(dataset), "--report", str(report), "--paper-fidelity",
+                 "--seed", "0", "--attacks", "sp:0.1,sp:0.10,gauss:0:0.01", "--attack-seeds", "1"]) == 0
+    table = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  ") and line.split()[0] in {"none", "sp:0.1", "gauss:0:0.01"}]
+    assert table == ["none", "sp:0.1", "gauss:0:0.01"]
+    rows = (tmp_path / "bench.attacks.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["none", "sp:0.1", "gauss:0:0.01"]
+
+
 def test_bench_max_frames_zero_scores_no_frame(tmp_path, capsys):
     dataset = tmp_path / "clips"
     dataset.mkdir()

@@ -412,6 +412,22 @@ def test_stream_decrypt_detects_short_keystream():
         stream_decrypt(bundle, 997, PRIV)
 
 
+@pytest.mark.parametrize(
+    "publics,ciphertext,plain_len,message",
+    [
+        ((), bytes(9), 9, "regenerated keystream has 0 bytes"),
+        ((320, 619, 122, 273, 171, 918), bytes(8), 9, "differ in length"),
+        ((320, 619, 122, 273, 171, 918), bytes(10), 9, "differ in length"),
+        ((), bytes(1), 0, "differ in length"),
+    ],
+    ids=["no-publics", "short-ciphertext", "long-ciphertext", "ciphertext-without-payload"],
+)
+def test_stream_decrypt_refuses_a_malformed_bundle(publics, ciphertext, plain_len, message):
+    bundle = CipherBundle(sender_publics=publics, ciphertext=ciphertext, plain_len=plain_len)
+    with pytest.raises(CryptoError, match=message):
+        stream_decrypt(bundle, 997, PRIV)
+
+
 def test_xor_bytes_involution_at_scale():
     rng = random.Random(99)
     for _ in range(10_000):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qrsteg import elgamal, stego, synth
-from qrsteg.bitplane import pack
+from qrsteg.bitplane import PackedPayload, pack, payload_from_bits, unpack
 from qrsteg.elgamal import ElGamalPrivate, ElGamalPublic
 from qrsteg.errors import CapacityError, CryptoError, FormatError, ShapeError
 from qrsteg.permute import Splitmix64, StegoKey, keyed_permutation
@@ -284,7 +284,6 @@ def test_video_roundtrip_with_sidecar():
     recovered = list(extract_video(stego_frames, cfg, sidecar))
     assert len(recovered) == 5
     for i, result in enumerate(recovered):
-        assert result.pad_clean  # 16*16 bits pack into whole bytes
         for lvl in stego.QR_LEVELS:
             assert np.array_equal(result.planes[lvl].bits, qr_set[lvl].bits), (i, lvl)
 
@@ -339,6 +338,32 @@ def test_sender_keys_equal_the_receivers_regenerated_keystreams(bits):
     for index, record in enumerate(sidecar.frames):
         assert keys[index] == stego.frame_keystreams(record, cfg, sidecar.plain_len)
         assert prepare_payload(qr_set, cfg, index, coder).keys == keys[index]
+
+
+@pytest.mark.parametrize("width,height", [(16, 16), (3, 3), (18, 14)])
+def test_decrypt_streams_equals_the_byte_domain_decode(width, height):
+    # Oracle: pack the carried bits MSB-first, XOR the bytes with the
+    # keystream, unpack the first width*height bits. Random keys fill the
+    # bits past the payload, so a partial last byte is covered too.
+    rng = np.random.default_rng(width * 100 + height)
+    n = width * height
+    streams = {lvl: rng.integers(0, 2, n, dtype=np.uint8) for lvl in stego.QR_LEVELS}
+    keys = {lvl: rng.bytes((n + 7) // 8) for lvl in stego.QR_LEVELS}
+    result = stego.decrypt_streams(streams, keys, width, height)
+    for lvl in stego.QR_LEVELS:
+        plain = elgamal.xor_bytes(payload_from_bits(streams[lvl]).data, keys[lvl])
+        expected = unpack(PackedPayload(bit_count=n, data=plain), width, height)
+        assert np.array_equal(result.planes[lvl].bits, expected.bits), lvl
+
+
+def test_decrypt_streams_checks_stream_and_key_sizes():
+    streams = {lvl: np.zeros(9, dtype=np.uint8) for lvl in stego.QR_LEVELS}
+    keys = {lvl: bytes(2) for lvl in stego.QR_LEVELS}
+    with pytest.raises(ShapeError):
+        stego.decrypt_streams({**streams, "M": np.zeros(8, dtype=np.uint8)}, keys, 3, 3)
+    for short_or_long in (bytes(1), bytes(3)):
+        with pytest.raises(FormatError):
+            stego.decrypt_streams(streams, {**keys, "Q": short_or_long}, 3, 3)
 
 
 def test_v1_seed_and_public_key_decrypt_without_private_key():
@@ -448,6 +473,15 @@ def test_sidecar_rejects_inconsistent_plain_len():
         Sidecar.from_json(sidecar.to_json())
 
 
+def test_sidecar_rejects_a_transposed_qr_size():
+    # 12x8 planes hold as many bits as 8x12 ones, so plain_len still agrees.
+    cfg = make_cfg()
+    sidecar = new_sidecar(cfg, FrameCoder(cfg.key, 24, 16))
+    sidecar.qr_width, sidecar.qr_height = sidecar.qr_height, sidecar.qr_width
+    with pytest.raises(FormatError, match="qr size 8x12 is not half of the 24x16 video"):
+        Sidecar.from_json(sidecar.to_json())
+
+
 def test_extract_requires_private_key():
     cfg = StegoConfig(key=StegoKey(seed=1), public=PUB, private=None)
     coder = FrameCoder(cfg.key, 16, 16)
@@ -478,10 +512,9 @@ def test_extract_rejects_geometry_mismatch(monkeypatch):
     assert not built  # the mismatch is caught before a coder is built
 
 
-def test_partial_byte_geometry_roundtrip_with_pad_warning():
-    # 6x6 cover -> 3x3 payload planes -> 9 bits, so the final byte has
-    # untransmitted padding; recovery is still exact but pads carry
-    # keystream residue and the sanity flag reports it.
+def test_partial_byte_geometry_roundtrip():
+    # 6x6 cover -> 3x3 payload planes -> 9 bits, so the final keystream
+    # byte has seven unused bits; recovery is still exact.
     cfg = make_cfg(seed=2)
     _, frames = synth.gradient_video(6, 6, 1, seed=1)
     qr_set = {
