@@ -283,6 +283,8 @@ def cmd_bench(args) -> int:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value < 0:
             raise UsageError(f"{flag} must not be negative, got {value}")
+    if specs and args.attack_seeds == 0:
+        raise UsageError('--attack-seeds 0 would run none of the requested attacks (use --attacks "" for none)')
     if args.pub and args.priv:
         pub, priv = _load_key_pair(args.pub, args.priv)
     elif args.pub or args.priv:

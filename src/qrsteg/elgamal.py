@@ -5,7 +5,8 @@ integer unit per ephemeral exponent; its ciphertext is larger than the
 message. The stream variant draws a sequence of shared secrets, expands
 them into a byte keystream, and XORs that with the payload, so the
 ciphertext has exactly the payload's length. The receiver regenerates
-the keystream from the sender's public values and its private exponent.
+the keystream from the sender's public values and its private exponent:
+the key bytes of a public value d are those of d^x mod p.
 
 The sender's powers alpha^k and y^k have fixed bases, so they come from
 fixed-base window tables (Brickell, Gordon, McCurley and Wilson,
@@ -25,6 +26,10 @@ keep Python integers: table chains for the sender, builtin pow for the
 receiver's d^x. A numpy call has a fixed cost of 15-60 us, more on a
 process's first calls, which a few values never earn back. Key generation
 and key validation use builtin pow at every size.
+
+A receiver given the sender's exponent stream (in v1 it derives from the
+stego seed) skips d^x for p >= 2^32: replay_keystream proves each
+d = alpha^k and takes y^k = d^x, both from the sender's two tables.
 """
 
 from __future__ import annotations
@@ -169,7 +174,8 @@ class ElGamalPublic:
     The sender's fixed-base tables for alpha and y are built on first use
     and kept for the life of the object: 2 x 43 x 64 integers (about 2 ms per
     base) for a 256-bit p, 2 x 342 x 64 (about 0.4 s and 6 MiB per base)
-    for a 2048-bit p. The receiver never builds them.
+    for a 2048-bit p. replay_keystream builds them on the receiver too,
+    for p >= 2^32; regenerate_keystream never does.
     """
 
     p: int
@@ -393,6 +399,39 @@ def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalP
         key = _le_bytes(_array_pow(np.array(sender_publics, dtype=np.uint64), priv.x, p))
     else:
         key = b"".join(int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics)
+    return _receiver_key(key, nbytes)
+
+
+def replay_keystream(
+    sender_publics: Sequence[int], pub: ElGamalPublic, priv: ElGamalPrivate, nbytes: int, rng
+) -> bytes:
+    """regenerate_keystream's bytes, from the sender's exponents where rng replays them.
+
+    rng is the stream the sender drew from (for a stego frame, payload_rng
+    of its key, level and frame), so its next len(sender_publics) draws are
+    the sender's k in order, whatever its rounds were. A value d proved
+    equal to alpha^k gives the bytes of y^k: two table chains, about a third
+    of a builtin d^x at 256 bits. Any other value, from a tampered sidecar
+    or another stream, takes d^x. Below the uint64 bound the array chain of
+    regenerate_keystream is faster and runs instead.
+
+    y^k = alpha^(kx) = d^x needs y = alpha^x (mod p), so callers check the
+    pair first (check_key_pair, as stego.frame_keystreams does): under
+    another x a proved value gives the sender's keystream, not d^x.
+    """
+    p = pub.p
+    if p < _UINT64_MODULUS_BOUND:
+        return regenerate_keystream(tuple(sender_publics), p, priv, nbytes)
+    check_sender_publics(sender_publics, p)
+    parts = []
+    for d, k in zip(sender_publics, map(int, rng.randrange_array(2, p - 2, len(sender_publics)))):
+        e = _table_pow(pub._y_table, k, p) if _table_pow(pub._alpha_table, k, p) == d else pow(d, priv.x, p)
+        parts.append(int_to_bytes_le(e))
+    return _receiver_key(b"".join(parts), nbytes)
+
+
+def _receiver_key(key: bytes, nbytes: int) -> bytes:
+    """The first nbytes of a regenerated keystream, refusing one too short to cover them."""
     if len(key) < nbytes:
         raise CryptoError(
             f"corrupt bundle: regenerated keystream has {len(key)} bytes, need {nbytes}"

@@ -381,21 +381,33 @@ class ExtractedSet:
 
 
 def frame_keystreams(
-    publics_by_level: Mapping[str, Sequence[int]], cfg: StegoConfig, plain_len: int
+    publics_by_level: Mapping[str, Sequence[int]], cfg: StegoConfig, plain_len: int, frame_index: int
 ) -> dict[str, bytes]:
     """Regenerate one frame's four keystreams from its sidecar record.
+
+    Each level replays the sender's exponents from payload_rng and proves
+    every public value against them (elgamal.replay_keystream). That gives
+    the d^x bytes only when the private key matches the public key, so the
+    pair is checked first: one builtin pow per call.
 
     Noise changes the carried bits, never the keys, so callers decoding
     several copies of a frame can regenerate once and reuse the result.
     """
-    if cfg.private is None:
-        raise CryptoError("extraction requires the private key")
+    private = _private_key(cfg)
+    elgamal.check_key_pair(cfg.public, private)
     return {
-        level: elgamal.regenerate_keystream(
-            tuple(publics_by_level[level]), cfg.public.p, cfg.private, plain_len
+        level: elgamal.replay_keystream(
+            publics_by_level[level], cfg.public, private, plain_len,
+            payload_rng(cfg.key, level, frame_index),
         )
         for level in QR_LEVELS
     }
+
+
+def _private_key(cfg: StegoConfig) -> ElGamalPrivate:
+    if cfg.private is None:
+        raise CryptoError("extraction requires the private key")
+    return cfg.private
 
 
 def decrypt_streams(
@@ -424,8 +436,16 @@ def decode_frame_streams(
     qr_height: int,
     plain_len: int,
 ) -> ExtractedSet:
-    """Decrypt extracted ciphertext bit streams back into payload planes."""
-    keys = frame_keystreams(publics_by_level, cfg, plain_len)
+    """Decrypt extracted ciphertext bit streams back into payload planes.
+
+    Keys come from the d^x rule, elgamal.regenerate_keystream; extract_video
+    gets the same bytes faster from frame_keystreams, given the frame index.
+    """
+    private = _private_key(cfg)
+    keys = {
+        level: elgamal.regenerate_keystream(tuple(publics_by_level[level]), cfg.public.p, private, plain_len)
+        for level in QR_LEVELS
+    }
     return decrypt_streams(streams, keys, qr_width, qr_height)
 
 
@@ -444,11 +464,5 @@ def extract_video(
     for index, frame in enumerate(itertools.chain([first], frames)):
         if index >= len(sidecar.frames):
             raise FormatError(f"sidecar records {len(sidecar.frames)} frames, video has more")
-        yield decode_frame_streams(
-            coder.extract(frame),
-            sidecar.frames[index],
-            cfg,
-            sidecar.qr_width,
-            sidecar.qr_height,
-            sidecar.plain_len,
-        )
+        keys = frame_keystreams(sidecar.frames[index], cfg, sidecar.plain_len, index)
+        yield decrypt_streams(coder.extract(frame), keys, sidecar.qr_width, sidecar.qr_height)

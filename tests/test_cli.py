@@ -432,7 +432,7 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
     assert set(result.robustness[0].ssim_by_level.values()) == {1.0}
     # The counter sits on the receiver's path: one frame record regenerates four keystreams.
     cfg = StegoConfig(key=StegoKey(seed=0), public=pub, private=priv)
-    frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1)
+    frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1, 0)
     assert len(calls) == 4
 
 
@@ -848,6 +848,21 @@ def test_bench_rejects_negative_attack_seeds(tmp_path, capsys):
     assert main(["bench", "--input", str(dataset), "--paper-fidelity", "--seed", "0",
                  "--attack-seeds", "-3", "--attacks", "sp:0.1"]) == 2
     assert_one_error_line(capsys, 2)
+
+
+def test_bench_rejects_zero_attack_seeds_for_requested_attacks(tmp_path, capsys):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    report = tmp_path / "bench.csv"
+    args = ["bench", "--input", str(dataset), "--report", str(report), "--paper-fidelity",
+            "--seed", "0", "--attack-seeds", "0"]
+    assert main([*args, "--attacks", "sp:0.1"]) == 2
+    assert_one_error_line(capsys, 2)
+    assert not report.exists()
+    assert main([*args, "--attacks", ""]) == 0  # no attack requested: only the none row
+    rows = (tmp_path / "bench.attacks.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["none"]
 
 
 def test_bench_prints_one_row_per_distinct_attack_label(tmp_path, capsys):

@@ -331,6 +331,33 @@ def test_regenerate_keystream_matches_sequential_oracle(pub, priv):
                 regenerate_keystream(short, pub.p, priv, n)
 
 
+def receiver_outcome(regenerate, *args):
+    """A receiver's keystream, or the text of the CryptoError it raised."""
+    try:
+        return regenerate(*args)
+    except CryptoError as exc:
+        return f"CryptoError: {exc}"
+
+
+@pytest.mark.parametrize("pub,priv", RECEIVER_KEYS,
+                         ids=[f"{pub.p.bit_length()}bit" for pub, _ in RECEIVER_KEYS])
+def test_replay_keystream_matches_sequential_oracle(pub, priv):
+    # Whether the rng replays the sender's exponents or not, and whatever
+    # the sidecar holds, the receiver's bytes are those of the d^x rule.
+    for n in (0, 1, 2, 3, 31, 1000, 3168):
+        publics = keystream(pub, n, Splitmix64(n)).sender_publics
+        tampered = list(publics)
+        if publics:
+            tampered[len(publics) // 2] = tampered[len(publics) // 2] % (pub.p - 1) + 1
+        cases = [(publics, n), (publics, n + 1), (tampered, n), (publics[:-1], n)]  # rng seed n is the sender's
+        for sender_publics, seed in cases:
+            want = receiver_outcome(sequential_regenerate, sender_publics, pub.p, priv, n)
+            got = receiver_outcome(elgamal.replay_keystream, sender_publics, pub, priv, n, Splitmix64(seed))
+            assert got == want
+        if n:  # the last public's bytes are needed: without it the keystream is short
+            assert want.startswith("CryptoError: corrupt bundle")
+
+
 @pytest.mark.parametrize("pub", ORACLE_KEYS, ids=lambda pub: f"{pub.p.bit_length()}bit")
 def test_keystream_takes_exactly_the_sequential_draws(pub):
     # ScriptedRng raises once its script is exhausted, so a round that drew

@@ -2,11 +2,21 @@
 
 The clip is the one tests/test_golden.py embeds: 36x28 frames carry 18x14
 planes, 252 bits per level, so the last keystream byte has four unused
-bits. The digest pins every PGM that ``qrsteg extract`` writes for it
-under the paper's p = 997 key, and extraction must print no warning.
+bits. The digests pin every PGM that ``qrsteg extract`` writes for it.
+Under the paper's p = 997 key, extraction must also print no warning.
+
+Under a 64-bit key (p >= 2^32, past the receiver's uint64 arithmetic)
+three runs are pinned: a clean one, one whose sidecar has a single public
+value replaced by another value in (0, p), and one given the wrong seed.
+The last two recover noise, and that noise is pinned too: whatever route
+the receiver takes to a keystream, its bytes are those of d^x mod p for
+every sidecar public d.
 """
 
 import hashlib
+import json
+
+import pytest
 
 from qrsteg import bitplane, synth
 from qrsteg.cli import main
@@ -16,10 +26,17 @@ WIDTH, HEIGHT, FRAMES = 36, 28, 3
 
 GOLDEN_PGMS = "595a5e8101c950dc9322c113d35b2b439ce6214be5e2fa2b2c6cdb2ad196b760"
 
+GOLDEN_PGMS_64 = {
+    "clean": GOLDEN_PGMS,  # both keys recover the same planes bit for bit
+    "tampered": "fa7c0ff63db590050c365dea37150d7b24613db849fcd379e58b592f54745a5a",
+    "wrong_seed": "f6f569b137cd8615678de4bffbd6fdaeae2a5dbcd5a4a6df2be1a59ea4383c15",
+}
 
-def test_extract_of_the_golden_clip_is_byte_identical_and_silent(tmp_path, capsys):
+
+def embed_golden_clip(tmp_path, keygen_args):
+    """Embed the golden clip under a fresh key pair: (pub, priv, stego, qr_args)."""
     pub, priv = tmp_path / "pub.json", tmp_path / "priv.json"
-    assert main(["keygen", "--pub", str(pub), "--priv", str(priv), "--paper-fidelity", "--seed", "5"]) == 0
+    assert main(["keygen", "--pub", str(pub), "--priv", str(priv), *keygen_args]) == 0
     meta, frames = synth.gradient_video(WIDTH, HEIGHT, FRAMES, seed=21)
     cover = tmp_path / "cover.y4m"
     with open(cover, "wb") as out:
@@ -33,6 +50,20 @@ def test_extract_of_the_golden_clip_is_byte_identical_and_silent(tmp_path, capsy
     stego = tmp_path / "stego.y4m"
     assert main(["embed", "--input", str(cover), "--output", str(stego), *qr_args,
                  "--pub", str(pub), "--seed", "0x5EED"]) == 0
+    return pub, priv, stego, qr_args
+
+
+def pgm_digest(out_dir) -> str:
+    digest = hashlib.sha256()
+    pgms = sorted(out_dir.glob("*.pgm"))
+    assert len(pgms) == FRAMES * 4
+    for path in pgms:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_extract_of_the_golden_clip_is_byte_identical_and_silent(tmp_path, capsys):
+    pub, priv, stego, qr_args = embed_golden_clip(tmp_path, ["--paper-fidelity", "--seed", "5"])
     out_dir = tmp_path / "out"
     capsys.readouterr()
     assert main(["extract", "--input", str(stego), "--output", str(out_dir), *qr_args,
@@ -40,9 +71,24 @@ def test_extract_of_the_golden_clip_is_byte_identical_and_silent(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "ssim L: 1.0000" in captured.out  # bit-exact recovery
-    digest = hashlib.sha256()
-    pgms = sorted(out_dir.glob("*.pgm"))
-    assert len(pgms) == FRAMES * 4
-    for path in pgms:
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == GOLDEN_PGMS
+    assert pgm_digest(out_dir) == GOLDEN_PGMS
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PGMS_64))
+def test_extract_under_a_64_bit_key_is_byte_identical(tmp_path, capsys, case):
+    pub, priv, stego, qr_args = embed_golden_clip(tmp_path, ["--bits", "64", "--seed", "7"])
+    seed = "0x5EEE" if case == "wrong_seed" else "0x5EED"
+    if case == "tampered":
+        sidecar = tmp_path / "stego.y4m.sidecar.json"
+        doc = json.loads(sidecar.read_text())
+        doc["frames"][1]["M"][2] = "2"
+        sidecar.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["extract", "--input", str(stego), "--output", str(out_dir), *qr_args,
+                 "--pub", str(pub), "--priv", str(priv), "--seed", seed]) == 0
+    captured = capsys.readouterr()
+    exact = [line.split()[1] for line in captured.out.splitlines() if line.endswith(": 1.0000")]
+    assert exact == {"clean": ["L:", "M:", "Q:", "H:"], "tampered": ["L:", "Q:", "H:"], "wrong_seed": []}[case]
+    assert ("warning: seed fingerprint" in captured.err) == (case == "wrong_seed")
+    assert pgm_digest(out_dir) == GOLDEN_PGMS_64[case]

@@ -320,8 +320,9 @@ def test_fresh_keystreams_per_frame_and_level():
 
 @pytest.mark.parametrize("bits", [None, 64, 256], ids=["p997", "64bit", "256bit"])
 def test_sender_keys_equal_the_receivers_regenerated_keystreams(bits):
-    # The receiver is the reference: bench decodes with FramePayload.keys
-    # in place of frame_keystreams, so the two must agree byte for byte.
+    # The receiver's d^x rule is the reference: bench decodes with
+    # FramePayload.keys and extract with frame_keystreams, which replays the
+    # sender's exponents, so both must give regenerate_keystream's bytes.
     if bits is None:
         pub, priv = PUB, PRIV
     else:
@@ -336,8 +337,56 @@ def test_sender_keys_equal_the_receivers_regenerated_keystreams(bits):
     list(embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport(), keys))
     assert len(keys) == len(sidecar.frames) == 3
     for index, record in enumerate(sidecar.frames):
-        assert keys[index] == stego.frame_keystreams(record, cfg, sidecar.plain_len)
+        reference = {lvl: elgamal.regenerate_keystream(tuple(record[lvl]), pub.p, priv, sidecar.plain_len)
+                     for lvl in stego.QR_LEVELS}
+        assert keys[index] == reference == stego.frame_keystreams(record, cfg, sidecar.plain_len, index)
         assert prepare_payload(qr_set, cfg, index, coder).keys == keys[index]
+
+
+def embedded_64_bit_clip(frame_count=2):
+    """(cfg, stego frames, sidecar, qr_set) of a small clip under a 64-bit key."""
+    p, alpha = elgamal.generate_key_params(64, Splitmix64(64))
+    pub, priv = elgamal.keygen(p, alpha, Splitmix64(1))
+    cfg = StegoConfig(key=StegoKey(seed=0x5EED), public=pub, private=priv)
+    _, frames = synth.gradient_video(36, 28, frame_count, seed=5)
+    qr_set = {lvl: synth.qr_like_plane(18, 14, seed=i) for i, lvl in enumerate(stego.QR_LEVELS)}
+    coder = FrameCoder(cfg.key, 36, 28)
+    sidecar = new_sidecar(cfg, coder)
+    out = list(embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport()))
+    return cfg, out, sidecar, qr_set
+
+
+def test_extract_raises_d_to_the_x_only_for_a_public_it_cannot_replay(monkeypatch):
+    # Above the uint64 bound the receiver proves each public value against the
+    # sender's replayed exponent; only a value that fails the proof costs d^x.
+    cfg, out, sidecar, qr_set = embedded_64_bit_clip()
+    publics = {d for record in sidecar.frames for values in record.values() for d in values}
+    powers = []
+    monkeypatch.setattr(elgamal, "pow", lambda *args: powers.append(args) or pow(*args), raising=False)
+
+    def d_to_the_x_count():
+        powers.clear()
+        results = list(extract_video(out, cfg, sidecar))
+        return sum(base in publics and exp == cfg.private.x for base, exp, _ in powers), results
+
+    count, results = d_to_the_x_count()
+    assert count == 0
+    assert all(np.array_equal(r.planes[lvl].bits, qr_set[lvl].bits) for r in results for lvl in qr_set)
+    d = sidecar.frames[1]["M"][0]
+    sidecar.frames[1]["M"][0] = d % (cfg.public.p - 1) + 1
+    publics.add(sidecar.frames[1]["M"][0])
+    count, results = d_to_the_x_count()
+    assert count == 1
+    assert not np.array_equal(results[1].planes["M"].bits, qr_set["M"].bits)
+
+
+def test_extract_refuses_a_private_key_of_another_pair():
+    # Unchecked, matching publics would replay to the right keystream and the
+    # rest to noise, so the pair is proved before any frame is decoded.
+    cfg, out, sidecar, _ = embedded_64_bit_clip(frame_count=1)
+    cfg.private = ElGamalPrivate(cfg.private.x + 1)
+    with pytest.raises(CryptoError, match=r"does not match the public key"):
+        list(extract_video(out, cfg, sidecar))
 
 
 @pytest.mark.parametrize("width,height", [(16, 16), (3, 3), (18, 14)])
