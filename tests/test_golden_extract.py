@@ -5,12 +5,12 @@ planes, 252 bits per level, so the last keystream byte has four unused
 bits. The digests pin every PGM that ``qrsteg extract`` writes for it.
 Under the paper's p = 997 key, extraction must also print no warning.
 
-Under a 64-bit key (p >= 2^32, past the receiver's uint64 arithmetic)
-three runs are pinned: a clean one, one whose sidecar has a single public
-value replaced by another value in (0, p), and one given the wrong seed.
-The last two recover noise, and that noise is pinned too: whatever route
-the receiver takes to a keystream, its bytes are those of d^x mod p for
-every sidecar public d.
+Under a 64-bit key (p >= 2^32) and under the p = 997 key, three runs are
+pinned: a clean one, one whose sidecar has a single public value replaced
+by another value in (0, p), and one given the wrong seed. The last two
+recover noise, and that noise is pinned too: whatever route the receiver
+takes to a keystream, its bytes are those of d^x mod p for every sidecar
+public d.
 """
 
 import hashlib
@@ -31,6 +31,20 @@ GOLDEN_PGMS_64 = {
     "tampered": "fa7c0ff63db590050c365dea37150d7b24613db849fcd379e58b592f54745a5a",
     "wrong_seed": "f6f569b137cd8615678de4bffbd6fdaeae2a5dbcd5a4a6df2be1a59ea4383c15",
 }
+
+GOLDEN_PGMS_DEMO = {
+    "clean": GOLDEN_PGMS,
+    "tampered": "e8e8feb0ac5ceac0bb67c2346ae0ac9ca95cf8a940be155c9652c1520c34afb6",
+    "wrong_seed": "db0cc87c843bcc98aeeb847cb716d6029eb3f00a28336e78287ca7f5e42f1265",
+}
+
+# (test id, keygen arguments, case, digest); the 64-bit ids carry no key prefix.
+KEYED_CASES = [
+    (case, ["--bits", "64", "--seed", "7"], case, GOLDEN_PGMS_64[case]) for case in sorted(GOLDEN_PGMS_64)
+] + [
+    (f"demo_{case}", ["--paper-fidelity", "--seed", "5"], case, GOLDEN_PGMS_DEMO[case])
+    for case in sorted(GOLDEN_PGMS_DEMO)
+]
 
 
 def embed_golden_clip(tmp_path, keygen_args):
@@ -74,9 +88,9 @@ def test_extract_of_the_golden_clip_is_byte_identical_and_silent(tmp_path, capsy
     assert pgm_digest(out_dir) == GOLDEN_PGMS
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_PGMS_64))
-def test_extract_under_a_64_bit_key_is_byte_identical(tmp_path, capsys, case):
-    pub, priv, stego, qr_args = embed_golden_clip(tmp_path, ["--bits", "64", "--seed", "7"])
+@pytest.mark.parametrize("keygen_args,case,digest", [c[1:] for c in KEYED_CASES], ids=[c[0] for c in KEYED_CASES])
+def test_extract_under_a_64_bit_key_is_byte_identical(tmp_path, capsys, keygen_args, case, digest):
+    pub, priv, stego, qr_args = embed_golden_clip(tmp_path, keygen_args)
     seed = "0x5EEE" if case == "wrong_seed" else "0x5EED"
     if case == "tampered":
         sidecar = tmp_path / "stego.y4m.sidecar.json"
@@ -91,4 +105,4 @@ def test_extract_under_a_64_bit_key_is_byte_identical(tmp_path, capsys, case):
     exact = [line.split()[1] for line in captured.out.splitlines() if line.endswith(": 1.0000")]
     assert exact == {"clean": ["L:", "M:", "Q:", "H:"], "tampered": ["L:", "Q:", "H:"], "wrong_seed": []}[case]
     assert ("warning: seed fingerprint" in captured.err) == (case == "wrong_seed")
-    assert pgm_digest(out_dir) == GOLDEN_PGMS_64[case]
+    assert pgm_digest(out_dir) == digest
