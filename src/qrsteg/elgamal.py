@@ -8,33 +8,31 @@ ciphertext has exactly the payload's length. The receiver regenerates
 the keystream from the sender's public values and its private exponent:
 the key bytes of a public value d are those of d^x mod p.
 
-The sender's powers alpha^k and y^k have fixed bases, so they come from
-fixed-base window tables (Brickell, Gordon, McCurley and Wilson,
-EUROCRYPT '92; *Handbook of Applied Cryptography* 14.6.3). With
-6-bit windows a table holds ceil(bits(p) / 6) rows of 64 entries: 43 rows
-for a 256-bit p, built in about 2 ms, and 342 rows (about 6 MiB) for a
-2048-bit p, built in about 0.4 s. Each power then costs one modular
-multiplication per window instead of a square-and-multiply chain.
-For p < 2^32 every product of two residues stays below 2^64, so both
-ends of the stream cipher run batches of values on uint64 arrays: the
-sender stacks its two tables into one array and raises each round of
-exponents with numpy gathers, the receiver raises all the sender publics
-to its fixed exponent x by one square-and-multiply chain over the whole
-array, and each end expands its powers into key bytes in one numpy pass.
-Larger p, and batches of fewer than _ARRAY_MIN_VALUES values at any p,
-keep Python integers: table chains for the sender, builtin pow for the
-receiver's d^x. A numpy call has a fixed cost of 15-60 us, more on a
-process's first calls, which a few values never earn back. Key generation
-and key validation use builtin pow at every size.
+The powers alpha^k and y^k have fixed bases, so they come from fixed-base
+window tables (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92;
+*Handbook of Applied Cryptography* 14.6.3). With 6-bit windows a table
+holds ceil(bits(p) / 6) rows of 64 entries: 43 rows for a 256-bit p,
+built in about 2 ms, and 342 rows (about 6 MiB) for a 2048-bit p, built
+in about 0.4 s. Each power then costs one modular multiplication per
+window instead of a square-and-multiply chain. One kernel, _table_pows,
+raises both bases to a batch of exponents. For p < 2^32 every product of
+two residues stays below 2^64, so a batch of at least _ARRAY_MIN_VALUES
+exponents runs on uint64 arrays with numpy gathers and expands into key
+bytes in one pass. Larger p and smaller batches keep Python integers: a
+numpy call has a fixed cost of 15-60 us, which a few values never earn
+back. Key generation and key validation use builtin pow at every size.
 
-A receiver given the sender's exponent stream (in v1 it derives from the
-stego seed) skips d^x for p >= 2^32: replay_keystream proves each
-d = alpha^k and takes y^k = d^x, both from the sender's two tables.
+Both ends run that kernel. The receiver is given the sender's exponent
+stream (in v1 it derives from the stego seed), so replay_keystream proves
+each d = alpha^k and takes y^k = d^x; only a value no k proves, from a
+tampered sidecar or another seed, takes builtin d^x (regenerate_keystream
+states that rule).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,22 +141,6 @@ def _array_table_pows(tables: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
     return r
 
 
-def _array_pow(b: np.ndarray, x: int, p: int) -> np.ndarray:
-    """b^x mod p for every entry of the uint64 array b, each in [0, p), p < 2^32 and x >= 1.
-
-    Left-to-right square-and-multiply on the bits of x (*HAC* Alg. 14.79),
-    one whole-array product per step. x is not reduced mod p - 1, since p
-    is not known to be prime here.
-    """
-    m = np.uint64(p)
-    r = b
-    for bit in bin(x)[3:]:  # the leading 1 bit is r = b
-        r = r * r % m
-        if bit == "1":
-            r = r * b % m
-    return r
-
-
 def _le_bytes(e: np.ndarray) -> bytes:
     """b"".join(map(int_to_bytes_le, e)) for a uint64 array of values below 2^32, in one pass."""
     if np.count_nonzero(e) < e.size:
@@ -171,11 +153,11 @@ def _le_bytes(e: np.ndarray) -> bytes:
 class ElGamalPublic:
     """Receiver public key: prime modulus p, primitive root alpha, y = alpha^x mod p.
 
-    The sender's fixed-base tables for alpha and y are built on first use
-    and kept for the life of the object: 2 x 43 x 64 integers (about 2 ms per
-    base) for a 256-bit p, 2 x 342 x 64 (about 0.4 s and 6 MiB per base)
-    for a 2048-bit p. replay_keystream builds them on the receiver too,
-    for p >= 2^32; regenerate_keystream never does.
+    The fixed-base tables for alpha and y (below 2^32 also stacked as one
+    uint64 array) are built on first use and kept for the life of the
+    object: 2 x 43 x 64 integers (about 2 ms per base) for a 256-bit p,
+    2 x 342 x 64 (about 0.4 s and 6 MiB per base) for a 2048-bit p.
+    keystream and replay_keystream build them; regenerate_keystream never does.
     """
 
     p: int
@@ -189,6 +171,10 @@ class ElGamalPublic:
     @cached_property
     def _y_table(self) -> list[list[int]]:
         return _fixed_base_table(self.y, self.p)
+
+    @cached_property
+    def _uint64_tables(self) -> np.ndarray:
+        return np.array((self._alpha_table, self._y_table), dtype=np.uint64)
 
     @cached_property
     def _checked(self) -> bool:
@@ -321,6 +307,26 @@ def int_to_bytes_le(v: int) -> bytes:
     return v.to_bytes((v.bit_length() + 7) // 8, "little")
 
 
+def _table_pows(pub: ElGamalPublic, k) -> tuple[list[int], np.ndarray | list[int]]:
+    """(alpha^k, y^k) mod p for each exponent in k, each below 2^bits(p).
+
+    The alpha powers come back as a list of Python ints. The y powers are a
+    uint64 array when the batch ran on the stacked tables (p < 2^32 and at
+    least _ARRAY_MIN_VALUES exponents), otherwise a list; _expand takes both.
+    """
+    p = pub.p
+    if p < _UINT64_MODULUS_BOUND and len(k) >= _ARRAY_MIN_VALUES:
+        d, e = _array_table_pows(pub._uint64_tables, np.asarray(k, dtype=np.uint64), p)
+        return d.tolist(), e
+    k = list(map(int, k))
+    return [_table_pow(pub._alpha_table, v, p) for v in k], [_table_pow(pub._y_table, v, p) for v in k]
+
+
+def _expand(e: np.ndarray | list[int]) -> bytes:
+    """The minimal little-endian bytes of every power in e, joined in order."""
+    return _le_bytes(e) if isinstance(e, np.ndarray) else b"".join(map(int_to_bytes_le, e))
+
+
 def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
     """Derive at least nbytes of key material, then truncate to exactly nbytes.
 
@@ -339,24 +345,14 @@ def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
     if nbytes < 0:
         raise CryptoError("requested key length is negative")
     p = pub.p
-    tables = (pub._alpha_table, pub._y_table)
-    stacked = None  # both tables as one uint64 array, built by the first array round
     most = -(-p.bit_length() // 8)
     publics: list[int] = []
     parts: list[bytes] = []
     total = 0
     while total < nbytes:
-        k = rng.randrange_array(2, p - 2, -(-(nbytes - total) // most))
-        if p < _UINT64_MODULUS_BOUND and len(k) >= _ARRAY_MIN_VALUES:
-            if stacked is None:
-                stacked = np.array(tables, dtype=np.uint64)
-            d, e = _array_table_pows(stacked, np.asarray(k, dtype=np.uint64), p)
-            publics += d.tolist()
-            parts.append(_le_bytes(e))
-        else:  # one Python chain per power
-            d, e = ([_table_pow(t, v, p) for v in map(int, k)] for t in tables)
-            publics += d
-            parts.append(b"".join(map(int_to_bytes_le, e)))
+        d, e = _table_pows(pub, rng.randrange_array(2, p - 2, -(-(nbytes - total) // most)))
+        publics += d
+        parts.append(_expand(e))
         total += len(parts[-1])
     return Keystream(sender_publics=tuple(publics), key_bytes=b"".join(parts)[:nbytes])
 
@@ -386,20 +382,13 @@ def check_sender_publics(sender_publics: Sequence[int], p: int) -> None:
 
 
 def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalPrivate, nbytes: int) -> bytes:
-    """Receiver-side keystream: expand d^x mod p for every sender public value.
+    """The receiver's keystream by the d^x rule: the bytes of d^x mod p for every sender public value d.
 
-    The values are range-checked first, as Python ints. For p < 2^32 and
-    at least _ARRAY_MIN_VALUES values, all the powers are then raised at
-    once on a uint64 array, otherwise one builtin pow per value; both give
-    the same bytes.
+    The reference rule, one builtin pow per value after the range check.
+    replay_keystream gives the same bytes faster, given the sender's rng.
     """
     check_sender_publics(sender_publics, p)
-    if p < _UINT64_MODULUS_BOUND and len(sender_publics) >= _ARRAY_MIN_VALUES:
-        # the check proved 0 < d < p < 2^32
-        key = _le_bytes(_array_pow(np.array(sender_publics, dtype=np.uint64), priv.x, p))
-    else:
-        key = b"".join(int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics)
-    return _receiver_key(key, nbytes)
+    return _receiver_key(b"".join(int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics), nbytes)
 
 
 def replay_keystream(
@@ -409,25 +398,23 @@ def replay_keystream(
 
     rng is the stream the sender drew from (for a stego frame, payload_rng
     of its key, level and frame), so its next len(sender_publics) draws are
-    the sender's k in order, whatever its rounds were. A value d proved
-    equal to alpha^k gives the bytes of y^k: two table chains, about a third
-    of a builtin d^x at 256 bits. Any other value, from a tampered sidecar
-    or another stream, takes d^x. Below the uint64 bound the array chain of
-    regenerate_keystream is faster and runs instead.
+    the sender's k in order, whatever its rounds were. _table_pows raises
+    alpha and y to all of them in one batch, as the sender did: a value d
+    proved equal to alpha^k gives the bytes of y^k. Any other value, from a
+    tampered sidecar or another stream, takes builtin d^x.
 
     y^k = alpha^(kx) = d^x needs y = alpha^x (mod p), so callers check the
     pair first (check_key_pair, as stego.frame_keystreams does): under
     another x a proved value gives the sender's keystream, not d^x.
     """
     p = pub.p
-    if p < _UINT64_MODULUS_BOUND:
-        return regenerate_keystream(tuple(sender_publics), p, priv, nbytes)
     check_sender_publics(sender_publics, p)
-    parts = []
-    for d, k in zip(sender_publics, map(int, rng.randrange_array(2, p - 2, len(sender_publics)))):
-        e = _table_pow(pub._y_table, k, p) if _table_pow(pub._alpha_table, k, p) == d else pow(d, priv.x, p)
-        parts.append(int_to_bytes_le(e))
-    return _receiver_key(b"".join(parts), nbytes)
+    alpha_k, e = _table_pows(pub, rng.randrange_array(2, p - 2, len(sender_publics)))
+    if alpha_k != list(sender_publics):  # a tampered sidecar or another seed: d^x where no k proves d
+        for i, (a, d) in enumerate(zip(alpha_k, sender_publics)):
+            if a != d:
+                e[i] = pow(d, priv.x, p)
+    return _receiver_key(_expand(e), nbytes)
 
 
 def _receiver_key(key: bytes, nbytes: int) -> bytes:
@@ -486,8 +473,12 @@ def save_public_key(pub: ElGamalPublic, path: str | Path) -> None:
 
 
 def save_private_key(priv: ElGamalPrivate, path: str | Path) -> None:
+    """Write the private key readable by its owner only (mode 0600), over any existing file."""
     doc = {"kind": PRIVATE_KIND, "x": str(priv.x)}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w", encoding="ascii") as out:
+        os.fchmod(fd, 0o600)  # O_CREAT's mode applies only to a file it creates
+        out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def parse_decimals(texts: list) -> list[int]:

@@ -452,17 +452,22 @@ def decode_frame_streams(
 def extract_video(
     frames: Iterable[FrameYuv420], cfg: StegoConfig, sidecar: Sidecar
 ) -> Iterator[ExtractedSet]:
-    """Recover one payload set per frame using the sidecar's key material. The
-    first frame must match the sidecar geometry before the coder is built."""
+    """Recover one payload set per frame using the sidecar's key material.
+
+    The first frame must match the sidecar geometry. Every sidecar frame's
+    keystreams are then derived before the coder is built, so a bad public
+    value or a short list in any frame fails the run before any output,
+    also when the video holds no frame.
+    """
     frames = iter(frames)
     first = next(frames, None)
+    if first is not None and (first.width, first.height) != (sidecar.width, sidecar.height):
+        raise ShapeError("stego video geometry disagrees with the sidecar")
+    keys = [frame_keystreams(record, cfg, sidecar.plain_len, index) for index, record in enumerate(sidecar.frames)]
     if first is None:
         return
-    if (first.width, first.height) != (sidecar.width, sidecar.height):
-        raise ShapeError("stego video geometry disagrees with the sidecar")
     coder = FrameCoder(cfg.key, sidecar.width, sidecar.height)
     for index, frame in enumerate(itertools.chain([first], frames)):
-        if index >= len(sidecar.frames):
-            raise FormatError(f"sidecar records {len(sidecar.frames)} frames, video has more")
-        keys = frame_keystreams(sidecar.frames[index], cfg, sidecar.plain_len, index)
-        yield decrypt_streams(coder.extract(frame), keys, sidecar.qr_width, sidecar.qr_height)
+        if index >= len(keys):
+            raise FormatError(f"sidecar records {len(keys)} frames, video has more")
+        yield decrypt_streams(coder.extract(frame), keys[index], sidecar.qr_width, sidecar.qr_height)

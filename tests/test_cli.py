@@ -1,8 +1,10 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qrsteg import bench, bitplane, cli, elgamal, synth
@@ -113,6 +115,36 @@ def test_keygen_random_runs_differ(tmp_path):
         assert main(["keygen", "--pub", str(pub), "--priv", str(priv), "--paper-fidelity"]) == 0
         xs.append(elgamal.load_private_key(priv).x)
     assert len(set(xs)) > 1
+
+
+def test_keygen_ignores_the_seed_environment_variable(tmp_path, monkeypatch):
+    # QRSTEG_SEED often holds the stego passphrase; it must not derive a private key.
+    monkeypatch.setenv("QRSTEG_SEED", "swordfish")
+    xs = []
+    for name in ("a", "b"):
+        priv = tmp_path / f"{name}.priv"
+        assert main(["keygen", "--pub", str(tmp_path / f"{name}.pub"), "--priv", str(priv),
+                     "--bits", "64"]) == 0
+        xs.append(elgamal.load_private_key(priv).x)
+    assert xs[0] != xs[1]
+
+
+@pytest.mark.parametrize("case", ["fresh", "forced"])
+def test_keygen_writes_the_private_key_for_its_owner_only(tmp_path, case):
+    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+    args = ["keygen", "--pub", str(pub), "--priv", str(priv), "--paper-fidelity", "--seed", "3"]
+    old_umask = os.umask(0o022)
+    try:
+        if case == "forced":  # O_TRUNC keeps an existing file's mode
+            priv.write_text("old")
+            priv.chmod(0o644)
+            args.append("--force")
+        assert main(args) == 0
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(priv.stat().st_mode) == 0o600
+    assert stat.S_IMODE(pub.stat().st_mode) == 0o644
+    assert pow(809, elgamal.load_private_key(priv).x, 997) == elgamal.load_public_key(pub).y
 
 
 def test_keygen_default_256_bit(tmp_path):
@@ -417,23 +449,19 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
     for i in range(2):
         write_clip(dataset / f"clip{i}.y4m", w=16, h=16, frames=2, seed=i)
     calls = []
-    real = elgamal.regenerate_keystream
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(elgamal, "regenerate_keystream", counting)
+    for name in ("regenerate_keystream", "replay_keystream"):
+        real = getattr(elgamal, name)
+        monkeypatch.setattr(elgamal, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     pub, priv = elgamal.ElGamalPublic(p=997, alpha=809, y=12), elgamal.ElGamalPrivate(x=420)
     result = bench.run(dataset, pub, priv, seed=0, attack_specs=[AttackSpec.parse("sp:0.01")],
                        attack_seeds=2)
     assert calls == []
     assert result.robustness[0].attack == "none"
     assert set(result.robustness[0].ssim_by_level.values()) == {1.0}
-    # The counter sits on the receiver's path: one frame record regenerates four keystreams.
+    # The counter sits on extract's path: one frame record replays four keystreams.
     cfg = StegoConfig(key=StegoKey(seed=0), public=pub, private=priv)
     frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1, 0)
-    assert len(calls) == 4
+    assert calls == ["replay_keystream"] * 4
 
 
 def test_bench_proves_a_loaded_key_once(tmp_path, monkeypatch, keys):
@@ -928,3 +956,164 @@ def test_attack_rejects_bad_y4m_header(tmp_path, capsys, header, token):
     error = json.loads(lines[0])
     assert error["exit"] == 3
     assert token in error["message"]  # the header token is blamed, not a later frame
+
+
+# --- key-file and sidecar fuzzing --------------------------------------------
+#
+# Each example writes one mutated key file or sidecar and runs extract on a
+# small clip embedded under the demo key. The mutations are built to be
+# invalid: one that could still describe a usable key or sidecar is
+# filtered out, so every run must fail with one JSON line and no PGM.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_stego(tmp_path_factory):
+    """A 2-frame 16x16 clip embedded under the demo key: (dir, pub doc, priv doc, sidecar doc)."""
+    root = tmp_path_factory.mktemp("readers")
+    pub, priv = elgamal.ElGamalPublic(p=997, alpha=809, y=12), elgamal.ElGamalPrivate(x=420)
+    elgamal.save_public_key(pub, root / "pub.json")
+    elgamal.save_private_key(priv, root / "priv.json")
+    write_clip(root / "cover.y4m", w=16, h=16, frames=2, seed=4)
+    qr_args = []
+    for i, level in enumerate("lmqh"):
+        write_qr(root / f"qr_{level}.pgm", w=8, h=8, seed=50 + i)
+        qr_args += [f"--qr-{level}", str(root / f"qr_{level}.pgm")]
+    assert main(["embed", "--input", str(root / "cover.y4m"), "--output", str(root / "stego.y4m"),
+                 *qr_args, "--pub", str(root / "pub.json"), "--seed", "9"]) == 0
+    docs = [json.loads((root / name).read_text()) for name in ("pub.json", "priv.json", "stego.y4m.sidecar.json")]
+    return root, *docs
+
+
+def fuzz_extract(root, capsys, pub="pub.json", priv="priv.json", sidecar="stego.y4m.sidecar.json"):
+    """Run extract on the fuzz clip; assert it failed cleanly with no PGM written."""
+    out_dir = root / "rec"
+    capsys.readouterr()
+    code = main(["extract", "--input", str(root / "stego.y4m"), "--output", str(out_dir),
+                 "--pub", str(root / pub), "--priv", str(root / priv), "--sidecar", str(root / sidecar),
+                 "--seed", "9"])
+    assert code in (3, 4)
+    assert_one_error_line(capsys, code)
+    assert not list(out_dir.glob("*.pgm"))
+
+
+DELETE = object()
+
+
+def set_path(doc, path, value):
+    """A deep copy of doc with the node at path replaced, or deleted when value is DELETE."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def truncations(text):
+    """Prefixes that lose at least the closing brace: never valid JSON."""
+    return st.integers(0, len(text.rstrip()) - 1).map(lambda i: text[:i])
+
+
+def valid_key_pair(pub_doc, priv_doc) -> bool:
+    """Whether the mutated documents still load as a matching, proved key pair."""
+    try:
+        p, alpha, y = elgamal.parse_decimals([pub_doc[name] for name in ("p", "alpha", "y")])
+        (x,) = elgamal.parse_decimals([priv_doc["x"]])
+        public = elgamal.ElGamalPublic(p, alpha, y)
+        public.validate()
+        elgamal.check_key_pair(public, elgamal.ElGamalPrivate(x))
+    except (KeyError, TypeError, ValueError, CryptoError):
+        return False
+    return pub_doc.get("kind") == "elgamal-public" and priv_doc.get("kind") == "elgamal-private"
+
+
+@st.composite
+def key_file_mutations(draw, pub_doc, priv_doc):
+    """(file name, mutated text) for one of the two key files."""
+    name, doc = draw(st.sampled_from([("pub.json", pub_doc), ("priv.json", priv_doc)]))
+    how = draw(st.sampled_from(["truncate", "delete", "replace", "decimal"]))
+    if how == "truncate":
+        return name, draw(truncations(json.dumps(doc, indent=2) + "\n"))
+    field = draw(st.sampled_from(sorted(doc)))
+    if how == "delete":
+        value = DELETE
+    elif how == "replace":
+        value = draw(JSON_VALUES)
+    else:  # another integer, as the writer would store it
+        value = str(draw(st.integers(-2000, 2000) | st.integers()))
+    mutated = set_path(doc, (field,), value)
+    pair = (mutated, priv_doc) if name == "pub.json" else (pub_doc, mutated)
+    assume(not valid_key_pair(*pair))
+    return name, json.dumps(mutated)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
+@given(data=st.data())
+def test_key_file_fuzz_fails_cleanly(fuzz_stego, capsys, data):
+    root, pub_doc, priv_doc, _ = fuzz_stego
+    name, text = data.draw(key_file_mutations(pub_doc, priv_doc))
+    (root / f"bad_{name}").write_text(text)
+    files = {"pub": f"bad_{name}"} if name == "pub.json" else {"priv": f"bad_{name}"}
+    fuzz_extract(root, capsys, **files)
+
+
+def in_range_decimal(value, p=997) -> bool:
+    """Whether value is a string that reads as a public value in (0, p)."""
+    try:
+        return isinstance(value, str) and 0 < int(value) < p
+    except ValueError:
+        return False
+
+
+@st.composite
+def sidecar_mutations(draw, doc):
+    """A mutated sidecar text that no reader may accept."""
+    how = draw(st.sampled_from(["truncate", "delete", "replace", "public", "cut"]))
+    if how == "truncate":
+        return draw(truncations(json.dumps(doc, indent=1) + "\n"))
+    frame = draw(st.integers(0, len(doc["frames"]) - 1))
+    level = draw(st.sampled_from("LMQH"))
+    publics = doc["frames"][frame][level]
+    if how == "cut":  # losing two values loses at least 2 key bytes; at p = 997 at most 1 is spare
+        start = draw(st.integers(0, len(publics) - 2))
+        count = draw(st.integers(2, len(publics) - start))
+        return json.dumps(set_path(doc, ("frames", frame, level), publics[:start] + publics[start + count:]))
+    if how == "public":
+        index = draw(st.integers(0, len(publics) - 1))
+        value = draw(JSON_VALUES | st.integers().map(str))
+        assume(not in_range_decimal(value))
+        return json.dumps(set_path(doc, ("frames", frame, level, index), value))
+    # Every field but video.frame_rate and key_fingerprint, which a reader takes as any
+    # text (a fingerprint mismatch only warns). A replaced level list holds at most 3
+    # values, at most 6 key bytes at p = 997, short of the 8 each level needs.
+    paths = [("format",), ("version",), ("video",), ("video", "width"), ("video", "height"),
+             ("video", "frame_count"), ("qr",), ("qr", "width"), ("qr", "height"), ("plain_len",),
+             ("frames",), ("frames", frame), ("frames", frame, level)]
+    path = draw(st.sampled_from(paths))
+    if how == "delete":
+        return json.dumps(set_path(doc, path, DELETE))
+    value = draw(JSON_VALUES)
+    node = doc
+    for step in path:
+        node = node[step]
+    assume(value != node)
+    return json.dumps(set_path(doc, path, value))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
+@given(data=st.data())
+def test_sidecar_fuzz_fails_cleanly(fuzz_stego, capsys, data):
+    root, _, _, doc = fuzz_stego
+    (root / "bad.sidecar.json").write_text(data.draw(sidecar_mutations(doc)))
+    fuzz_extract(root, capsys, sidecar="bad.sidecar.json")

@@ -217,19 +217,6 @@ def test_int_to_bytes_le_rejects_non_positive():
             int_to_bytes_le(v)
 
 
-def test_array_pow_matches_builtin_pow():
-    rng = random.Random(5)
-    cases = [(997, range(1, 997))] + [
-        (p, [1, p - 1] + [rng.randrange(1, p) for _ in range(200)]) for p in (3, 65537, 4294967291)
-    ]
-    for p, bases in cases:
-        b = np.array(bases, dtype=np.uint64)
-        for x in (1, 2, 3, p - 2, p - 1, p, 2**64 + 1, 10**30):
-            r = elgamal._array_pow(b, x, p)
-            assert r.dtype == np.uint64
-            assert r.tolist() == [pow(d, x, p) for d in bases]
-
-
 def test_le_bytes_matches_int_to_bytes_le():
     values = [1, 255, 256, 65535, 65536, 2**24 - 1, 2**24, 4294967290]
     for chosen in ([], values[:1], values, values[::-1]):
@@ -496,14 +483,13 @@ def test_generate_key_params_safe_prime():
 @pytest.mark.parametrize("pub,priv", RECEIVER_KEYS[:2],
                          ids=[f"{pub.p.bit_length()}bit" for pub, _ in RECEIVER_KEYS[:2]])
 def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch):
-    # Below 2^32, rounds and regenerations of fewer than _ARRAY_MIN_VALUES
+    # Below 2^32, rounds and replays of fewer than _ARRAY_MIN_VALUES
     # values skip numpy; either path must give the sequential rule's bytes.
     cut = elgamal._ARRAY_MIN_VALUES
     most = -(-pub.p.bit_length() // 8)  # bytes per draw at most, so n = draws * most opens with draws
     calls = []
-    for name in ("_array_table_pows", "_array_pow"):
-        real = getattr(elgamal, name)
-        monkeypatch.setattr(elgamal, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    real = elgamal._array_table_pows
+    monkeypatch.setattr(elgamal, "_array_table_pows", lambda *args: calls.append("_array_table_pows") or real(*args))
     for draws in (1, 2, cut - 1, cut, cut + 1, 4 * cut):
         for seed in (0, 3):
             n = draws * most
@@ -519,5 +505,5 @@ def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch
                 calls.clear()
                 head = ks.sender_publics[:m]
                 want = sequential_regenerate(head, pub.p, priv, len(head))
-                assert regenerate_keystream(head, pub.p, priv, len(head)) == want
-                assert calls == (["_array_pow"] if len(head) >= cut else [])
+                assert elgamal.replay_keystream(head, pub, priv, len(head), Splitmix64(seed)) == want
+                assert calls == (["_array_table_pows"] if len(head) >= cut else [])

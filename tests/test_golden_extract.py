@@ -106,3 +106,22 @@ def test_extract_under_a_64_bit_key_is_byte_identical(tmp_path, capsys, keygen_a
     assert exact == {"clean": ["L:", "M:", "Q:", "H:"], "tampered": ["L:", "Q:", "H:"], "wrong_seed": []}[case]
     assert ("warning: seed fingerprint" in captured.err) == (case == "wrong_seed")
     assert pgm_digest(out_dir) == digest
+
+
+def test_extract_of_a_short_public_list_writes_no_pgm(tmp_path, capsys):
+    # Frame 2's L list loses its last 5 values, so its keystream is short.
+    # Every frame's keystreams are derived before output, so frames 0 and 1
+    # are not written either.
+    pub, priv, stego, qr_args = embed_golden_clip(tmp_path, ["--paper-fidelity", "--seed", "5"])
+    sidecar = tmp_path / "stego.y4m.sidecar.json"
+    doc = json.loads(sidecar.read_text())
+    del doc["frames"][2]["L"][-5:]
+    sidecar.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["extract", "--input", str(stego), "--output", str(out_dir), *qr_args,
+                 "--pub", str(pub), "--priv", str(priv), "--seed", "0x5EED"]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit"] == 4
+    assert not list(out_dir.glob("*.pgm"))
