@@ -97,38 +97,40 @@ def _load_key_pair(pub_path, priv_path) -> tuple[elgamal.ElGamalPublic, elgamal.
     return public, private
 
 
+@contextlib.contextmanager
 def _open_video(args):
-    """Returns (meta, frame iterator, file handle). Caller closes the handle."""
+    """Yield (meta, frame iterator) for --input; the file closes when the block ends."""
     path = Path(args.input)
-    handle = open(path, "rb")
-    if path.suffix.lower() == ".y4m":
-        try:
-            meta, frames = read_y4m(handle)
-        except BaseException:
-            handle.close()  # a bad header must not leak the handle
-            raise
-        return meta, frames, handle
-    width = getattr(args, "width", None)
-    height = getattr(args, "height", None)
-    if width is None or height is None:
-        handle.close()
-        raise UsageError("raw video input needs --width and --height")
-    return VideoMeta(width=width, height=height), read_raw_yuv(handle, width, height), handle
+    with open(path, "rb") as handle:
+        if path.suffix.lower() == ".y4m":
+            yield read_y4m(handle)
+        elif args.width is None or args.height is None:
+            raise UsageError("raw video input needs --width and --height")
+        else:
+            yield VideoMeta(width=args.width, height=args.height), read_raw_yuv(handle, args.width, args.height)
 
 
 @contextlib.contextmanager
-def _atomic_outputs(*targets: Path):
-    """Yield one temporary path beside each target; move them onto the targets
-    only when the block succeeds, and delete them on any failure, so a failed
-    command leaves neither partial output nor stray temporaries."""
+def _atomic_outputs():
+    """Yield stage(target), which returns a temporary path beside target.
+
+    Staged files move onto their targets only when the block succeeds and
+    are deleted on any failure, so a failed command leaves neither partial
+    output nor stray temporaries.
+    """
     tag = secrets.token_hex(4)
-    temps = [target.parent / f".{target.name}.{tag}.tmp" for target in targets]
+    staged: dict[Path, Path] = {}
+
+    def stage(target: Path) -> Path:
+        staged[target] = target.parent / f".{target.name}.{tag}.tmp"
+        return staged[target]
+
     try:
-        yield temps
-        for temp, target in zip(temps, targets):
+        yield stage
+        for target, temp in staged.items():
             os.replace(temp, target)
     finally:
-        for temp in temps:
+        for temp in staged.values():
             temp.unlink(missing_ok=True)
 
 
@@ -168,10 +170,9 @@ def cmd_embed(args) -> int:
     key = StegoKey(seed=seed)
     cfg = StegoConfig(key=key, public=_load_public_key(args.pub))
     qr_set = _load_qr_files(args, required=True)
-    meta, frames, handle = _open_video(args)
     out_path = Path(args.output)
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(out_path) + ".sidecar.json")
-    try:
+    with _open_video(args) as (meta, frames), _atomic_outputs() as stage:
         # The header is untrusted: read a whole frame before sizing the coder to it.
         first = next(frames, None)
         if first is None:
@@ -180,12 +181,9 @@ def cmd_embed(args) -> int:
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()
         stego = embed_video(itertools.chain([first], frames), qr_set, cfg, coder, sidecar, report)
-        with _atomic_outputs(out_path, sidecar_path) as (video_temp, sidecar_temp):
-            with open(video_temp, "wb") as out:
-                count = write_y4m(meta, stego, out)
-            sidecar.write(sidecar_temp)
-    finally:
-        handle.close()
+        with open(stage(out_path), "wb") as out:
+            count = write_y4m(meta, stego, out)
+        sidecar.write(stage(sidecar_path))
 
     print(f"embedded {report.embedded_bits} bits into {count} frames -> {out_path}")
     print(f"capacity: {report.capacity():g} bpp")
@@ -221,20 +219,17 @@ def cmd_extract(args) -> int:
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta, frames, handle = _open_video(args)
     ssim_sums = {level: 0.0 for level in QR_LEVELS}
     count = 0
-    try:
+    with _open_video(args) as (_, frames), _atomic_outputs() as stage:
         for result in extract_video(frames, cfg, sidecar):
             for level in QR_LEVELS:
                 image = bitplane.render(result.planes[level])
-                with open(out_dir / f"{count:04d}_{level}.pgm", "wb") as out:
+                with open(stage(out_dir / f"{count:04d}_{level}.pgm"), "wb") as out:
                     write_pgm(image, out)
                 if level in originals:
                     ssim_sums[level] += originals[level].score(image)
             count += 1
-    finally:
-        handle.close()
     if count < len(sidecar.frames):
         print(
             f"warning: sidecar records {len(sidecar.frames)} frames, video held {count}",
@@ -259,13 +254,9 @@ def cmd_attack(args) -> int:
     seed = resolve_seed(args, required=False)
     if seed is None:
         seed = 0
-    meta, frames, handle = _open_video(args)
-    try:
-        with _atomic_outputs(Path(args.output)) as (video_temp,):
-            with open(video_temp, "wb") as out:
-                count = write_y4m(meta, attack_video(frames, specs, seed), out)
-    finally:
-        handle.close()
+    with _open_video(args) as (meta, frames), _atomic_outputs() as stage:
+        with open(stage(Path(args.output)), "wb") as out:
+            count = write_y4m(meta, attack_video(frames, specs, seed), out)
     labels = ",".join(spec.label() for spec in specs) or "none"
     print(f"wrote {count} frames to {args.output} (attacks: {labels}, seed: {seed})")
     return 0

@@ -24,9 +24,9 @@ back. Key generation and key validation use builtin pow at every size.
 
 Both ends run that kernel. The receiver is given the sender's exponent
 stream (in v1 it derives from the stego seed), so replay_keystream proves
-each d = alpha^k and takes y^k = d^x; only a value no k proves, from a
-tampered sidecar or another seed, takes builtin d^x (regenerate_keystream
-states that rule).
+a level whole when its public values d equal the alpha^k, and then takes
+the y^k = d^x. A level that fails, from a tampered sidecar or another
+seed, runs the d^x reference rule (regenerate_keystream) on every value.
 """
 
 from __future__ import annotations
@@ -307,24 +307,22 @@ def int_to_bytes_le(v: int) -> bytes:
     return v.to_bytes((v.bit_length() + 7) // 8, "little")
 
 
-def _table_pows(pub: ElGamalPublic, k) -> tuple[list[int], np.ndarray | list[int]]:
-    """(alpha^k, y^k) mod p for each exponent in k, each below 2^bits(p).
+def _table_pows(pub: ElGamalPublic, k) -> tuple[list[int], bytes]:
+    """alpha^k mod p for each exponent in k, and the key bytes of every y^k mod p joined in order.
 
-    The alpha powers come back as a list of Python ints. The y powers are a
-    uint64 array when the batch ran on the stacked tables (p < 2^32 and at
-    least _ARRAY_MIN_VALUES exponents), otherwise a list; _expand takes both.
+    Each exponent is below 2^bits(p). A batch of at least _ARRAY_MIN_VALUES
+    exponents with p < 2^32 runs on the stacked uint64 tables; any other on
+    Python ints.
     """
     p = pub.p
     if p < _UINT64_MODULUS_BOUND and len(k) >= _ARRAY_MIN_VALUES:
         d, e = _array_table_pows(pub._uint64_tables, np.asarray(k, dtype=np.uint64), p)
-        return d.tolist(), e
+        return d.tolist(), _le_bytes(e)
     k = list(map(int, k))
-    return [_table_pow(pub._alpha_table, v, p) for v in k], [_table_pow(pub._y_table, v, p) for v in k]
-
-
-def _expand(e: np.ndarray | list[int]) -> bytes:
-    """The minimal little-endian bytes of every power in e, joined in order."""
-    return _le_bytes(e) if isinstance(e, np.ndarray) else b"".join(map(int_to_bytes_le, e))
+    return (
+        [_table_pow(pub._alpha_table, v, p) for v in k],
+        b"".join(int_to_bytes_le(_table_pow(pub._y_table, v, p)) for v in k),
+    )
 
 
 def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
@@ -350,9 +348,9 @@ def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
     parts: list[bytes] = []
     total = 0
     while total < nbytes:
-        d, e = _table_pows(pub, rng.randrange_array(2, p - 2, -(-(nbytes - total) // most)))
+        d, key = _table_pows(pub, rng.randrange_array(2, p - 2, -(-(nbytes - total) // most)))
         publics += d
-        parts.append(_expand(e))
+        parts.append(key)
         total += len(parts[-1])
     return Keystream(sender_publics=tuple(publics), key_bytes=b"".join(parts)[:nbytes])
 
@@ -374,20 +372,16 @@ def stream_encrypt(plain: bytes, pub: ElGamalPublic, rng) -> CipherBundle:
     )
 
 
-def check_sender_publics(sender_publics: Sequence[int], p: int) -> None:
-    """Raise CryptoError unless every sender public value lies in (0, p)."""
-    if sender_publics and (min(sender_publics) <= 0 or max(sender_publics) >= p):
-        bad = next(d for d in sender_publics if not 0 < d < p)
-        raise CryptoError(f"sender public value {bad} out of range (0, p)")
-
-
 def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalPrivate, nbytes: int) -> bytes:
     """The receiver's keystream by the d^x rule: the bytes of d^x mod p for every sender public value d.
 
-    The reference rule, one builtin pow per value after the range check.
-    replay_keystream gives the same bytes faster, given the sender's rng.
+    The reference rule: a range check of every value, then one builtin pow
+    per value. replay_keystream gives the same bytes faster, given the
+    sender's rng.
     """
-    check_sender_publics(sender_publics, p)
+    if sender_publics and (min(sender_publics) <= 0 or max(sender_publics) >= p):
+        bad = next(d for d in sender_publics if not 0 < d < p)
+        raise CryptoError(f"sender public value {bad} out of range (0, p)")
     return _receiver_key(b"".join(int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics), nbytes)
 
 
@@ -399,22 +393,20 @@ def replay_keystream(
     rng is the stream the sender drew from (for a stego frame, payload_rng
     of its key, level and frame), so its next len(sender_publics) draws are
     the sender's k in order, whatever its rounds were. _table_pows raises
-    alpha and y to all of them in one batch, as the sender did: a value d
-    proved equal to alpha^k gives the bytes of y^k. Any other value, from a
-    tampered sidecar or another stream, takes builtin d^x.
+    alpha and y to all of them in one batch, as the sender did. When the
+    level's public values equal those alpha^k exactly, the level is proved
+    whole and its key is the bytes of the y^k. Otherwise, from a tampered
+    sidecar or another stream, the whole level takes the d^x reference,
+    regenerate_keystream, which also range-checks every value.
 
     y^k = alpha^(kx) = d^x needs y = alpha^x (mod p), so callers check the
     pair first (check_key_pair, as stego.frame_keystreams does): under
-    another x a proved value gives the sender's keystream, not d^x.
+    another x a proved level gives the sender's keystream, not d^x.
     """
-    p = pub.p
-    check_sender_publics(sender_publics, p)
-    alpha_k, e = _table_pows(pub, rng.randrange_array(2, p - 2, len(sender_publics)))
-    if alpha_k != list(sender_publics):  # a tampered sidecar or another seed: d^x where no k proves d
-        for i, (a, d) in enumerate(zip(alpha_k, sender_publics)):
-            if a != d:
-                e[i] = pow(d, priv.x, p)
-    return _receiver_key(_expand(e), nbytes)
+    alpha_k, key = _table_pows(pub, rng.randrange_array(2, pub.p - 2, len(sender_publics)))
+    if alpha_k != list(sender_publics):
+        return regenerate_keystream(tuple(sender_publics), pub.p, priv, nbytes)
+    return _receiver_key(key, nbytes)
 
 
 def _receiver_key(key: bytes, nbytes: int) -> bytes:

@@ -386,7 +386,7 @@ def frame_keystreams(
     """Regenerate one frame's four keystreams from its sidecar record.
 
     Each level replays the sender's exponents from payload_rng and proves
-    every public value against them (elgamal.replay_keystream). That gives
+    its public values against them as a whole (elgamal.replay_keystream). That gives
     the d^x bytes only when the private key matches the public key, so the
     pair is checked first: one builtin pow per call.
 

@@ -62,11 +62,19 @@ class VideoMeta:
         return self.width * self.height * 3 // 2
 
 
+# Largest single read. A header may declare a frame of 10^18 bytes, and
+# stream.read(n) allocates all n bytes before it reads any.
+_READ_CHUNK = 1 << 24
+
+
 def _read_exact(stream, n: int, what: str) -> bytes:
-    data = stream.read(n)
-    if len(data) != n:
+    chunks = []
+    while n > 0 and (chunk := stream.read(min(n, _READ_CHUNK))):
+        chunks.append(chunk)
+        n -= len(chunk)
+    if n:
         raise FormatError(f"truncated stream while reading {what}")
-    return data
+    return b"".join(chunks)
 
 
 def _split_frame(data: bytes, width: int, height: int) -> FrameYuv420:
@@ -169,16 +177,9 @@ def write_y4m(meta: VideoMeta, frames: Iterable[FrameYuv420], stream) -> int:
 
 def read_raw_yuv(stream, width: int, height: int) -> Iterator[FrameYuv420]:
     """Iterate frames of a headerless planar 4:2:0 stream."""
-    meta = VideoMeta(width=width, height=height)
-    nbytes = meta.frame_bytes()
-    while True:
-        data = stream.read(nbytes)
-        if not data:
-            return
-        if len(data) != nbytes:
-            raise FormatError(
-                f"raw stream length not divisible by frame size {nbytes} (trailing {len(data)} bytes)"
-            )
+    nbytes = VideoMeta(width=width, height=height).frame_bytes()
+    while first := stream.read(1):
+        data = first + _read_exact(stream, nbytes - 1, f"a raw frame of {nbytes} bytes")
         yield _split_frame(data, width, height)
 
 

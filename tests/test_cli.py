@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -298,6 +299,31 @@ def test_failed_run_leaves_no_output(workspace, capsys, command):
     assert set(ws["tmp"].iterdir()) - before == expected
 
 
+HUGE_PGM = b"P5\n1000000000 1000000000\n255\n" + bytes(100)
+HUGE_Y4M = b"YUV4MPEG2 W1000000000 H1000000000 F25:1 C420jpeg\nFRAME\n" + bytes(100)
+
+
+@pytest.mark.parametrize("reader", ["pgm", "y4m", "raw"])
+def test_readers_refuse_a_declared_size_the_file_does_not_hold(workspace, capsys, reader):
+    # A header may declare 10^18 bytes; the readers read in bounded chunks, so a
+    # short file is a truncation, not an attempt to allocate what it declares.
+    ws = workspace
+    output = ws["tmp"] / "o.y4m"
+    if reader == "pgm":
+        ws["qr_paths"]["L"].write_bytes(HUGE_PGM)
+        args = embed_args(ws, output)
+    elif reader == "y4m":
+        (ws["tmp"] / "huge.y4m").write_bytes(HUGE_Y4M)
+        args = ["attack", "--input", str(ws["tmp"] / "huge.y4m"), "--output", str(output)]
+    else:
+        (ws["tmp"] / "huge.yuv").write_bytes(bytes(100))
+        args = ["attack", "--input", str(ws["tmp"] / "huge.yuv"), "--output", str(output),
+                "--width", "1000000000", "--height", "1000000000"]
+    assert main(args) == 3
+    assert_one_error_line(capsys, 3)
+    assert not output.exists()
+
+
 def test_embed_missing_qr_flag_is_usage_error(workspace):
     ws = workspace
     args = embed_args(ws, ws["tmp"] / "x.y4m")
@@ -336,6 +362,27 @@ def test_extract_missing_sidecar(workspace, capsys):
         "extract", "--input", str(stego), "--output", str(ws["tmp"] / "rec"),
         "--pub", str(ws["pub"]), "--priv", str(ws["priv"]), "--seed", "1234",
     ]) == 3
+
+
+@pytest.mark.parametrize("case", ["more-frames", "truncated"])
+def test_failed_extract_leaves_no_pgm(workspace, capsys, case):
+    # The last frame fails after the first two decoded: its sidecar record is
+    # gone, or the video ends 100 bytes short. No frame's PGMs may remain.
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    if case == "more-frames":
+        sidecar = ws["tmp"] / "stego.y4m.sidecar.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["frames"][-1]
+        doc["video"]["frame_count"] -= 1
+        sidecar.write_text(json.dumps(doc))
+    else:
+        stego.write_bytes(stego.read_bytes()[:-100])
+    capsys.readouterr()
+    assert main(extract_args(ws, stego)) == 3
+    assert_one_error_line(capsys, 3)
+    assert list((ws["tmp"] / "rec").iterdir()) == []  # no PGM, no temporary
 
 
 def test_attack_identity_is_byte_exact(workspace):
@@ -458,10 +505,11 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
     assert calls == []
     assert result.robustness[0].attack == "none"
     assert set(result.robustness[0].ssim_by_level.values()) == {1.0}
-    # The counter sits on extract's path: one frame record replays four keystreams.
+    # The counters sit on extract's path: one frame record replays four keystreams,
+    # and each level of [5], which no replayed exponent proves, runs the d^x reference.
     cfg = StegoConfig(key=StegoKey(seed=0), public=pub, private=priv)
     frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1, 0)
-    assert calls == ["replay_keystream"] * 4
+    assert calls == ["replay_keystream", "regenerate_keystream"] * 4
 
 
 def test_bench_proves_a_loaded_key_once(tmp_path, monkeypatch, keys):
@@ -1117,3 +1165,160 @@ def test_sidecar_fuzz_fails_cleanly(fuzz_stego, capsys, data):
     root, _, _, doc = fuzz_stego
     (root / "bad.sidecar.json").write_text(data.draw(sidecar_mutations(doc)))
     fuzz_extract(root, capsys, sidecar="bad.sidecar.json")
+
+
+# --- container reader fuzzing ------------------------------------------------
+#
+# Each example writes one mutated Y4M, raw or PGM file and runs the command
+# that reads it first. As above, every mutation is built to be refused: one
+# that could still read as a usable container is filtered out.
+
+FUZZ_W, FUZZ_H = 36, 28
+FUZZ_FRAME = FUZZ_W * FUZZ_H * 3 // 2
+
+
+def assert_refused(capsys, code, output):
+    """The run failed with exit 2 or 3, one JSON error line and no output file."""
+    assert code in (2, 3)
+    assert_one_error_line(capsys, code)
+    assert not output.exists()
+
+
+def no_separator(size=6):
+    """Bytes that keep a header token one token: no space, newline or comment mark."""
+    return st.binary(min_size=1, max_size=size).filter(lambda b: not set(b) & set(b" \t\n\r\x0b\x0c#"))
+
+
+def y4m_value_refused(tag: str, value: bytes) -> bool:
+    """Whether a header refuses value for tag, whatever the body (docs/wire_format.md "Containers")."""
+    text = value.decode("ascii", "replace")
+    if tag in "WH":  # even values of 2000 and up declare more than the 2-frame body holds
+        return not text.isdigit() or int(text) % 2 == 1 or not 0 < int(text) < 2000
+    if tag in "FA":
+        return not re.fullmatch(r"[0-9]+:[0-9]+", text)
+    if tag == "I":
+        return text not in ("p", "t", "b", "m", "?")
+    return text not in ("420", "420jpeg", "420paldv", "420mpeg2")
+
+
+@st.composite
+def y4m_mutations(draw, data):
+    """A mutated 2-frame Y4M clip that no reader may accept."""
+    head = data.index(b"\n") + 1
+    how = draw(st.sampled_from(["truncate", "token", "delete", "magic", "marker", "trail"]))
+    if how == "truncate":  # anywhere but the end of the header or of a frame
+        cut = draw(st.integers(0, len(data) - 1))
+        assume((cut - head) % (6 + FUZZ_FRAME) != 0 or cut < head)
+        return data[:cut]
+    fields = data[: head - 1].split(b" ")
+    if how == "delete":
+        del fields[draw(st.sampled_from([1, 2]))]  # W or H
+        return b" ".join(fields) + data[head - 1 :]
+    if how == "token":
+        index = draw(st.integers(1, len(fields) - 1))
+        value = draw(no_separator() | st.integers(0, 10**30).map(lambda v: str(v).encode()))
+        assume(y4m_value_refused(chr(fields[index][0]), value))
+        fields[index] = fields[index][:1] + value
+        return b" ".join(fields) + data[head - 1 :]
+    if how == "magic":
+        magic = draw(no_separator(12))
+        assume(magic != b"YUV4MPEG2")
+        return magic + data[len(b"YUV4MPEG2") :]
+    if how == "marker":
+        at = head + draw(st.sampled_from([0, 1])) * (6 + FUZZ_FRAME)
+        marker = draw(st.binary(min_size=5, max_size=5))
+        assume(marker != b"FRAME")
+        return data[:at] + marker + data[at + 5 :]
+    # Trailing bytes shorter than a whole FRAME line plus frame never read as a frame.
+    return data + draw(st.binary(min_size=1, max_size=40) | st.binary(max_size=40).map(lambda b: b"FRAME" + b))
+
+
+@pytest.fixture(scope="module")
+def fuzz_containers(tmp_path_factory):
+    """(dir, Y4M bytes of a 2-frame 36x28 clip, bytes of an 18x14 PGM)."""
+    root = tmp_path_factory.mktemp("containers")
+    write_clip(root / "clip.y4m", w=FUZZ_W, h=FUZZ_H, frames=2, seed=6)
+    write_qr(root / "qr.pgm", w=FUZZ_W // 2, h=FUZZ_H // 2, seed=60)
+    return root, (root / "clip.y4m").read_bytes(), (root / "qr.pgm").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
+@given(data=st.data())
+def test_y4m_fuzz_fails_cleanly(fuzz_containers, capsys, data):
+    root, clip, _ = fuzz_containers
+    (root / "bad.y4m").write_bytes(data.draw(y4m_mutations(clip)))
+    output = root / "out.y4m"
+    capsys.readouterr()
+    assert_refused(capsys, main(["attack", "--input", str(root / "bad.y4m"), "--output", str(output)]), output)
+
+
+@st.composite
+def raw_mutations(draw):
+    """(file length, --width/--height arguments) that no raw reader may accept."""
+    how = draw(st.sampled_from(["length", "dims", "missing"]))
+    if how == "length":  # not a whole number of 36x28 frames
+        length = draw(st.integers(1, 3 * FUZZ_FRAME + 1))
+        assume(length % FUZZ_FRAME)
+        return length, ["--width", str(FUZZ_W), "--height", str(FUZZ_H)]
+    length = draw(st.integers(0, 2 * FUZZ_FRAME))
+    if how == "missing":
+        return length, draw(st.sampled_from([[], ["--width", str(FUZZ_W)], ["--height", str(FUZZ_H)]]))
+    width, height = draw(st.integers(-(2**40), 2**40)), draw(st.integers(-(2**40), 2**40))
+    assume(width <= 0 or height <= 0 or width % 2 or height % 2)
+    return length, ["--width", str(width), "--height", str(height)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
+@given(raw_mutations())
+def test_raw_fuzz_fails_cleanly(fuzz_containers, capsys, mutation):
+    root, clip, _ = fuzz_containers
+    length, dims = mutation
+    (root / "bad.yuv").write_bytes((clip * 3)[:length])
+    output = root / "out.y4m"
+    capsys.readouterr()
+    code = main(["attack", "--input", str(root / "bad.yuv"), "--output", str(output), *dims])
+    assert_refused(capsys, code, output)
+
+
+@st.composite
+def pgm_mutations(draw, data):
+    """A mutated 18x14 PGM that no reader may accept."""
+    how = draw(st.sampled_from(["truncate", "magic", "field"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    magic, size, maxval, pixels = data.split(b"\n", 3)
+    width, height = size.split(b" ")
+    if how == "magic":
+        magic = draw(no_separator())
+        assume(magic != b"P5")
+    else:
+        index = draw(st.integers(0, 2))
+        value = draw(no_separator() | st.integers().map(lambda v: str(v).encode()))
+        try:
+            number = int(value)
+        except ValueError:
+            number = None
+        # Any other size that fits the 252 pixel bytes reads; embed then refuses it as capacity.
+        refused = number is None or (number != 255 if index == 2 else number <= 0 or number >= 300)
+        assume(refused)
+        fields = [width, height, maxval]
+        fields[index] = value
+        width, height, maxval = fields
+    return b"%s\n%s %s\n%s\n" % (magic, width, height, maxval) + pixels
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
+@given(data=st.data())
+def test_pgm_fuzz_fails_cleanly(fuzz_containers, keys, capsys, data):
+    root, _, qr = fuzz_containers
+    (root / "bad.pgm").write_bytes(data.draw(pgm_mutations(qr)))
+    pub, _ = keys
+    output = root / "out.y4m"
+    qr_args = [arg for level in "lmqh" for arg in (f"--qr-{level}", str(root / ("bad.pgm" if level == "l" else "qr.pgm")))]
+    capsys.readouterr()
+    code = main(["embed", "--input", str(root / "clip.y4m"), "--output", str(output), *qr_args,
+                 "--pub", str(pub), "--seed", "9"])
+    assert_refused(capsys, code, output)

@@ -357,8 +357,9 @@ def embedded_64_bit_clip(frame_count=2):
 
 
 def test_extract_raises_d_to_the_x_only_for_a_public_it_cannot_replay(monkeypatch):
-    # Above the uint64 bound the receiver proves each public value against the
-    # sender's replayed exponent; only a value that fails the proof costs d^x.
+    # Above the uint64 bound the receiver proves each level's public values against
+    # the sender's replayed exponents; only a level that fails the proof costs d^x,
+    # once for every value it holds.
     cfg, out, sidecar, qr_set = embedded_64_bit_clip()
     publics = {d for record in sidecar.frames for values in record.values() for d in values}
     powers = []
@@ -376,7 +377,7 @@ def test_extract_raises_d_to_the_x_only_for_a_public_it_cannot_replay(monkeypatc
     sidecar.frames[1]["M"][0] = d % (cfg.public.p - 1) + 1
     publics.add(sidecar.frames[1]["M"][0])
     count, results = d_to_the_x_count()
-    assert count == 1
+    assert count == len(sidecar.frames[1]["M"])
     assert not np.array_equal(results[1].planes["M"].bits, qr_set["M"].bits)
 
 
@@ -429,6 +430,31 @@ def test_v1_seed_and_public_key_decrypt_without_private_key():
         ks = elgamal.keystream(pub, bundle.plain_len, stego.payload_rng(cfg.key, lvl, 3))
         assert ks.sender_publics == bundle.sender_publics
         assert elgamal.xor_bytes(bundle.ciphertext, ks.key_bytes) == pack(qr_set[lvl]).data
+
+
+def test_v1_dictionary_passphrase_falls_to_the_sidecar_fingerprint():
+    # Documents a v1 weakness (README "Security notes"): the stego seed is FNV-1a 64
+    # of the passphrase and the sidecar's key_fingerprint hashes that seed, so one
+    # hash per word confirms a guess offline. The seed and the public key then
+    # decrypt a level without x, as the test above shows.
+    syllables = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+    words = [a + b for a in syllables for b in syllables[:29]]  # 2,030 two-syllable words
+    words.insert(1234, "swordfish")
+    p, alpha = elgamal.generate_key_params(64, Splitmix64(64))
+    pub, _ = elgamal.keygen(p, alpha, Splitmix64(1))
+    cfg = StegoConfig(key=StegoKey.from_passphrase("swordfish"), public=pub)
+    coder = FrameCoder(cfg.key, 36, 28)
+    sidecar = new_sidecar(cfg, coder)
+    qr_set = {lvl: synth.qr_like_plane(18, 14, seed=i) for i, lvl in enumerate(stego.QR_LEVELS)}
+    (frame,) = embed_video(synth.gradient_video(36, 28, 1, seed=5)[1], qr_set, cfg, coder, sidecar, QualityReport())
+    found = [word for word in words if StegoKey.from_passphrase(word).fingerprint() == sidecar.key_fingerprint]
+    assert found == ["swordfish"]
+    key = StegoKey.from_passphrase(found[0])
+    ks = elgamal.keystream(pub, sidecar.plain_len, stego.payload_rng(key, "L", 0))
+    assert list(ks.sender_publics) == list(sidecar.frames[0]["L"])
+    bits = FrameCoder(key, 36, 28).extract(frame)["L"]
+    key_bits = np.unpackbits(np.frombuffer(ks.key_bytes, dtype=np.uint8), count=bits.size)
+    assert np.array_equal((bits ^ key_bits).reshape(14, 18), qr_set["L"].bits)
 
 
 def test_embed_video_determinism():
