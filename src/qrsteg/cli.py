@@ -35,6 +35,9 @@ from .stego import (
 from .videoio import VideoMeta, read_pgm, read_raw_yuv, read_y4m, write_pgm, write_y4m
 
 DEFAULT_KEY_BITS = 256
+# The key search holds a batch of candidates as a 512 x ceil(bits / 64)
+# uint64 array, and a search at this size already takes hours.
+MAX_KEY_BITS = 8192
 DEFAULT_BENCH_ATTACKS = "sp:0.01,sp:0.1,gauss:0:0.01,gauss:0:0.1,poisson,speckle:0.05"
 
 
@@ -144,6 +147,8 @@ def _make_key(rng, paper_fidelity: bool, bits: int):
     if paper_fidelity:
         p, alpha, factors = elgamal.DEMO_P, elgamal.DEMO_ALPHA, elgamal.DEMO_P_FACTORS
     else:
+        if bits > MAX_KEY_BITS:
+            raise UsageError(f"--bits {bits} is above the largest supported key size, {MAX_KEY_BITS}")
         p, alpha = elgamal.generate_key_params(bits, rng)
         factors = (2, (p - 1) // 2)
     return elgamal.keygen(p, alpha, rng, p_minus_1_factors=factors)
@@ -218,18 +223,26 @@ def cmd_extract(args) -> int:
     }
 
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    new_dirs = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
     ssim_sums = {level: 0.0 for level in QR_LEVELS}
     count = 0
-    with _open_video(args) as (_, frames), _atomic_outputs() as stage:
-        for result in extract_video(frames, cfg, sidecar):
-            for level in QR_LEVELS:
-                image = bitplane.render(result.planes[level])
-                with open(stage(out_dir / f"{count:04d}_{level}.pgm"), "wb") as out:
-                    write_pgm(image, out)
-                if level in originals:
-                    ssim_sums[level] += originals[level].score(image)
-            count += 1
+    try:
+        with _open_video(args) as (_, frames), _atomic_outputs() as stage:
+            for result in extract_video(frames, cfg, sidecar):
+                if count == 0:
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                for level in QR_LEVELS:
+                    image = bitplane.render(result.planes[level])
+                    with open(stage(out_dir / f"{count:04d}_{level}.pgm"), "wb") as out:
+                        write_pgm(image, out)
+                    if level in originals:
+                        ssim_sums[level] += originals[level].score(image)
+                count += 1
+    except BaseException:
+        for path in new_dirs:  # the staged PGMs are gone, so a directory this run made is empty
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     if count < len(sidecar.frames):
         print(
             f"warning: sidecar records {len(sidecar.frames)} frames, video held {count}",
@@ -310,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="write a public/private key file pair")
     p.add_argument("--pub", required=True, help="output path for the public key")
     p.add_argument("--priv", required=True, help="output path for the private key")
-    p.add_argument("--bits", type=int, default=DEFAULT_KEY_BITS, help="safe-prime size (default 256)")
+    p.add_argument("--bits", type=int, default=DEFAULT_KEY_BITS, help="safe-prime size, 16 to 8192 (default 256)")
     p.add_argument(
         "--paper-fidelity",
         action="store_true",
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--paper-fidelity", action="store_true", help="generate the small demo key instead of a fresh one"
     )
-    p.add_argument("--bits", type=int, default=DEFAULT_KEY_BITS, help="key size when generating")
+    p.add_argument("--bits", type=int, default=DEFAULT_KEY_BITS, help="key size when generating, 16 to 8192")
     add_seed(p)
     p.set_defaults(func=cmd_bench)
 

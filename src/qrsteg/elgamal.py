@@ -31,6 +31,8 @@ seed, runs the d^x reference rule (regenerate_keystream) on every value.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import os
 import secrets
@@ -62,26 +64,31 @@ _ARRAY_MIN_VALUES = 16
 _BYTE_FLOORS = np.array([1, 1 << 8, 1 << 16, 1 << 24], dtype=np.uint64)
 _LE_UINT32 = np.dtype("<u4")
 
-# Small primes used to pre-sieve candidates during key generation.
-_SIEVE_PRIMES: list[int] = []
+# Key search: candidates drawn per batch, and how many of the smallest odd
+# primes sieve a whole batch before the rest sieve only its survivors.
+_KEY_BATCH = 512
+_SIEVE_FIRST = 16
 
 
-def _sieve_primes(limit: int = 2000) -> list[int]:
-    if not _SIEVE_PRIMES:
-        flags = bytearray([1]) * limit
-        flags[0:2] = b"\x00\x00"
-        for i in range(2, int(limit**0.5) + 1):
-            if flags[i]:
-                flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
-        _SIEVE_PRIMES.extend(i for i in range(limit) if flags[i])
-    return _SIEVE_PRIMES
+@functools.cache
+def _small_primes() -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The primes below 2000; then the odd ones as uint64 and 2^64 mod each, for the key search's sieve."""
+    limit = 2000
+    flags = bytearray([1]) * limit
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
+    primes = tuple(i for i in range(limit) if flags[i])
+    odd = np.array(primes[1:], dtype=np.uint64)
+    return primes, odd, np.array([(1 << 64) % s for s in primes[1:]], dtype=np.uint64)
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     """Miller-Rabin with the given number of random rounds."""
     if n < 2:
         return False
-    for p in _sieve_primes():
+    for p in _small_primes()[0]:
         if n == p:
             return True
         if n % p == 0:
@@ -427,27 +434,86 @@ def stream_decrypt(bundle: CipherBundle, p: int, priv: ElGamalPrivate) -> bytes:
 def generate_key_params(bits: int, rng) -> tuple[int, int]:
     """Find a safe prime p = 2q + 1 of the given size and a generator alpha.
 
+    q is the first candidate getrandbits(bits - 1) | 2^(bits - 2) | 1 for
+    which q and p are both prime (docs/wire_format.md, "Seeded keygen").
+    Candidates come _KEY_BATCH at a time and are sieved together (Wiener,
+    "Safe Prime Generation with a Combined Sieve", 2003): a candidate goes
+    when an odd prime s below 2000 with s < q divides q or p. Survivors are
+    tested in draw order: first 2^(p - 1) = 1 (mod p), then Miller-Rabin on
+    q in 8 rounds and in MILLER_RABIN_ROUNDS. With q prime, q > sqrt(p),
+    2^(2q) = 1 and gcd(2^2 - 1, p) = 1 (the sieve rejects 3 | p), Pocklington's
+    criterion proves p prime (*Handbook of Applied Cryptography*, ch. 4).
+
+    An rng with peek_getrandbits (permute.Splitmix64) is left just past the
+    accepted candidate, where a loop of getrandbits calls leaves it, so its
+    next draws are the same. Any other rng draws each batch whole by
+    getrandbits calls, and its state afterwards is not defined.
+
     With p - 1 = 2q, alpha is a primitive root iff alpha^2 != 1 and
     alpha^q != 1 (mod p), so the generator check here is exact.
     """
     if bits < 16:
         raise CryptoError("key size below 16 bits is not supported")
-    small = _sieve_primes()
-    while True:
-        q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-        p = 2 * q + 1
-        if any(q % s == 0 or p % s == 0 for s in small if s < q):
-            continue
-        if not is_probable_prime(q, rounds=8):
-            continue
-        if not is_probable_prime(p, rounds=8):
-            continue
-        if is_probable_prime(q) and is_probable_prime(p):
-            break
+    k = bits - 1
+    stages = _sieve_stages(bits)
+    peek = getattr(rng, "peek_getrandbits", None)
+    found = None
+    while found is None:
+        rows = peek(k, _KEY_BATCH) if peek else _getrandbits_rows(rng, k, _KEY_BATCH)
+        rows[:, 0] |= np.uint64(1)
+        rows[:, (bits - 2) // 64] |= np.uint64(1 << (bits - 2) % 64)
+        found = _first_safe_prime(rows, stages)
+        if peek:
+            rng.skip_getrandbits(k, _KEY_BATCH if found is None else found[0] + 1)
+    q = found[1]
+    p = 2 * q + 1
     for alpha in range(2, 1000):
         if pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1:
             return p, alpha
     raise CryptoError("no generator found below 1000 (astronomically unlikely)")
+
+
+def _getrandbits_rows(rng, k: int, count: int) -> np.ndarray:
+    """count getrandbits(k) calls of rng, as rows of little-endian uint64 words."""
+    size = 8 * -(-k // 64)
+    data = b"".join(rng.getrandbits(k).to_bytes(size, "little") for _ in range(count))
+    return np.frombuffer(data, dtype="<u8").reshape(count, -1).copy()
+
+
+def _sieve_stages(bits: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(s, 2^(64i) mod s for each word i, (s - 1) / 2) for the sieve's odd primes s, in two stages.
+
+    Only primes below 2^(bits - 2), the least candidate, take part: a prime
+    s >= q must not reject q = s.
+    """
+    primes, odd, r64 = _small_primes()
+    used = bisect.bisect_left(primes, 1 << (bits - 2)) - 1  # primes[0] = 2 is not in odd
+    odd, r64 = odd[:used], r64[:used]
+    weights = [np.ones_like(odd)]
+    for _ in range(1, -(-(bits - 1) // 64)):
+        weights.append(weights[-1] * r64 % odd)
+    weights = np.array(weights)
+    cuts = (slice(None, _SIEVE_FIRST), slice(_SIEVE_FIRST, None))
+    return [(odd[cut], weights[:, cut], odd[cut] >> np.uint64(1)) for cut in cuts]
+
+
+def _first_safe_prime(rows: np.ndarray, stages) -> tuple[int, int] | None:
+    """(index, q) of the first row q, as uint64 words low first, for which q and 2q + 1 are prime; None if there is none.
+
+    Each stage drops the rows for which one of its primes s divides q
+    (q = 0 mod s) or 2q + 1 (q = (s - 1) / 2 mod s); q mod s is the sum of
+    its words times 2^(64i) mod s.
+    """
+    alive = np.arange(len(rows))
+    for s, weights, half in stages:
+        r = (rows[alive, :, None] % s * weights).sum(axis=1) % s
+        alive = alive[((r != 0) & (r != half)).all(axis=1)]
+    for j in alive.tolist():
+        q = int.from_bytes(rows[j].astype("<u8").tobytes(), "little")
+        p = 2 * q + 1
+        if pow(2, p - 1, p) == 1 and is_probable_prime(q, rounds=8) and is_probable_prime(q):
+            return j, q
+    return None
 
 
 # --- key files -------------------------------------------------------------

@@ -140,6 +140,23 @@ class Splitmix64:
             got += accepted.size
         return out + (np.uint64(start) if as_uint64 else start)
 
+    def peek_getrandbits(self, k: int, count: int) -> np.ndarray:
+        """The values of the next count getrandbits(k) calls (k > 0), without advancing the state.
+
+        Row i holds call i's ceil(k / 64) draws as uint64 words, low word
+        first, the top word masked as getrandbits masks it. All of them come
+        from the counter form at once (see _mix). skip_getrandbits(k, calls)
+        then takes the first calls of them.
+        """
+        words = -(-k // 64)
+        v = _mix(self._state, np.arange(1, count * words + 1, dtype=np.uint64)).reshape(count, words)
+        v[:, -1] &= np.uint64(MASK64 >> (64 * words - k))
+        return v
+
+    def skip_getrandbits(self, k: int, calls: int) -> None:
+        """Advance the state as calls getrandbits(k) calls would."""
+        self._state = (self._state + calls * -(-k // 64) * _GOLDEN) & MASK64
+
 
 def _mix(state: int, t: np.ndarray) -> np.ndarray:
     """SplitMix64 draws number t (t = 1, 2, ...) from state, for a uint64 array t.

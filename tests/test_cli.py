@@ -158,6 +158,24 @@ def test_keygen_default_256_bit(tmp_path):
     assert elgamal.is_probable_prime(pub.p)
 
 
+@pytest.mark.parametrize("bits", ["8193", "1000000000"])
+def test_key_generation_refuses_bits_above_8192(tmp_path, capsys, bits):
+    # The key search holds its candidates as a 512 x ceil(bits / 64) uint64
+    # array: a size past the bound is refused before any allocation or file.
+    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+    assert main(["keygen", "--pub", str(pub), "--priv", str(priv), "--bits", bits, "--seed", "1"]) == 2
+    assert_one_error_line(capsys, 2)
+    assert not pub.exists() and not priv.exists()
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    report = tmp_path / "bench.csv"
+    assert main(["bench", "--input", str(dataset), "--bits", bits, "--seed", "0",
+                 "--report", str(report)]) == 2
+    assert_one_error_line(capsys, 2)
+    assert not report.exists()
+
+
 def test_keygen_fresh_prime(tmp_path):
     pub_path = tmp_path / "p.pub"
     priv_path = tmp_path / "p.priv"
@@ -364,12 +382,17 @@ def test_extract_missing_sidecar(workspace, capsys):
     ]) == 3
 
 
-@pytest.mark.parametrize("case", ["more-frames", "truncated"])
+@pytest.mark.parametrize("case", ["more-frames", "truncated", "existing-dir"])
 def test_failed_extract_leaves_no_pgm(workspace, capsys, case):
     # The last frame fails after the first two decoded: its sidecar record is
-    # gone, or the video ends 100 bytes short. No frame's PGMs may remain.
+    # gone, or the video ends 100 bytes short. No frame's PGMs may remain, nor
+    # the output directory unless it was there before.
     ws = workspace
     stego = ws["tmp"] / "stego.y4m"
+    rec = ws["tmp"] / "rec"
+    if case == "existing-dir":
+        rec.mkdir()
+        (rec / "keep.txt").write_text("kept")
     assert main(embed_args(ws, stego)) == 0
     if case == "more-frames":
         sidecar = ws["tmp"] / "stego.y4m.sidecar.json"
@@ -382,7 +405,11 @@ def test_failed_extract_leaves_no_pgm(workspace, capsys, case):
     capsys.readouterr()
     assert main(extract_args(ws, stego)) == 3
     assert_one_error_line(capsys, 3)
-    assert list((ws["tmp"] / "rec").iterdir()) == []  # no PGM, no temporary
+    if case == "existing-dir":
+        assert [path.name for path in rec.iterdir()] == ["keep.txt"]  # no PGM, no temporary
+        assert (rec / "keep.txt").read_text() == "kept"
+    else:
+        assert not rec.exists()
 
 
 def test_attack_identity_is_byte_exact(workspace):

@@ -470,14 +470,63 @@ def test_key_files_roundtrip(tmp_path):
 
 
 def test_generate_key_params_safe_prime():
-    p, alpha = elgamal.generate_key_params(64, random.Random(5))
-    q = (p - 1) // 2
-    assert p.bit_length() == 64
-    assert elgamal.is_probable_prime(p)
-    assert elgamal.is_probable_prime(q)
-    assert pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1
-    pub, priv = keygen(p, alpha, random.Random(6), p_minus_1_factors=(2, q))
-    assert stream_decrypt(stream_encrypt(b"payload", pub, Splitmix64(7)), p, priv) == b"payload"
+    # An rng without peek_getrandbits draws whole batches by getrandbits.
+    for rng in (random.Random(5), random.SystemRandom()):
+        p, alpha = elgamal.generate_key_params(64, rng)
+        q = (p - 1) // 2
+        assert p.bit_length() == 64
+        assert elgamal.is_probable_prime(p)
+        assert elgamal.is_probable_prime(q)
+        assert pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1
+        pub, priv = keygen(p, alpha, random.Random(6), p_minus_1_factors=(2, q))
+        assert stream_decrypt(stream_encrypt(b"payload", pub, Splitmix64(7)), p, priv) == b"payload"
+
+
+def sequential_key_params(bits, rng):
+    """The key search as one getrandbits call per candidate, trial division and
+    Miller-Rabin on q and p: the reference generate_key_params must match."""
+    small = elgamal._small_primes()[0]
+    while True:
+        q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
+        p = 2 * q + 1
+        if any(q % s == 0 or p % s == 0 for s in small if s < q):
+            continue
+        if not elgamal.is_probable_prime(q, rounds=8):
+            continue
+        if not elgamal.is_probable_prime(p, rounds=8):
+            continue
+        if elgamal.is_probable_prime(q) and elgamal.is_probable_prime(p):
+            break
+    for alpha in range(2, 1000):
+        if pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1:
+            return p, alpha
+
+
+@pytest.mark.parametrize("bits,seeds", [(bits, 10) for bits in (16, 17, 63, 64, 65, 127, 128, 129)] + [(256, 3)])
+def test_key_search_matches_the_sequential_rule(bits, seeds):
+    # Same (p, alpha) and the same Splitmix64 state afterwards, so keygen's
+    # next draw (x) and every seeded key file stay the same. 17, 65 and 129
+    # bits draw q with a full top word; 16, 64 and 128 with one bit free.
+    for seed in range(seeds):
+        oracle, batch = Splitmix64(seed), Splitmix64(seed)
+        assert elgamal.generate_key_params(bits, batch) == sequential_key_params(bits, oracle)
+        assert batch._state == oracle._state
+
+
+def test_key_search_returns_only_a_safe_prime():
+    # Three 64-bit candidates that pass the sieve: composite q with prime p
+    # (Miller-Rabin on q rejects it), prime q with composite p (Fermat on p),
+    # then a safe prime. The rest of the batch is filler drawn, never tested.
+    composite_q, composite_p, safe_q = 8784315173636295773, 8895308514877979333, 6059435372757237221
+    small = elgamal._small_primes()[0][1:]
+    for q in (composite_q, composite_p, safe_q):
+        assert all(q % s and (2 * q + 1) % s for s in small)
+    assert not elgamal.is_probable_prime(composite_q) and elgamal.is_probable_prime(2 * composite_q + 1)
+    assert elgamal.is_probable_prime(composite_p) and not elgamal.is_probable_prime(2 * composite_p + 1)
+    filler = [0] * (elgamal._KEY_BATCH - 3)
+    p, alpha = elgamal.generate_key_params(64, ScriptedRng([composite_q, composite_p, safe_q] + filler))
+    assert p == 2 * safe_q + 1
+    assert alpha == min(a for a in range(2, 1000) if pow(a, 2, p) != 1 and pow(a, safe_q, p) != 1)
 
 
 @pytest.mark.parametrize("pub,priv", RECEIVER_KEYS[:2],

@@ -344,6 +344,18 @@ def test_splitmix_getrandbits_masks_correctly():
         assert 0 <= rng.getrandbits(k) < 1 << k
 
 
+def test_splitmix_peek_getrandbits_is_the_getrandbits_loop():
+    for k in (1, 15, 63, 64, 65, 255, 256):
+        rng, oracle = Splitmix64(k), Splitmix64(k)
+        rows = rng.peek_getrandbits(k, 7)
+        assert rng._state == Splitmix64(k)._state  # peeking draws nothing
+        assert [sum(int(w) << 64 * i for i, w in enumerate(row)) for row in rows] == [
+            oracle.getrandbits(k) for _ in range(7)
+        ]
+        rng.skip_getrandbits(k, 7)
+        assert rng._state == oracle._state
+
+
 def _words_drawn(before: int, after: int) -> int:
     """How many 64-bit draws took a Splitmix64 state from before to after."""
     return (after - before) * pow(permute._GOLDEN, -1, 1 << 64) % (1 << 64)
