@@ -9,9 +9,9 @@ Every clean and attacked copy of a frame is decoded with the keystream
 the sender derived while embedding it: the keystream is a function of
 the key, seed, frame and level, and noise changes the carried bits,
 never the keys. So bench never regenerates a keystream from the sidecar;
-that receiver path is what the extract command runs. Because the private
-exponent then takes no part in a decode, run first checks that it
-matches the public key.
+that receiver path is what the extract command runs. The private exponent
+then takes no part in a decode, so run takes a StegoConfig, which proved
+it against the public key when it was built, and refuses one without it.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from pathlib import Path
 
 from .attacks import AttackSpec, attack_video
 from .bitplane import render
-from .elgamal import ElGamalPrivate, ElGamalPublic, check_key_pair
-from .errors import FormatError
-from .permute import StegoKey, derive_seed
+from .errors import CryptoError, FormatError
+from .permute import derive_seed
 from .quality import QualityReport, SsimReference, fmt_psnr
 from .stego import (
     QR_LEVELS,
@@ -72,21 +71,18 @@ def _load_clip(path: Path, max_frames: int | None):
 
 def run(
     dataset: Path,
-    pub: ElGamalPublic,
-    priv: ElGamalPrivate,
-    seed: int,
+    cfg: StegoConfig,
     attack_specs: list[AttackSpec],
     attack_seeds: int = 5,
     max_frames: int | None = None,
     robust_frames: int = 30,
 ) -> BenchResult:
-    check_key_pair(pub, priv)
+    if cfg.private is None:
+        raise CryptoError("bench requires the private key")
     if not dataset.is_dir():
         raise FormatError(f"{dataset} is not a directory")
     clips = sorted(dataset.glob("*.y4m"))
     result = BenchResult()
-    key = StegoKey(seed=seed)
-    cfg = StegoConfig(key=key, public=pub, private=priv)
 
     # attack label -> level -> (sum, count), aggregated over clips and seeds
     sums: dict[str, dict[str, list[float]]] = {}
@@ -104,7 +100,7 @@ def run(
             continue
         geometry = (meta.width, meta.height)
         if geometry not in coders:
-            coders[geometry] = FrameCoder(key, *geometry)
+            coders[geometry] = FrameCoder(cfg.key, *geometry)
         coder = coders[geometry]
         qw, qh = coder.qr_shape()
         qr_set = {level: qr_like_plane(qw, qh, seed=i) for i, level in enumerate(QR_LEVELS)}
@@ -129,7 +125,7 @@ def run(
         result.fidelity.append(FidelityRow(clip.name, report, bp_bytes, bp_bytes / payload_bytes))
 
         copies = [("none", subset)] + [  # no-attack baseline, then lazily attacked copies
-            (spec.label(), attack_video(subset, [spec], derive_seed(seed, _ATTACK_SALT, a, s)))
+            (spec.label(), attack_video(subset, [spec], derive_seed(cfg.key.seed, _ATTACK_SALT, a, s)))
             for a, spec in enumerate(attack_specs)
             for s in range(attack_seeds)
         ]

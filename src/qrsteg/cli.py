@@ -77,27 +77,16 @@ def _load_qr_files(args, *, required: bool) -> dict[str, bitplane.QrPlane]:
     return planes
 
 
-def _load_public_key(path) -> elgamal.ElGamalPublic:
-    """The public key in path, proved before any other input is read."""
-    public = elgamal.load_public_key(path)
-    try:
-        public.validate()
-    except CryptoError as exc:
-        raise CryptoError(f"public key {path}: {exc}") from exc
-    return public
-
-
-def _load_key_pair(pub_path, priv_path) -> tuple[elgamal.ElGamalPublic, elgamal.ElGamalPrivate]:
-    """The proved public key and the private key that matches it."""
-    public = _load_public_key(pub_path)
+def _load_config(seed: int, pub_path, priv_path) -> StegoConfig:
+    """The run's StegoConfig from the seed and both key files, proved before other input is read."""
+    public = elgamal.load_public_key(pub_path)
     private = elgamal.load_private_key(priv_path)
     try:
-        elgamal.check_key_pair(public, private)
-    except CryptoError as exc:
+        return StegoConfig(key=StegoKey(seed=seed), public=public, private=private)
+    except CryptoError as exc:  # the public key is proved already, so this is the pair
         raise CryptoError(
             f"private key {priv_path} does not match public key {pub_path} (alpha^x != y mod p)"
         ) from exc
-    return public, private
 
 
 @contextlib.contextmanager
@@ -171,9 +160,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    seed = resolve_seed(args, required=True)
-    key = StegoKey(seed=seed)
-    cfg = StegoConfig(key=key, public=_load_public_key(args.pub))
+    key = StegoKey(seed=resolve_seed(args, required=True))
+    cfg = StegoConfig(key=key, public=elgamal.load_public_key(args.pub))
     qr_set = _load_qr_files(args, required=True)
     out_path = Path(args.output)
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(out_path) + ".sidecar.json")
@@ -189,6 +177,9 @@ def cmd_embed(args) -> int:
         with open(stage(out_path), "wb") as out:
             count = write_y4m(meta, stego, out)
         sidecar.write(stage(sidecar_path))
+        if args.report:
+            with open(stage(Path(args.report)), "w", newline="") as out:
+                report.write_csv(out)
 
     print(f"embedded {report.embedded_bits} bits into {count} frames -> {out_path}")
     print(f"capacity: {report.capacity():g} bpp")
@@ -199,20 +190,14 @@ def cmd_embed(args) -> int:
     clip_avg = sum(report.clip_mse) / len(report.clip_mse)
     print(f"clip preconditioning mse (cover vs clipped cover): {clip_avg:.6f}")
     print(f"sidecar: {sidecar_path}")
-    if args.report:
-        with open(args.report, "w", newline="") as out:
-            report.write_csv(out)
     return 0
 
 
 def cmd_extract(args) -> int:
-    seed = resolve_seed(args, required=True)
-    key = StegoKey(seed=seed)
-    public, private = _load_key_pair(args.pub, args.priv)
-    cfg = StegoConfig(key=key, public=public, private=private)
+    cfg = _load_config(resolve_seed(args, required=True), args.pub, args.priv)
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(args.input) + ".sidecar.json")
     sidecar = Sidecar.read(sidecar_path)
-    if key.fingerprint() != sidecar.key_fingerprint:
+    if cfg.key.fingerprint() != sidecar.key_fingerprint:
         print(
             "warning: seed fingerprint does not match the sidecar; recovered data will be noise",
             file=sys.stderr,
@@ -238,6 +223,11 @@ def cmd_extract(args) -> int:
                     if level in originals:
                         ssim_sums[level] += originals[level].score(image)
                 count += 1
+            if args.report and count:
+                with open(stage(Path(args.report)), "w", newline="") as out:
+                    out.write("qr_level,ssim\n")
+                    for level in originals:
+                        out.write(f"{level},{ssim_sums[level] / count:.6f}\n")
     except BaseException:
         for path in new_dirs:  # the staged PGMs are gone, so a directory this run made is empty
             with contextlib.suppress(OSError):
@@ -253,12 +243,6 @@ def cmd_extract(args) -> int:
         for level in QR_LEVELS:
             if level in originals:
                 print(f"ssim {level}: {ssim_sums[level] / count:.4f}")
-    if args.report and count:
-        with open(args.report, "w", newline="") as out:
-            out.write("qr_level,ssim\n")
-            for level in QR_LEVELS:
-                if level in originals:
-                    out.write(f"{level},{ssim_sums[level] / count:.6f}\n")
     return 0
 
 
@@ -287,17 +271,16 @@ def cmd_bench(args) -> int:
     if specs and args.attack_seeds == 0:
         raise UsageError('--attack-seeds 0 would run none of the requested attacks (use --attacks "" for none)')
     if args.pub and args.priv:
-        pub, priv = _load_key_pair(args.pub, args.priv)
+        cfg = _load_config(seed, args.pub, args.priv)
     elif args.pub or args.priv:
         raise UsageError("bench needs both --pub and --priv, or neither")
     else:
         rng = Splitmix64(derive_seed(seed, 0x42454E4348))
         pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
+        cfg = StegoConfig(key=StegoKey(seed=seed), public=pub, private=priv)
     result = bench_mod.run(
         dataset=Path(args.input),
-        pub=pub,
-        priv=priv,
-        seed=seed,
+        cfg=cfg,
         attack_specs=specs,
         attack_seeds=args.attack_seeds,
         max_frames=args.max_frames,

@@ -31,7 +31,6 @@ seed, runs the d^x reference rule (regenerate_keystream) on every value.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import os
@@ -229,7 +228,8 @@ def check_key_pair(pub: ElGamalPublic, priv: ElGamalPrivate) -> None:
     """Raise CryptoError unless priv is the private half of pub: alpha^x = y (mod p).
 
     One builtin pow. A receiver with the wrong x regenerates a keystream
-    of noise, or of the wrong length, so callers check before any decode.
+    of noise, or of the wrong length, so stego.StegoConfig checks this when
+    it is built, before any decode.
     """
     if pow(pub.alpha, priv.x, pub.p) != pub.y:
         raise CryptoError("private exponent does not match the public key (alpha^x != y mod p)")
@@ -406,9 +406,9 @@ def replay_keystream(
     sidecar or another stream, the whole level takes the d^x reference,
     regenerate_keystream, which also range-checks every value.
 
-    y^k = alpha^(kx) = d^x needs y = alpha^x (mod p), so callers check the
-    pair first (check_key_pair, as stego.frame_keystreams does): under
-    another x a proved level gives the sender's keystream, not d^x.
+    y^k = alpha^(kx) = d^x needs y = alpha^x (mod p), so callers pass a
+    proved pair (check_key_pair, which stego.StegoConfig runs when built):
+    under another x a proved level gives the sender's keystream, not d^x.
     """
     alpha_k, key = _table_pows(pub, rng.randrange_array(2, pub.p - 2, len(sender_publics)))
     if alpha_k != list(sender_publics):
@@ -438,11 +438,12 @@ def generate_key_params(bits: int, rng) -> tuple[int, int]:
     which q and p are both prime (docs/wire_format.md, "Seeded keygen").
     Candidates come _KEY_BATCH at a time and are sieved together (Wiener,
     "Safe Prime Generation with a Combined Sieve", 2003): a candidate goes
-    when an odd prime s below 2000 with s < q divides q or p. Survivors are
-    tested in draw order: first 2^(p - 1) = 1 (mod p), then Miller-Rabin on
-    q in 8 rounds and in MILLER_RABIN_ROUNDS. With q prime, q > sqrt(p),
-    2^(2q) = 1 and gcd(2^2 - 1, p) = 1 (the sieve rejects 3 | p), Pocklington's
-    criterion proves p prime (*Handbook of Applied Cryptography*, ch. 4).
+    when an odd prime s below 2000 divides q or p. Survivors are tested in
+    draw order: first 2^(p - 1) = 1 (mod p), then Miller-Rabin on q in
+    MILLER_RABIN_ROUNDS, which stops at its first failing round. With q
+    prime, q > sqrt(p), 2^(2q) = 1 and gcd(2^2 - 1, p) = 1 (the sieve rejects
+    3 | p), Pocklington's criterion proves p prime (*Handbook of Applied
+    Cryptography*, ch. 4).
 
     An rng with peek_getrandbits (permute.Splitmix64) is left just past the
     accepted candidate, where a loop of getrandbits calls leaves it, so its
@@ -483,12 +484,10 @@ def _getrandbits_rows(rng, k: int, count: int) -> np.ndarray:
 def _sieve_stages(bits: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(s, 2^(64i) mod s for each word i, (s - 1) / 2) for the sieve's odd primes s, in two stages.
 
-    Only primes below 2^(bits - 2), the least candidate, take part: a prime
-    s >= q must not reject q = s.
+    A prime s >= q must not reject q = s. None can: bits >= 16, so every
+    candidate is at least 2^14 = 16,384, above the largest sieve prime, 1,999.
     """
-    primes, odd, r64 = _small_primes()
-    used = bisect.bisect_left(primes, 1 << (bits - 2)) - 1  # primes[0] = 2 is not in odd
-    odd, r64 = odd[:used], r64[:used]
+    _, odd, r64 = _small_primes()
     weights = [np.ones_like(odd)]
     for _ in range(1, -(-(bits - 1) // 64)):
         weights.append(weights[-1] * r64 % odd)
@@ -511,7 +510,7 @@ def _first_safe_prime(rows: np.ndarray, stages) -> tuple[int, int] | None:
     for j in alive.tolist():
         q = int.from_bytes(rows[j].astype("<u8").tobytes(), "little")
         p = 2 * q + 1
-        if pow(2, p - 1, p) == 1 and is_probable_prime(q, rounds=8) and is_probable_prime(q):
+        if pow(2, p - 1, p) == 1 and is_probable_prime(q):
             return j, q
     return None
 
@@ -561,7 +560,13 @@ def _load_key_fields(path: str | Path, kind: str, names: tuple[str, ...]) -> lis
 
 
 def load_public_key(path: str | Path) -> ElGamalPublic:
-    return ElGamalPublic(*_load_key_fields(path, PUBLIC_KIND, ("p", "alpha", "y")))
+    """The public key in path, proved by validate; a failure names the file."""
+    public = ElGamalPublic(*_load_key_fields(path, PUBLIC_KIND, ("p", "alpha", "y")))
+    try:
+        public.validate()
+    except CryptoError as exc:
+        raise CryptoError(f"public key {path}: {exc}") from exc
+    return public
 
 
 def load_private_key(path: str | Path) -> ElGamalPrivate:

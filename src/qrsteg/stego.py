@@ -57,13 +57,23 @@ SIDECAR_FORMAT = "qrsteg-sidecar"
 SIDECAR_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class StegoConfig:
-    """Key material for one run; private key only needed to extract."""
+    """Key material for one run, proved when built; private key only needed to extract.
+
+    The public key passes validate (once per key object) and a private key,
+    when given, must be its other half (elgamal.check_key_pair), so no stage
+    downstream checks either again.
+    """
 
     key: permute.StegoKey
     public: ElGamalPublic
     private: ElGamalPrivate | None = None
+
+    def __post_init__(self):
+        self.public.validate()
+        if self.private is not None:
+            elgamal.check_key_pair(self.public, self.private)
 
 
 @dataclass
@@ -361,7 +371,6 @@ def embed_video(
     exponents, so the same payload still produces different ciphertext
     from frame to frame.
     """
-    cfg.public.validate()
     for index, frame in enumerate(frames):
         payload = prepare_payload(qr_set, cfg, index, coder)
         sidecar.frames.append({lvl: list(payload.bundles[lvl].sender_publics) for lvl in QR_LEVELS})
@@ -386,15 +395,14 @@ def frame_keystreams(
     """Regenerate one frame's four keystreams from its sidecar record.
 
     Each level replays the sender's exponents from payload_rng and proves
-    its public values against them as a whole (elgamal.replay_keystream). That gives
-    the d^x bytes only when the private key matches the public key, so the
-    pair is checked first: one builtin pow per call.
+    its public values against them as a whole (elgamal.replay_keystream).
+    That gives the d^x bytes only when the private key matches the public
+    key, which cfg proved when it was built.
 
     Noise changes the carried bits, never the keys, so callers decoding
     several copies of a frame can regenerate once and reuse the result.
     """
     private = _private_key(cfg)
-    elgamal.check_key_pair(cfg.public, private)
     return {
         level: elgamal.replay_keystream(
             publics_by_level[level], cfg.public, private, plain_len,

@@ -412,6 +412,23 @@ def test_failed_extract_leaves_no_pgm(workspace, capsys, case):
         assert not rec.exists()
 
 
+@pytest.mark.parametrize("command", ["embed", "extract"])
+def test_a_report_that_cannot_be_written_leaves_no_output(workspace, capsys, command):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    report = ["--report", str(ws["tmp"] / "missing" / "report.csv")]
+    if command == "embed":
+        args = embed_args(ws, stego, extra=report)
+    else:
+        assert main(embed_args(ws, stego)) == 0
+        args = extract_args(ws, stego) + report
+    before = set(ws["tmp"].iterdir())
+    capsys.readouterr()
+    assert main(args) == 3
+    assert_one_error_line(capsys, 3)
+    assert set(ws["tmp"].iterdir()) == before  # no video, sidecar, PGM directory or temporary
+
+
 def test_attack_identity_is_byte_exact(workspace):
     ws = workspace
     out = ws["tmp"] / "copy.y4m"
@@ -511,8 +528,9 @@ def test_bench_proves_the_key_once_for_all_clips(tmp_path, monkeypatch):
         return real(n, *args)
 
     monkeypatch.setattr(elgamal, "is_probable_prime", counting)
-    result = bench.run(dataset, elgamal.ElGamalPublic(p=997, alpha=809, y=12),
-                       elgamal.ElGamalPrivate(x=420), seed=0, attack_specs=[], attack_seeds=1)
+    cfg = StegoConfig(key=StegoKey(seed=0), public=elgamal.ElGamalPublic(p=997, alpha=809, y=12),
+                      private=elgamal.ElGamalPrivate(x=420))
+    result = bench.run(dataset, cfg, attack_specs=[], attack_seeds=1)
     assert len(result.fidelity) == 2
     assert proved == [997]
 
@@ -526,17 +544,30 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
     for name in ("regenerate_keystream", "replay_keystream"):
         real = getattr(elgamal, name)
         monkeypatch.setattr(elgamal, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    pub, priv = elgamal.ElGamalPublic(p=997, alpha=809, y=12), elgamal.ElGamalPrivate(x=420)
-    result = bench.run(dataset, pub, priv, seed=0, attack_specs=[AttackSpec.parse("sp:0.01")],
-                       attack_seeds=2)
+    cfg = StegoConfig(key=StegoKey(seed=0), public=elgamal.ElGamalPublic(p=997, alpha=809, y=12),
+                      private=elgamal.ElGamalPrivate(x=420))
+    result = bench.run(dataset, cfg, attack_specs=[AttackSpec.parse("sp:0.01")], attack_seeds=2)
     assert calls == []
     assert result.robustness[0].attack == "none"
     assert set(result.robustness[0].ssim_by_level.values()) == {1.0}
     # The counters sit on extract's path: one frame record replays four keystreams,
     # and each level of [5], which no replayed exponent proves, runs the d^x reference.
-    cfg = StegoConfig(key=StegoKey(seed=0), public=pub, private=priv)
     frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1, 0)
     assert calls == ["replay_keystream", "regenerate_keystream"] * 4
+
+
+def count_pair_proofs(monkeypatch, pub_path, priv_path):
+    """A list that gains an entry each time elgamal computes alpha^x mod p for this key pair."""
+    pub, x = elgamal.load_public_key(pub_path), elgamal.load_private_key(priv_path).x
+    proofs = []
+
+    def spy(*args):
+        if args == (pub.alpha, x, pub.p):
+            proofs.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(elgamal, "pow", spy, raising=False)
+    return proofs
 
 
 def test_bench_proves_a_loaded_key_once(tmp_path, monkeypatch, keys):
@@ -552,10 +583,23 @@ def test_bench_proves_a_loaded_key_once(tmp_path, monkeypatch, keys):
         proved.append(n)
         return real(n, *args)
 
+    pair_proofs = count_pair_proofs(monkeypatch, pub, priv)
     monkeypatch.setattr(elgamal, "is_probable_prime", counting)
     assert main(["bench", "--input", str(dataset), "--pub", str(pub), "--priv", str(priv),
                  "--seed", "0", "--attacks", "sp:0.01"]) == 0
     assert proved == [997]
+    assert len(pair_proofs) == 1
+
+
+def test_extract_proves_the_key_pair_once_whatever_the_frame_count(workspace, monkeypatch):
+    ws = workspace
+    write_clip(ws["cover"], frames=5, seed=3)
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    pair_proofs = count_pair_proofs(monkeypatch, ws["pub"], ws["priv"])
+    assert main(extract_args(ws, stego)) == 0
+    assert len(list((ws["tmp"] / "rec").glob("*.pgm"))) == 5 * 4
+    assert len(pair_proofs) == 1
 
 
 def test_bench_validates_the_public_key_when_it_loads_it(tmp_path, capsys, keys):
@@ -574,11 +618,16 @@ def test_bench_validates_the_public_key_when_it_loads_it(tmp_path, capsys, keys)
 
 
 def test_bench_run_checks_the_key_pair_before_reading_any_clip(tmp_path):
-    pub = elgamal.ElGamalPublic(p=997, alpha=809, y=12)
+    # The StegoConfig bench.run takes proves the pair when it is built; run
+    # refuses one that holds no private key.
+    key, pub = StegoKey(seed=0), elgamal.ElGamalPublic(p=997, alpha=809, y=12)
     with pytest.raises(CryptoError, match="does not match the public key"):
-        bench.run(tmp_path / "missing", pub, elgamal.ElGamalPrivate(x=421), seed=0, attack_specs=[])
+        StegoConfig(key=key, public=pub, private=elgamal.ElGamalPrivate(x=421))
+    with pytest.raises(CryptoError, match="requires the private key"):
+        bench.run(tmp_path / "missing", StegoConfig(key=key, public=pub), attack_specs=[])
+    cfg = StegoConfig(key=key, public=pub, private=elgamal.ElGamalPrivate(x=420))
     with pytest.raises(FormatError, match="is not a directory"):
-        bench.run(tmp_path / "missing", pub, elgamal.ElGamalPrivate(x=420), seed=0, attack_specs=[])
+        bench.run(tmp_path / "missing", cfg, attack_specs=[])
 
 
 def test_bench_empty_dataset_writes_headers_only(tmp_path):

@@ -469,6 +469,13 @@ def test_key_files_roundtrip(tmp_path):
         elgamal.load_public_key(tmp_path / "priv.json")
 
 
+def test_load_public_key_proves_the_key_and_names_the_file(tmp_path):
+    path = tmp_path / "pub.json"
+    elgamal.save_public_key(ElGamalPublic(p=1003, alpha=809, y=12), path)
+    with pytest.raises(CryptoError, match=re.escape(f"public key {path}: p = 1003 is not prime")):
+        elgamal.load_public_key(path)
+
+
 def test_generate_key_params_safe_prime():
     # An rng without peek_getrandbits draws whole batches by getrandbits.
     for rng in (random.Random(5), random.SystemRandom()):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -383,11 +384,21 @@ def test_extract_raises_d_to_the_x_only_for_a_public_it_cannot_replay(monkeypatc
 
 def test_extract_refuses_a_private_key_of_another_pair():
     # Unchecked, matching publics would replay to the right keystream and the
-    # rest to noise, so the pair is proved before any frame is decoded.
-    cfg, out, sidecar, _ = embedded_64_bit_clip(frame_count=1)
-    cfg.private = ElGamalPrivate(cfg.private.x + 1)
+    # rest to noise, so the pair is proved when the config is built, before
+    # any frame can be decoded.
+    cfg, *_ = embedded_64_bit_clip(frame_count=1)
     with pytest.raises(CryptoError, match=r"does not match the public key"):
-        list(extract_video(out, cfg, sidecar))
+        dataclasses.replace(cfg, private=ElGamalPrivate(cfg.private.x + 1))
+
+
+def test_stego_config_holds_only_a_proved_key():
+    cfg = StegoConfig(key=StegoKey(seed=1), public=PUB, private=PRIV)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.private = ElGamalPrivate(PRIV.x + 1)
+    with pytest.raises(CryptoError, match="does not match the public key"):
+        StegoConfig(key=StegoKey(seed=1), public=PUB, private=ElGamalPrivate(PRIV.x + 1))
+    with pytest.raises(CryptoError, match="p = 1003 is not prime"):
+        StegoConfig(key=StegoKey(seed=1), public=ElGamalPublic(p=1003, alpha=809, y=12))
 
 
 @pytest.mark.parametrize("width,height", [(16, 16), (3, 3), (18, 14)])
