@@ -175,8 +175,8 @@ def attacks_report_path(report: Path) -> Path:
     return report.with_suffix(".attacks.csv")
 
 
-def write_reports(result: BenchResult, report: Path) -> None:
-    with open(report, "w", newline="") as out:
+def write_fidelity_csv(result: BenchResult, path: Path) -> None:
+    with open(path, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(
             [
@@ -210,7 +210,10 @@ def write_reports(result: BenchResult, report: Path) -> None:
                     f"{row.bp_overhead:.6f}",
                 ]
             )
-    with open(attacks_report_path(report), "w", newline="") as out:
+
+
+def write_attacks_csv(result: BenchResult, path: Path) -> None:
+    with open(path, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["attack"] + [f"ssim_{lvl}" for lvl in QR_LEVELS])
         for row in result.robustness:

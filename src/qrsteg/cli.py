@@ -114,6 +114,8 @@ def _atomic_outputs():
     staged: dict[Path, Path] = {}
 
     def stage(target: Path) -> Path:
+        if target.is_dir():  # refused before any target moves: os.replace would fail on it
+            raise IsADirectoryError(f"output target is a directory: '{target}'")
         staged[target] = target.parent / f".{target.name}.{tag}.tmp"
         return staged[target]
 
@@ -134,13 +136,12 @@ def _refuse_overwrite(path: Path, force: bool) -> None:
 def _make_key(rng, paper_fidelity: bool, bits: int):
     """The paper's demo parameters, or a fresh safe prime of the given size."""
     if paper_fidelity:
-        p, alpha, factors = elgamal.DEMO_P, elgamal.DEMO_ALPHA, elgamal.DEMO_P_FACTORS
+        p, alpha = elgamal.DEMO_P, elgamal.DEMO_ALPHA
     else:
         if bits > MAX_KEY_BITS:
             raise UsageError(f"--bits {bits} is above the largest supported key size, {MAX_KEY_BITS}")
         p, alpha = elgamal.generate_key_params(bits, rng)
-        factors = (2, (p - 1) // 2)
-    return elgamal.keygen(p, alpha, rng, p_minus_1_factors=factors)
+    return elgamal.keygen(p, alpha, rng)
 
 
 def cmd_keygen(args) -> int:
@@ -152,8 +153,9 @@ def cmd_keygen(args) -> int:
     seed = None if args.seed is None else parse_seed_text(args.seed)
     rng = Splitmix64(derive_seed(seed, 0x4B4559)) if seed is not None else secrets.SystemRandom()
     pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
-    elgamal.save_public_key(pub, pub_path)
-    elgamal.save_private_key(priv, priv_path)
+    with _atomic_outputs() as stage:
+        elgamal.save_public_key(pub, stage(pub_path))
+        elgamal.save_private_key(priv, stage(priv_path))
     print(f"wrote {pub_path} (p: {pub.p.bit_length()} bits, alpha={pub.alpha}, y={pub.y})")
     print(f"wrote {priv_path}")
     return 0
@@ -288,8 +290,11 @@ def cmd_bench(args) -> int:
     )
     bench_mod.print_tables(result)
     if args.report:
-        bench_mod.write_reports(result, Path(args.report))
-        print(f"reports: {args.report} and {bench_mod.attacks_report_path(Path(args.report))}")
+        report, attacks_report = Path(args.report), bench_mod.attacks_report_path(Path(args.report))
+        with _atomic_outputs() as stage:
+            bench_mod.write_fidelity_csv(result, stage(report))
+            bench_mod.write_attacks_csv(result, stage(attacks_report))
+        print(f"reports: {args.report} and {attacks_report}")
     return 0
 
 

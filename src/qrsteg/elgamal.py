@@ -6,7 +6,10 @@ message. The stream variant draws a sequence of shared secrets, expands
 them into a byte keystream, and XORs that with the payload, so the
 ciphertext has exactly the payload's length. The receiver regenerates
 the keystream from the sender's public values and its private exponent:
-the key bytes of a public value d are those of d^x mod p.
+the key bytes of a public value d are those of d^x mod p. stream_encrypt
+and stream_decrypt are the byte-domain reference; the stego pipeline
+keeps each Keystream and XORs its bits, MSB-first, with the payload bits
+at both ends (stego.prepare_payload, stego.decrypt_streams).
 
 The powers alpha^k and y^k have fixed bases, so they come from fixed-base
 window tables (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92;
@@ -83,8 +86,8 @@ def _small_primes() -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     return primes, odd, np.array([(1 << 64) % s for s in primes[1:]], dtype=np.uint64)
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with the given number of random rounds."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with MILLER_RABIN_ROUNDS random rounds."""
     if n < 2:
         return False
     for p in _small_primes()[0]:
@@ -97,7 +100,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = 2 + secrets.randbelow(n - 3)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -184,7 +187,7 @@ class ElGamalPublic:
 
     @cached_property
     def _checked(self) -> bool:
-        """The checks validate makes without factors. Cached only when they pass."""
+        """The checks validate makes. Cached only when they pass."""
         if not is_probable_prime(self.p):
             raise CryptoError(f"p = {self.p} is not prime")
         if not 1 < self.alpha < self.p - 1:
@@ -193,24 +196,18 @@ class ElGamalPublic:
             raise CryptoError("y out of range (0, p)")
         return True
 
-    def validate(self, p_minus_1_factors: tuple[int, ...] | None = None) -> None:
-        """Check the key invariants.
+    def validate(self) -> None:
+        """Check that p is prime, alpha lies in (1, p - 1) and y in (0, p).
 
-        The primitive-root property is only verified when the prime
-        factorization of p - 1 is supplied; factoring arbitrary moduli
-        is out of scope, so unverified keys are accepted as-is.
+        Whether alpha generates the group is not checked: that needs the
+        factors of p - 1. Keys this program makes have it proved where the
+        generator is chosen (generate_key_params; the demo constants by a test).
 
-        The primality and range checks run once per object: the object is
-        frozen, so a pass is remembered, while a failing key raises on
-        every call. A key loaded afresh is a new object and is checked again.
+        The checks run once per object: the object is frozen, so a pass is
+        remembered, while a failing key raises on every call. A key loaded
+        afresh is a new object and is checked again.
         """
         self._checked  # raises until the checks pass, then reads the cached pass
-        if p_minus_1_factors:
-            for q in p_minus_1_factors:
-                if (self.p - 1) % q != 0:
-                    raise CryptoError(f"{q} does not divide p - 1")
-                if pow(self.alpha, (self.p - 1) // q, self.p) == 1:
-                    raise CryptoError(f"alpha is not a primitive root of p (order divides (p-1)/{q})")
 
 
 @dataclass(frozen=True)
@@ -261,26 +258,21 @@ class Keystream:
 
 # Paper-scale demo parameters, small enough to brute-force in tests.
 DEMO_P = 997
-DEMO_ALPHA = 809
-DEMO_P_FACTORS = (2, 3, 83)  # p - 1 = 996 = 2^2 * 3 * 83
+DEMO_ALPHA = 809  # a generator: p - 1 = 996 = 2^2 * 3 * 83
 
 
-def keygen(
-    p: int, alpha: int, rng, *, p_minus_1_factors: tuple[int, ...] | None = None
-) -> tuple[ElGamalPublic, ElGamalPrivate]:
-    """Draw a private exponent in (1, p - 2) and derive the public key.
+def keygen(p: int, alpha: int, rng) -> tuple[ElGamalPublic, ElGamalPrivate]:
+    """Draw a private exponent in (1, p - 2) and derive the public key, checked by validate.
 
     rng must expose randrange(start, stop).
     """
     if p < 5:
         raise CryptoError(f"modulus too small for key generation: {p}")
-    if not 1 < alpha < p - 1:
-        raise CryptoError("alpha out of range (1, p - 1)")
     x = rng.randrange(2, p - 2)
     if not 1 < x < p - 2:
         raise CryptoError(f"private exponent {x} out of range (1, p - 2)")
     pub = ElGamalPublic(p=p, alpha=alpha, y=pow(alpha, x, p))
-    pub.validate(p_minus_1_factors)
+    pub.validate()
     return pub, ElGamalPrivate(x=x)
 
 

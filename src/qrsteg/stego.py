@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import elgamal, permute
-from .bitplane import QrPlane, pack
-from .elgamal import CipherBundle, ElGamalPrivate, ElGamalPublic
+from .bitplane import QrPlane
+from .elgamal import ElGamalPrivate, ElGamalPublic, Keystream
 from .errors import CapacityError, CryptoError, FormatError, ShapeError
 from .videoio import FrameYuv420
 from .wavelet import fwd_haar_int, inv_haar_int
@@ -78,17 +78,15 @@ class StegoConfig:
 
 @dataclass
 class FramePayload:
-    """Per-level cipher bundles plus the ciphertext bits the carriers take.
+    """Per-level keystreams plus the cipher bits the carriers take.
 
-    bits[level] holds the first capacity_bits bits of that level's
-    ciphertext, MSB-first, in natural order; FrameCoder places them.
-    keys[level] is the keystream the sender XORed in: the bytes the
-    receiver regenerates from the bundle's public values.
+    bundles[level] is the keystream the sender drew; its public values
+    regenerate its key bytes at the receiver. bits[level] holds the level's
+    capacity_bits cipher bits: plane bit b XOR keystream bit b, MSB-first.
     """
 
-    bundles: dict[str, CipherBundle]
+    bundles: dict[str, Keystream]
     bits: dict[str, np.ndarray]
-    keys: dict[str, bytes] = field(default_factory=dict)
 
 
 def set_lsb(value, bit):
@@ -135,7 +133,8 @@ class FrameCoder:
         for level in QR_LEVELS:
             carrier = plan.permutation(key, CARRIER_TAGS[level])
             shuffle = plan.permutation(key, PAYLOAD_TAGS[level])
-            self._place[level] = carrier[permute.invert(shuffle)]
+            self._place[level] = place = np.empty_like(carrier)
+            place[shuffle] = carrier  # cipher bit shuffle[t] goes to carrier element carrier[t]
 
     def qr_shape(self) -> tuple[int, int]:
         """(width, height) every payload plane must have."""
@@ -193,11 +192,11 @@ def payload_rng(key: permute.StegoKey, level: str, frame_index: int) -> permute.
 def prepare_payload(
     qr_set: Mapping[str, QrPlane], cfg: StegoConfig, frame_index: int, coder: FrameCoder
 ) -> FramePayload:
-    """Pack and encrypt one four-plane payload set."""
+    """Encrypt one four-plane payload set: each level's plane bits (0 or 1) XOR a fresh keystream."""
     qw, qh = coder.qr_shape()
-    bundles: dict[str, CipherBundle] = {}
+    n = coder.capacity_bits
+    bundles: dict[str, Keystream] = {}
     bits: dict[str, np.ndarray] = {}
-    keys: dict[str, bytes] = {}
     for level in QR_LEVELS:
         plane = qr_set.get(level)
         if plane is None:
@@ -206,15 +205,14 @@ def prepare_payload(
             raise CapacityError(
                 f"level {level} plane is {plane.width}x{plane.height}, cover needs {qw}x{qh}"
             )
-        packed = pack(plane)
-        rng = payload_rng(cfg.key, level, frame_index)
-        bundle = elgamal.stream_encrypt(packed.data, cfg.public, rng)
-        bundles[level] = bundle
-        bits[level] = np.unpackbits(
-            np.frombuffer(bundle.ciphertext, dtype=np.uint8), count=coder.capacity_bits
-        )
-        keys[level] = elgamal.xor_bytes(bundle.ciphertext, packed.data)
-    return FramePayload(bundles=bundles, bits=bits, keys=keys)
+        bundles[level] = elgamal.keystream(cfg.public, (n + 7) // 8, payload_rng(cfg.key, level, frame_index))
+        bits[level] = _key_bits(bundles[level].key_bytes, n) ^ plane.bits.ravel()
+    return FramePayload(bundles=bundles, bits=bits)
+
+
+def _key_bits(key: bytes, count: int) -> np.ndarray:
+    """The first count bits of a keystream, MSB-first: bit b is bit 7 - b % 8 of byte b // 8."""
+    return np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count)
 
 
 @dataclass
@@ -366,16 +364,16 @@ def embed_video(
     """Embed the payload set into every frame.
 
     Each frame appends its sender public values to the sidecar and its
-    fidelity to the report and, when a keys list is given, its keystreams
-    (FramePayload.keys) to that list. Every frame draws fresh ephemeral
-    exponents, so the same payload still produces different ciphertext
-    from frame to frame.
+    fidelity to the report and, when a keys list is given, its key bytes
+    (FramePayload.bundles[level].key_bytes) to that list. Every frame
+    draws fresh ephemeral exponents, so the same payload still produces
+    different ciphertext from frame to frame.
     """
     for index, frame in enumerate(frames):
         payload = prepare_payload(qr_set, cfg, index, coder)
         sidecar.frames.append({lvl: list(payload.bundles[lvl].sender_publics) for lvl in QR_LEVELS})
         if keys is not None:
-            keys.append(payload.keys)
+            keys.append({lvl: payload.bundles[lvl].key_bytes for lvl in QR_LEVELS})
         stego = coder.embed(frame, payload)
         report.embedded_bits += len(QR_LEVELS) * coder.capacity_bits
         report.add_frame(frame, stego)
@@ -431,7 +429,7 @@ def decrypt_streams(
             raise ShapeError(f"level {level} stream has {bits.size} bits, payload needs {bit_count}")
         if len(key) != key_len:
             raise FormatError(f"level {level} keystream has {len(key)} bytes, payload needs {key_len}")
-        plain = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=bit_count) ^ bits
+        plain = _key_bits(key, bit_count) ^ bits
         planes[level] = QrPlane(qr_width, qr_height, plain.reshape(qr_height, qr_width))
     return ExtractedSet(planes=planes)
 

@@ -429,6 +429,68 @@ def test_a_report_that_cannot_be_written_leaves_no_output(workspace, capsys, com
     assert set(ws["tmp"].iterdir()) == before  # no video, sidecar, PGM directory or temporary
 
 
+def tree(root):
+    """Every path under root, directories included."""
+    return set(root.rglob("*"))
+
+
+@pytest.mark.parametrize("command", ["embed", "extract"])
+def test_a_report_target_that_is_a_directory_leaves_no_output(workspace, capsys, command):
+    # Every target is checked when it is staged, so none moves before the
+    # report's would fail: the video, sidecar and PGMs stay unwritten.
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    report = ws["tmp"] / "report.csv"
+    report.mkdir()
+    if command == "embed":
+        args = embed_args(ws, stego, extra=["--report", str(report)])
+    else:
+        assert main(embed_args(ws, stego)) == 0
+        args = extract_args(ws, stego) + ["--report", str(report)]
+    before = tree(ws["tmp"])
+    capsys.readouterr()
+    assert main(args) == 3
+    assert_one_error_line(capsys, 3)
+    assert tree(ws["tmp"]) == before
+
+
+@pytest.mark.parametrize("case", ["missing-dir", "directory"])
+def test_keygen_that_cannot_write_the_private_key_leaves_no_file(tmp_path, capsys, case):
+    pub = tmp_path / "pub.json"
+    priv = tmp_path / ("missing/priv.json" if case == "missing-dir" else "priv.json")
+    if case == "directory":
+        priv.mkdir()
+    before = tree(tmp_path)
+    assert main(["keygen", "--pub", str(pub), "--priv", str(priv), "--paper-fidelity", "--force"]) == 3
+    assert_one_error_line(capsys, 3)
+    assert tree(tmp_path) == before
+
+
+def test_bench_that_cannot_write_the_attacks_report_leaves_no_report(tmp_path, capsys):
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    (tmp_path / "r.attacks.csv").mkdir()
+    before = tree(tmp_path)
+    assert main(["bench", "--input", str(dataset), "--report", str(tmp_path / "r.csv"),
+                 "--paper-fidelity", "--seed", "0", "--attacks", "sp:0.01", "--attack-seeds", "1"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()  # progress lines, then the error
+    assert json.loads(err[-1])["message"] == f"output target is a directory: '{tmp_path / 'r.attacks.csv'}'"
+    assert tree(tmp_path) == before
+
+
+def test_embed_draws_one_keystream_per_level_and_frame(workspace, monkeypatch):
+    # The sender XORs plane bits with the keystream it keeps: no byte-domain
+    # round trip through pack, stream_encrypt or xor_bytes.
+    calls = []
+    real_keystream = elgamal.keystream
+    monkeypatch.setattr(elgamal, "keystream", lambda *a: calls.append("keystream") or real_keystream(*a))
+    for name in ("elgamal.stream_encrypt", "elgamal.xor_bytes", "bitplane.pack", "stego.pack"):
+        monkeypatch.setattr(f"qrsteg.{name}", lambda *a, name=name: calls.append(name), raising=False)
+    assert main(embed_args(workspace, workspace["tmp"] / "stego.y4m")) == 0
+    assert calls == ["keystream"] * 3 * 4  # 3 frames x 4 levels
+
+
 def test_attack_identity_is_byte_exact(workspace):
     ws = workspace
     out = ws["tmp"] / "copy.y4m"

@@ -106,7 +106,6 @@ def test_validate_proves_each_key_object_once(monkeypatch):
     pub = ElGamalPublic(p=997, alpha=809, y=12)
     for _ in range(3):
         pub.validate()
-    pub.validate((2, 3, 83))
     assert proved == [997]
     ElGamalPublic(p=997, alpha=809, y=12).validate()  # a key loaded afresh is checked again
     assert proved == [997, 997]
@@ -115,11 +114,6 @@ def test_validate_proves_each_key_object_once(monkeypatch):
             with pytest.raises(CryptoError):
                 bad.validate()
     assert proved == [997, 997, 996, 996, 997, 997]
-    non_generator = ElGamalPublic(p=997, alpha=4, y=12)
-    non_generator.validate()
-    for _ in range(2):
-        with pytest.raises(CryptoError):
-            non_generator.validate((2, 3, 83))
 
 
 def test_check_key_pair():
@@ -137,13 +131,13 @@ def test_private_key_rejects_non_positive_exponent():
 
 
 def test_keygen_demo_key():
-    pub, priv = keygen(997, 809, ScriptedRng([420]), p_minus_1_factors=(2, 3, 83))
+    pub, priv = keygen(997, 809, ScriptedRng([420]))
     assert (pub.p, pub.alpha, pub.y) == (997, 809, 12)
     assert priv.x == 420
 
 
 def test_keygen_tiny_key():
-    pub, priv = keygen(23, 5, ScriptedRng([6]), p_minus_1_factors=(2, 11))
+    pub, priv = keygen(23, 5, ScriptedRng([6]))
     assert pub.y == 8  # 5^6 = 15625 = 8 (mod 23)
     assert priv.x == 6
 
@@ -165,11 +159,11 @@ def test_keygen_rejects_bad_parameters():
         keygen(997, 996, random.Random(0))
 
 
-def test_public_validate_detects_non_generator():
-    # 4 = 2^2 has even order, cannot generate the full group mod 997
-    bad = ElGamalPublic(p=997, alpha=4, y=12)
-    with pytest.raises(CryptoError):
-        bad.validate((2, 3, 83))
+@pytest.mark.parametrize("q", [2, 3, 83])
+def test_demo_alpha_generates_the_group(q):
+    # p - 1 = 996 = 2^2 * 3 * 83: alpha is a generator iff no alpha^((p - 1) / q) is 1.
+    assert (elgamal.DEMO_P, elgamal.DEMO_ALPHA) == (997, 809)
+    assert pow(809, 996 // q, 997) != 1
 
 
 def test_classic_encrypt_known_vector():
@@ -485,7 +479,7 @@ def test_generate_key_params_safe_prime():
         assert elgamal.is_probable_prime(p)
         assert elgamal.is_probable_prime(q)
         assert pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1
-        pub, priv = keygen(p, alpha, random.Random(6), p_minus_1_factors=(2, q))
+        pub, priv = keygen(p, alpha, random.Random(6))
         assert stream_decrypt(stream_encrypt(b"payload", pub, Splitmix64(7)), p, priv) == b"payload"
 
 
@@ -497,10 +491,6 @@ def sequential_key_params(bits, rng):
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
         p = 2 * q + 1
         if any(q % s == 0 or p % s == 0 for s in small if s < q):
-            continue
-        if not elgamal.is_probable_prime(q, rounds=8):
-            continue
-        if not elgamal.is_probable_prime(p, rounds=8):
             continue
         if elgamal.is_probable_prime(q) and elgamal.is_probable_prime(p):
             break

@@ -63,6 +63,12 @@ def bare_payload(bits):
     return FramePayload(bundles={}, bits=bits)
 
 
+def reference_cipher_bits(plane, cfg, level, frame_index):
+    """The byte-domain reference: pack the plane, stream_encrypt it, unpack the plane's bits."""
+    bundle = elgamal.stream_encrypt(pack(plane).data, cfg.public, stego.payload_rng(cfg.key, level, frame_index))
+    return np.unpackbits(np.frombuffer(bundle.ciphertext, dtype=np.uint8), count=plane.bits.size)
+
+
 def test_set_get_lsb_hand_values():
     assert set_lsb(-5, 0) == -6
     assert get_lsb(-5) == 1
@@ -185,8 +191,7 @@ def test_placement_matches_two_step_wire_rule():
     expected = carriers(frame, bands)
     for lvl, carrier in expected.items():
         shuffle, order = orders[lvl]
-        ciphertext = np.frombuffer(payload.bundles[lvl].ciphertext, dtype=np.uint8)
-        cipher_bits = np.unpackbits(ciphertext)[:252]
+        cipher_bits = reference_cipher_bits(qr_set[lvl], cfg, lvl, 0)
         assert np.array_equal(payload.bits[lvl], cipher_bits)
         flat = carrier.reshape(-1)
         flat[order] = set_lsb(flat[order], cipher_bits[shuffle])
@@ -341,7 +346,26 @@ def test_sender_keys_equal_the_receivers_regenerated_keystreams(bits):
         reference = {lvl: elgamal.regenerate_keystream(tuple(record[lvl]), pub.p, priv, sidecar.plain_len)
                      for lvl in stego.QR_LEVELS}
         assert keys[index] == reference == stego.frame_keystreams(record, cfg, sidecar.plain_len, index)
-        assert prepare_payload(qr_set, cfg, index, coder).keys == keys[index]
+        bundles = prepare_payload(qr_set, cfg, index, coder).bundles
+        assert {lvl: bundles[lvl].key_bytes for lvl in stego.QR_LEVELS} == keys[index]
+
+
+@pytest.mark.parametrize("bits", [None, 64, 256], ids=["p997", "64bit", "256bit"])
+def test_prepare_payload_equals_the_byte_domain_reference(bits):
+    # Plane bit b XOR keystream bit b, MSB-first, is the first n bits of
+    # stream_encrypt(pack(plane)); 252 bits leave the last byte half used.
+    if bits is None:
+        pub, priv = PUB, PRIV
+    else:
+        p, alpha = elgamal.generate_key_params(bits, Splitmix64(bits))
+        pub, priv = elgamal.keygen(p, alpha, Splitmix64(1))
+    cfg = StegoConfig(key=StegoKey(seed=0xB17), public=pub, private=priv)
+    coder = FrameCoder(cfg.key, 36, 28)
+    qr_set = {lvl: synth.qr_like_plane(18, 14, seed=20 + i) for i, lvl in enumerate(stego.QR_LEVELS)}
+    for index in (0, 5):
+        payload = prepare_payload(qr_set, cfg, index, coder)
+        for lvl in stego.QR_LEVELS:
+            assert np.array_equal(payload.bits[lvl], reference_cipher_bits(qr_set[lvl], cfg, lvl, index))
 
 
 def embedded_64_bit_clip(frame_count=2):
@@ -437,10 +461,16 @@ def test_v1_seed_and_public_key_decrypt_without_private_key():
     coder = FrameCoder(cfg.key, 36, 28)
     qr_set = {lvl: synth.qr_like_plane(18, 14, seed=i) for i, lvl in enumerate(stego.QR_LEVELS)}
     payload = prepare_payload(qr_set, cfg, 3, coder)
-    for lvl, bundle in payload.bundles.items():
-        ks = elgamal.keystream(pub, bundle.plain_len, stego.payload_rng(cfg.key, lvl, 3))
-        assert ks.sender_publics == bundle.sender_publics
-        assert elgamal.xor_bytes(bundle.ciphertext, ks.key_bytes) == pack(qr_set[lvl]).data
+    regenerated = {
+        lvl: elgamal.keystream(pub, (coder.capacity_bits + 7) // 8, stego.payload_rng(cfg.key, lvl, 3))
+        for lvl in stego.QR_LEVELS
+    }
+    for lvl, ks in regenerated.items():
+        assert ks.sender_publics == payload.bundles[lvl].sender_publics
+    keys = {lvl: ks.key_bytes for lvl, ks in regenerated.items()}
+    plain = stego.decrypt_streams(payload.bits, keys, 18, 14)
+    for lvl in stego.QR_LEVELS:
+        assert np.array_equal(plain.planes[lvl].bits, qr_set[lvl].bits)
 
 
 def test_v1_dictionary_passphrase_falls_to_the_sidecar_fingerprint():
