@@ -20,7 +20,7 @@ import csv
 import itertools
 import math
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,14 +84,10 @@ def run(
     clips = sorted(dataset.glob("*.y4m"))
     result = BenchResult()
 
-    # attack label -> level -> (sum, count), aggregated over clips and seeds
-    sums: dict[str, dict[str, list[float]]] = {}
+    # attack label -> level -> SSIM sum over clips and seeds, in the order labels are first decoded
+    sums: defaultdict[str, dict[str, float]] = defaultdict(lambda: dict.fromkeys(QR_LEVELS, 0.0))
+    decodes: Counter[str] = Counter()  # frames decoded per attack label
     coders: dict[tuple[int, int], FrameCoder] = {}  # one per geometry, shared across clips
-
-    def record(label: str, level: str, value: float):
-        slot = sums.setdefault(label, {lvl: [0.0, 0] for lvl in QR_LEVELS})[level]
-        slot[0] += value
-        slot[1] += 1
 
     for clip in clips:
         meta, frames = _load_clip(clip, max_frames)
@@ -133,21 +129,14 @@ def run(
             for i, frame in enumerate(copy):
                 planes = decrypt_streams(coder.extract(frame), keys[i], qw, qh).planes
                 for level in QR_LEVELS:
-                    record(label, level, references[level].score(render(planes[level])))
+                    sums[label][level] += references[level].score(render(planes[level]))
+                decodes[label] += 1
         print(f"bench: {clip.name}: {count} frames done", file=sys.stderr)
 
-    labels = dict.fromkeys(["none"] + [spec.label() for spec in attack_specs])
-    for label in labels:
-        if label in sums:
-            result.robustness.append(
-                RobustnessRow(
-                    attack=label,
-                    ssim_by_level={
-                        level: sums[label][level][0] / sums[label][level][1]
-                        for level in QR_LEVELS
-                    },
-                )
-            )
+    result.robustness = [
+        RobustnessRow(label, {level: total / decodes[label] for level, total in by_level.items()})
+        for label, by_level in sums.items()
+    ]
     return result
 
 
@@ -169,10 +158,6 @@ def print_tables(result: BenchResult) -> None:
     for row in result.robustness:
         values = " ".join(f"{row.ssim_by_level[lvl]:8.4f}" for lvl in QR_LEVELS)
         print(f"  {row.attack:16s} {values}")
-
-
-def attacks_report_path(report: Path) -> Path:
-    return report.with_suffix(".attacks.csv")
 
 
 def write_fidelity_csv(result: BenchResult, path: Path) -> None:

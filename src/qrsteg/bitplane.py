@@ -29,6 +29,8 @@ class QrPlane:
             raise ShapeError(f"bad plane size {self.width}x{self.height}")
         if self.bits.shape != (self.height, self.width):
             raise ShapeError("bit array does not match declared size")
+        if self.bits.min() < 0 or self.bits.max() > 1:
+            raise ShapeError("plane bits must be 0 or 1")
 
 
 @dataclass(frozen=True, eq=False)

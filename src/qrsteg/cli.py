@@ -52,35 +52,31 @@ def parse_seed_text(text: str) -> int:
     return value
 
 
-def resolve_seed(args, *, required: bool) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return parse_seed_text(args.seed)
-    env = os.environ.get("QRSTEG_SEED")
-    if env:
-        return parse_seed_text(env)
-    if required:
+def resolve_seed(args, default: int | None = None) -> int:
+    """--seed (even empty), else a non-empty QRSTEG_SEED, else default, which None refuses."""
+    text = args.seed if args.seed is not None else os.environ.get("QRSTEG_SEED") or None
+    if text is not None:
+        return parse_seed_text(text)
+    if default is None:
         raise UsageError("this command needs --seed (or the QRSTEG_SEED environment variable)")
-    return None
+    return default
 
 
-def _load_qr_files(args, *, required: bool) -> dict[str, bitplane.QrPlane]:
-    """The payload planes named by --qr-l/-m/-q/-h, keyed by level."""
-    paths = {"L": args.qr_l, "M": args.qr_m, "Q": args.qr_q, "H": args.qr_h}
-    missing = [level for level, path in paths.items() if path is None]
-    if required and missing:
-        raise UsageError(f"missing payload images for levels {', '.join(missing)}")
+def _load_qr_files(args) -> dict[str, bitplane.QrPlane]:
+    """The payload planes named by the --qr-* flags, keyed by level."""
     planes = {}
-    for level, path in paths.items():
+    for level in QR_LEVELS:
+        path = getattr(args, f"qr_{level.lower()}")
         if path is not None:
             with open(path, "rb") as handle:
                 planes[level] = bitplane.load_qr(read_pgm(handle))
     return planes
 
 
-def _load_config(seed: int, pub_path, priv_path) -> StegoConfig:
-    """The run's StegoConfig from the seed and both key files, proved before other input is read."""
+def _load_config(seed: int, pub_path, priv_path=None) -> StegoConfig:
+    """The run's StegoConfig from the seed and key files, proved before other input is read."""
     public = elgamal.load_public_key(pub_path)
-    private = elgamal.load_private_key(priv_path)
+    private = None if priv_path is None else elgamal.load_private_key(priv_path)
     try:
         return StegoConfig(key=StegoKey(seed=seed), public=public, private=private)
     except CryptoError as exc:  # the public key is proved already, so this is the pair
@@ -162,9 +158,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    key = StegoKey(seed=resolve_seed(args, required=True))
-    cfg = StegoConfig(key=key, public=elgamal.load_public_key(args.pub))
-    qr_set = _load_qr_files(args, required=True)
+    cfg = _load_config(resolve_seed(args), args.pub)
+    qr_set = _load_qr_files(args)
     out_path = Path(args.output)
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(out_path) + ".sidecar.json")
     with _open_video(args) as (meta, frames), _atomic_outputs() as stage:
@@ -172,7 +167,7 @@ def cmd_embed(args) -> int:
         first = next(frames, None)
         if first is None:
             raise FormatError("input video has no frames")
-        coder = FrameCoder(key, meta.width, meta.height)
+        coder = FrameCoder(cfg.key, meta.width, meta.height)
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()
         stego = embed_video(itertools.chain([first], frames), qr_set, cfg, coder, sidecar, report)
@@ -196,7 +191,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = _load_config(resolve_seed(args, required=True), args.pub, args.priv)
+    cfg = _load_config(resolve_seed(args), args.pub, args.priv)
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(args.input) + ".sidecar.json")
     sidecar = Sidecar.read(sidecar_path)
     if cfg.key.fingerprint() != sidecar.key_fingerprint:
@@ -206,7 +201,7 @@ def cmd_extract(args) -> int:
         )
     originals = {
         level: SsimReference(bitplane.render(plane))
-        for level, plane in _load_qr_files(args, required=False).items()
+        for level, plane in _load_qr_files(args).items()
     }
 
     out_dir = Path(args.output)
@@ -250,9 +245,7 @@ def cmd_extract(args) -> int:
 
 def cmd_attack(args) -> int:
     specs = [AttackSpec.parse(text) for text in (args.attack or [])]
-    seed = resolve_seed(args, required=False)
-    if seed is None:
-        seed = 0
+    seed = resolve_seed(args, default=0)
     with _open_video(args) as (meta, frames), _atomic_outputs() as stage:
         with open(stage(Path(args.output)), "wb") as out:
             count = write_y4m(meta, attack_video(frames, specs, seed), out)
@@ -262,14 +255,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = resolve_seed(args, required=False)
-    if seed is None:
-        seed = 0
+    seed = resolve_seed(args, default=0)
     specs = [AttackSpec.parse(text) for text in args.attacks.split(",") if text.strip()]
-    for flag in ("--max-frames", "--robust-frames", "--attack-seeds"):
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value < 0:
-            raise UsageError(f"{flag} must not be negative, got {value}")
     if specs and args.attack_seeds == 0:
         raise UsageError('--attack-seeds 0 would run none of the requested attacks (use --attacks "" for none)')
     if args.pub and args.priv:
@@ -290,16 +277,31 @@ def cmd_bench(args) -> int:
     )
     bench_mod.print_tables(result)
     if args.report:
-        report, attacks_report = Path(args.report), bench_mod.attacks_report_path(Path(args.report))
+        attacks_report = Path(args.report).with_suffix(".attacks.csv")
         with _atomic_outputs() as stage:
-            bench_mod.write_fidelity_csv(result, stage(report))
+            bench_mod.write_fidelity_csv(result, stage(Path(args.report)))
             bench_mod.write_attacks_csv(result, stage(attacks_report))
         print(f"reports: {args.report} and {attacks_report}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError for a bad command line, subcommands included, so main prints its JSON line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def count(text: str) -> int:
+    """A non-negative integer flag value (argparse calls a non-integer an "invalid count value")."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrsteg",
         description="Hide encrypted QR payloads in raw YUV video and measure the damage.",
     )
@@ -307,6 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_seed(p):
         p.add_argument("--seed", help="64-bit integer or passphrase (env QRSTEG_SEED as fallback)")
+
+    def add_video(p, what):
+        p.add_argument("--input", required=True, help=f"{what} (.y4m, or raw with --width/--height)")
+        p.add_argument("--width", type=int, help="raw input width")
+        p.add_argument("--height", type=int, help="raw input height")
+
+    def add_qr(p, required, what):
+        for level, carrier in zip(QR_LEVELS, ("HL", "HH", "U", "V")):
+            p.add_argument(f"--qr-{level.lower()}", required=required, help=what.format(level=level, carrier=carrier))
 
     p = sub.add_parser("keygen", help="write a public/private key file pair")
     p.add_argument("--pub", required=True, help="output path for the public key")
@@ -322,46 +333,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("embed", help="hide four payload images in a cover video")
-    p.add_argument("--input", required=True, help="cover video (.y4m, or raw with --width/--height)")
+    add_video(p, "cover video")
     p.add_argument("--output", required=True, help="stego video path (.y4m)")
-    p.add_argument("--qr-l", help="payload image for the HL carrier (PGM)")
-    p.add_argument("--qr-m", help="payload image for the HH carrier (PGM)")
-    p.add_argument("--qr-q", help="payload image for the U carrier (PGM)")
-    p.add_argument("--qr-h", help="payload image for the V carrier (PGM)")
+    add_qr(p, True, "payload image for the {carrier} carrier (PGM)")
     p.add_argument("--pub", required=True, help="receiver public key file")
-    p.add_argument("--width", type=int, help="raw input width")
-    p.add_argument("--height", type=int, help="raw input height")
     p.add_argument("--sidecar", help="sidecar path (default: <output>.sidecar.json)")
     p.add_argument("--report", help="write per-frame fidelity CSV here")
     add_seed(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="recover payload images from a stego video")
-    p.add_argument("--input", required=True, help="stego video (.y4m, or raw with --width/--height)")
+    add_video(p, "stego video")
     p.add_argument("--output", required=True, help="directory for recovered PGM files")
     p.add_argument("--pub", required=True, help="receiver public key file")
     p.add_argument("--priv", required=True, help="receiver private key file")
     p.add_argument("--sidecar", help="sidecar path (default: <input>.sidecar.json)")
-    p.add_argument("--qr-l", help="original L payload for SSIM reporting")
-    p.add_argument("--qr-m", help="original M payload for SSIM reporting")
-    p.add_argument("--qr-q", help="original Q payload for SSIM reporting")
-    p.add_argument("--qr-h", help="original H payload for SSIM reporting")
-    p.add_argument("--width", type=int, help="raw input width")
-    p.add_argument("--height", type=int, help="raw input height")
+    add_qr(p, False, "original {level} payload for SSIM reporting")
     p.add_argument("--report", help="write the SSIM table CSV here")
     add_seed(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("attack", help="run noise attacks over a video")
-    p.add_argument("--input", required=True)
+    add_video(p, "input video")
     p.add_argument("--output", required=True)
     p.add_argument(
         "--attack",
         action="append",
         help="attack spec (sp:D, gauss:M:V, poisson, speckle:V); repeatable, applied in order",
     )
-    p.add_argument("--width", type=int, help="raw input width")
-    p.add_argument("--height", type=int, help="raw input height")
     add_seed(p)
     p.set_defaults(func=cmd_attack)
 
@@ -369,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="directory of .y4m cover clips")
     p.add_argument("--report", help="CSV path for the fidelity table (robustness CSV lands beside it)")
     p.add_argument("--attacks", default=DEFAULT_BENCH_ATTACKS, help="comma-separated attack specs")
-    p.add_argument("--attack-seeds", type=int, default=5, help="noise seeds per attack (default 5)")
-    p.add_argument("--max-frames", type=int, help="cap frames per clip")
+    p.add_argument("--attack-seeds", type=count, default=5, help="noise seeds per attack (default 5)")
+    p.add_argument("--max-frames", type=count, help="cap frames per clip")
     p.add_argument(
-        "--robust-frames", type=int, default=30, help="frames per clip for the robustness runs"
+        "--robust-frames", type=count, default=30, help="frames per clip for the robustness runs"
     )
     p.add_argument("--pub", help="use an existing public key")
     p.add_argument("--priv", help="use an existing private key")
@@ -387,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except QrstegError as exc:
         line = json.dumps({"error": type(exc).__name__, "exit": exc.exit_code, "message": str(exc)})

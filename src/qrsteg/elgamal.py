@@ -23,7 +23,8 @@ two residues stays below 2^64, so a batch of at least _ARRAY_MIN_VALUES
 exponents runs on uint64 arrays with numpy gathers and expands into key
 bytes in one pass. Larger p and smaller batches keep Python integers: a
 numpy call has a fixed cost of 15-60 us, which a few values never earn
-back. Key generation and key validation use builtin pow at every size.
+back. Key generation, key validation and classic_encrypt, which raises
+each base once, use builtin pow at every size.
 
 Both ends run that kernel. The receiver is given the sender's exponent
 stream (in v1 it derives from the stego seed), so replay_keystream proves
@@ -282,9 +283,7 @@ def classic_encrypt(m: int, pub: ElGamalPublic, k: int) -> tuple[int, int]:
         raise CryptoError(f"message unit {m} out of range [0, p - 1]")
     if not 1 < k < pub.p - 2:
         raise CryptoError(f"ephemeral exponent {k} out of range (1, p - 2)")
-    d = _table_pow(pub._alpha_table, k, pub.p)
-    z = _table_pow(pub._y_table, k, pub.p) * m % pub.p
-    return d, z
+    return pow(pub.alpha, k, pub.p), pow(pub.y, k, pub.p) * m % pub.p
 
 
 def classic_decrypt(d: int, z: int, pub: ElGamalPublic, priv: ElGamalPrivate) -> int:

@@ -36,6 +36,6 @@ class CapacityError(QrstegError):
 
 
 class UsageError(QrstegError):
-    """Invalid flag combination caught after argument parsing."""
+    """A bad command line: an argument parsing error or an invalid flag combination."""
 
     exit_code = EXIT_USAGE

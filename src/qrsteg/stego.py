@@ -28,7 +28,7 @@ from .bitplane import QrPlane
 from .elgamal import ElGamalPrivate, ElGamalPublic, Keystream
 from .errors import CapacityError, CryptoError, FormatError, ShapeError
 from .videoio import FrameYuv420
-from .wavelet import fwd_haar_int, inv_haar_int
+from .wavelet import SubBands, fwd_haar_int, inv_haar_int
 
 if TYPE_CHECKING:  # quality imports this module's clip range
     from .quality import QualityReport
@@ -136,6 +136,11 @@ class FrameCoder:
             self._place[level] = place = np.empty_like(carrier)
             place[shuffle] = carrier  # cipher bit shuffle[t] goes to carrier element carrier[t]
 
+    @staticmethod
+    def _carriers(bands: SubBands, u: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
+        """Each level's carrier array: L -> HL, M -> HH, Q -> U, H -> V."""
+        return {"L": bands.hl, "M": bands.hh, "Q": u, "H": v}
+
     def qr_shape(self) -> tuple[int, int]:
         """(width, height) every payload plane must have."""
         return self.width // 2, self.height // 2
@@ -151,31 +156,21 @@ class FrameCoder:
                     f"carrier holds exactly {self.capacity_bits}"
                 )
         bands = fwd_haar_int(np.clip(frame.y, CLIP_LO, CLIP_HI))
-        for level, band in (("L", bands.hl), ("M", bands.hh)):
-            flat = band.reshape(-1)
+        u, v = frame.u.copy(), frame.v.copy()
+        for level, carrier in self._carriers(bands, u, v).items():
+            flat = carrier.reshape(-1)  # a view: every carrier is C-contiguous
             idx = self._place[level]
-            flat[idx] = set_lsb(flat[idx], payload.bits[level].astype(band.dtype))
+            flat[idx] = set_lsb(flat[idx], payload.bits[level].astype(carrier.dtype))
         y = inv_haar_int(bands)
         if y.min() < 0 or y.max() > 255:
             raise ShapeError("internal error: reconstruction left the sample range")
-        out_u = frame.u.reshape(-1).copy()
-        out_v = frame.v.reshape(-1).copy()
-        for level, plane in (("Q", out_u), ("H", out_v)):
-            idx = self._place[level]
-            plane[idx] = set_lsb(plane[idx], payload.bits[level].astype(np.uint8))
-        h2, w2 = self.height // 2, self.width // 2
-        return FrameYuv420(
-            y=y.astype(np.uint8),
-            u=out_u.reshape(h2, w2),
-            v=out_v.reshape(h2, w2),
-        )
+        return FrameYuv420(y=y.astype(np.uint8), u=u, v=v)
 
     def extract(self, frame: FrameYuv420) -> dict[str, np.ndarray]:
         """Recover the four ciphertext bit streams in original bit order."""
         if frame.width != self.width or frame.height != self.height:
             raise ShapeError("frame geometry does not match this coder")
-        bands = fwd_haar_int(frame.y)
-        carriers = {"L": bands.hl, "M": bands.hh, "Q": frame.u, "H": frame.v}
+        carriers = self._carriers(fwd_haar_int(frame.y), frame.u, frame.v)
         return {
             level: get_lsb(carrier.reshape(-1)[self._place[level]]).astype(np.uint8, copy=False)
             for level, carrier in carriers.items()

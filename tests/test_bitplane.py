@@ -64,6 +64,20 @@ def test_pack_pads_final_byte_with_zeros():
     assert payload.data == b"\xe0"  # 111 then five zero pad bits
 
 
+@pytest.mark.parametrize("bad", [2, -1])
+def test_plane_refuses_bits_other_than_0_and_1(bad):
+    bits = np.zeros((2, 3), dtype=np.int16)
+    bits[1, 2] = bad
+    with pytest.raises(ShapeError):
+        QrPlane(width=3, height=2, bits=bits)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8])
+def test_plane_accepts_bool_and_uint8_bits(dtype):
+    bits = (np.arange(6).reshape(2, 3) % 2).astype(dtype)
+    assert QrPlane(width=3, height=2, bits=bits).bits is bits
+
+
 def test_unpack_rejects_dimension_mismatch():
     payload = PackedPayload(bit_count=8, data=b"\x00")
     with pytest.raises(ShapeError):

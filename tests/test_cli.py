@@ -350,6 +350,55 @@ def test_embed_missing_qr_flag_is_usage_error(workspace):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize("case", ["embed-without-input", "keygen-bits-abc", "unknown-command", "empty-argv"])
+def test_argument_errors_print_one_json_line(workspace, capsys, case):
+    # argparse's own errors end like every other failure: one JSON line, exit 2, no output.
+    ws = workspace
+    tmp = ws["tmp"]
+    embed = embed_args(ws, tmp / "out.y4m")
+    i = embed.index("--input")
+    del embed[i : i + 2]
+    argv = {
+        "embed-without-input": embed,
+        "keygen-bits-abc": ["keygen", "--pub", str(tmp / "k.pub"), "--priv", str(tmp / "k.priv"), "--bits", "abc"],
+        "unknown-command": ["hide", "--output", str(tmp / "out.y4m")],
+        "empty-argv": [],
+    }[case]
+    before = set(tmp.rglob("*"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UsageError"
+    assert json.loads(lines[0])["exit"] == 2
+    assert captured.out == ""
+    assert set(tmp.rglob("*")) == before
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "keygen" in capsys.readouterr().out
+
+
+def test_empty_seed_flag_is_a_passphrase_and_empty_env_is_no_seed(workspace, monkeypatch, capsys):
+    ws = workspace
+    monkeypatch.setenv("QRSTEG_SEED", "")
+    args = embed_args(ws, ws["tmp"] / "x.y4m")
+    args.remove("--seed")
+    args.remove("1234")
+    assert main(args) == 2  # an empty QRSTEG_SEED is no seed
+    assert_one_error_line(capsys, 2)
+    empty, hashed = ws["tmp"] / "empty.y4m", ws["tmp"] / "hashed.y4m"
+    assert main(embed_args(ws, empty, seed="")) == 0
+    assert main(embed_args(ws, hashed, seed=str(StegoKey.from_passphrase("").seed))) == 0
+    assert empty.read_bytes() == hashed.read_bytes()
+    capsys.readouterr()
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(ws["tmp"] / "a.y4m")]) == 0
+    assert "seed: 0)" in capsys.readouterr().out
+
+
 def test_extract_wrong_seed_warns_and_recovers_noise(workspace, capsys):
     ws = workspace
     stego = ws["tmp"] / "stego.y4m"
