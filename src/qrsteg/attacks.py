@@ -115,7 +115,8 @@ def gaussian(frame: FrameYuv420, mean: float, variance: float, rng: np.random.Ge
 
 def poisson(frame: FrameYuv420, rng: np.random.Generator) -> FrameYuv420:
     def corrupt(plane):
-        return np.clip(rng.poisson(plane.astype(np.float64)), 0, 255).astype(np.uint8)
+        draws = rng.poisson(plane.astype(np.float64))
+        return np.clip(draws, 0, 255, out=draws).astype(np.uint8)
 
     return _per_plane(frame, corrupt)
 

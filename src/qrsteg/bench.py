@@ -52,21 +52,10 @@ class FidelityRow:
 
 
 @dataclass
-class RobustnessRow:
-    attack: str
-    ssim_by_level: dict[str, float]
-
-
-@dataclass
 class BenchResult:
     fidelity: list[FidelityRow] = field(default_factory=list)
-    robustness: list[RobustnessRow] = field(default_factory=list)
-
-
-def _load_clip(path: Path, max_frames: int | None):
-    with open(path, "rb") as handle:
-        meta, frames = read_y4m(handle)
-        return meta, list(itertools.islice(frames, max_frames))
+    # attack label -> level -> mean recovered-payload SSIM, in the order labels are first decoded
+    robustness: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
 def run(
@@ -90,7 +79,9 @@ def run(
     coders: dict[tuple[int, int], FrameCoder] = {}  # one per geometry, shared across clips
 
     for clip in clips:
-        meta, frames = _load_clip(clip, max_frames)
+        with open(clip, "rb") as handle:
+            meta, frames = read_y4m(handle)
+            frames = list(itertools.islice(frames, max_frames))
         if not frames:
             print(f"bench: skipping empty clip {clip.name}", file=sys.stderr)
             continue
@@ -104,13 +95,11 @@ def run(
 
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()
-        keys: list[dict[str, bytes]] = []  # the sender's keystreams, for the decoded frames only
-        subset = []
-        for stego in embed_video(frames, qr_set, cfg, coder, sidecar, report, keys):
-            if len(subset) < robust_frames:
-                subset.append(stego)
-            else:
-                keys.pop()  # this frame is not decoded
+        keys: list[dict[str, bytes]] = []  # the sender's keystreams, one dict per frame
+        stego = embed_video(frames, qr_set, cfg, coder, sidecar, report, keys)
+        # every frame is embedded and counts for fidelity; only the first robust_frames are decoded
+        subset = [frame for i, frame in enumerate(stego) if i < robust_frames]
+        del keys[robust_frames:]
         count = len(sidecar.frames)
         bit_lengths = Counter()
         for rec in sidecar.frames:
@@ -133,10 +122,10 @@ def run(
                 decodes[label] += 1
         print(f"bench: {clip.name}: {count} frames done", file=sys.stderr)
 
-    result.robustness = [
-        RobustnessRow(label, {level: total / decodes[label] for level, total in by_level.items()})
+    result.robustness = {
+        label: {level: total / decodes[label] for level, total in by_level.items()}
         for label, by_level in sums.items()
-    ]
+    }
     return result
 
 
@@ -155,9 +144,9 @@ def print_tables(result: BenchResult) -> None:
         print(f"  average psnr: {sum(finite) / len(finite):.3f} dB")
     print("robustness (mean recovered-payload ssim):")
     print("  " + f"{'attack':16s} " + " ".join(f"{lvl:>8s}" for lvl in QR_LEVELS))
-    for row in result.robustness:
-        values = " ".join(f"{row.ssim_by_level[lvl]:8.4f}" for lvl in QR_LEVELS)
-        print(f"  {row.attack:16s} {values}")
+    for attack, ssim in result.robustness.items():
+        values = " ".join(f"{ssim[lvl]:8.4f}" for lvl in QR_LEVELS)
+        print(f"  {attack:16s} {values}")
 
 
 def write_fidelity_csv(result: BenchResult, path: Path) -> None:
@@ -201,7 +190,5 @@ def write_attacks_csv(result: BenchResult, path: Path) -> None:
     with open(path, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(["attack"] + [f"ssim_{lvl}" for lvl in QR_LEVELS])
-        for row in result.robustness:
-            writer.writerow(
-                [row.attack] + [f"{row.ssim_by_level[lvl]:.4f}" for lvl in QR_LEVELS]
-            )
+        for attack, ssim in result.robustness.items():
+            writer.writerow([attack] + [f"{ssim[lvl]:.4f}" for lvl in QR_LEVELS])

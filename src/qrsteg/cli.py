@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -104,23 +105,27 @@ def _atomic_outputs():
 
     Staged files move onto their targets only when the block succeeds and
     are deleted on any failure, so a failed command leaves neither partial
-    output nor stray temporaries.
+    output nor stray temporaries. Staging one file twice is a usage error.
     """
     tag = secrets.token_hex(4)
-    staged: dict[Path, Path] = {}
+    real_dir = functools.cache(Path.resolve)  # each target directory is resolved once
+    # os.replace replaces the entry (real directory, name): it follows no symlink in the name
+    staged: dict[tuple[Path, str], tuple[Path, Path]] = {}  # entry -> (target, temporary)
 
     def stage(target: Path) -> Path:
         if target.is_dir():  # refused before any target moves: os.replace would fail on it
             raise IsADirectoryError(f"output target is a directory: '{target}'")
-        staged[target] = target.parent / f".{target.name}.{tag}.tmp"
-        return staged[target]
+        if (entry := (real_dir(target.parent), target.name)) in staged:
+            raise UsageError(f"two outputs name the same file: '{target}'")
+        staged[entry] = target, target.parent / f".{target.name}.{tag}.tmp"
+        return staged[entry][1]
 
     try:
         yield stage
-        for target, temp in staged.items():
+        for target, temp in staged.values():
             os.replace(temp, target)
     finally:
-        for temp in staged.values():
+        for _, temp in staged.values():
             temp.unlink(missing_ok=True)
 
 

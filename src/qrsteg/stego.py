@@ -220,12 +220,14 @@ class Sidecar:
 
     width: int
     height: int
-    qr_width: int
-    qr_height: int
-    plain_len: int
     key_fingerprint: str
     frame_rate: str = "25:1"
     frames: list[dict[str, list[int]]] = field(default_factory=list)
+
+    # the payload plane size and keystream bytes per level follow from the video size
+    qr_width = property(lambda self: self.width // 2)
+    qr_height = property(lambda self: self.height // 2)
+    plain_len = property(lambda self: (self.qr_width * self.qr_height + 7) // 8)
 
     def to_json(self) -> str:
         """The text json.dumps(doc, indent=1) gives for the whole document.
@@ -260,12 +262,12 @@ class Sidecar:
             raise FormatError(f"unsupported sidecar version {doc.get('version')}")
         try:
             video = doc["video"]
+            width, height = _json_int(video["width"]), _json_int(video["height"])
+            qr_size = (_json_int(doc["qr"]["width"]), _json_int(doc["qr"]["height"]))
+            plain_len = _json_int(doc["plain_len"])
             side = cls(
-                width=_json_int(video["width"]),
-                height=_json_int(video["height"]),
-                qr_width=_json_int(doc["qr"]["width"]),
-                qr_height=_json_int(doc["qr"]["height"]),
-                plain_len=_json_int(doc["plain_len"]),
+                width=width,
+                height=height,
                 key_fingerprint=str(doc["key_fingerprint"]),
                 frame_rate=str(video.get("frame_rate", "25:1")),
                 frames=[_frame_record(record) for record in doc["frames"]],
@@ -277,12 +279,12 @@ class Sidecar:
             raise FormatError(
                 f"sidecar frame_count {frame_count} disagrees with its {len(side.frames)} frame records"
             )
-        if (side.qr_width, side.qr_height) != (side.width // 2, side.height // 2):
+        if qr_size != (side.qr_width, side.qr_height):
             raise FormatError(
-                f"sidecar qr size {side.qr_width}x{side.qr_height} is not half of the {side.width}x{side.height} video"
+                f"sidecar qr size {qr_size[0]}x{qr_size[1]} is not half of the {width}x{height} video"
             )
-        if side.plain_len != (side.qr_width * side.qr_height + 7) // 8:
-            raise FormatError(f"sidecar plain_len {side.plain_len} disagrees with the payload size")
+        if plain_len != side.plain_len:
+            raise FormatError(f"sidecar plain_len {plain_len} disagrees with the payload size")
         return side
 
     def write(self, path: str | Path) -> None:
@@ -335,16 +337,7 @@ def _json_int(value) -> int:
 
 
 def new_sidecar(cfg: StegoConfig, coder: FrameCoder, frame_rate: str = "25:1") -> Sidecar:
-    qw, qh = coder.qr_shape()
-    return Sidecar(
-        width=coder.width,
-        height=coder.height,
-        qr_width=qw,
-        qr_height=qh,
-        plain_len=(coder.capacity_bits + 7) // 8,
-        key_fingerprint=cfg.key.fingerprint(),
-        frame_rate=frame_rate,
-    )
+    return Sidecar(coder.width, coder.height, cfg.key.fingerprint(), frame_rate)
 
 
 def embed_video(

@@ -1,9 +1,3 @@
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-
 class ScriptedRng:
     """Hands out a fixed sequence of values through the randrange interfaces."""
 

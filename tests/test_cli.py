@@ -431,6 +431,65 @@ def test_extract_missing_sidecar(workspace, capsys):
     ]) == 3
 
 
+def test_embed_report_lists_every_frame(workspace):
+    ws = workspace
+    report = ws["tmp"] / "embed.csv"
+    assert main(embed_args(ws, ws["tmp"] / "stego.y4m", extra=["--report", str(report)])) == 0
+    lines = report.read_text().splitlines()
+    assert lines[0] == "frame,mse,psnr_db,mse_luma,psnr_luma_db"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "average", "capacity_bpp"]
+    assert lines[-1] == "capacity_bpp,1.000000,,,"
+
+
+def write_stego_prefix(ws, stego, path, count):
+    """The first count frames of stego as a Y4M at path, which shares stego's sidecar."""
+    with open(stego, "rb") as handle:
+        meta, frames = read_y4m(handle)
+        frames = [frame for _, frame in zip(range(count), frames)]
+    with open(path, "wb") as out:
+        write_y4m(meta, frames, out)
+    return ["--sidecar", str(ws["tmp"] / "stego.y4m.sidecar.json")]
+
+
+def test_extract_of_a_video_shorter_than_its_sidecar_warns(workspace, capsys):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    short = ws["tmp"] / "short.y4m"
+    sidecar_args = write_stego_prefix(ws, stego, short, 1)
+    capsys.readouterr()
+    assert main(extract_args(ws, short) + sidecar_args) == 0
+    assert capsys.readouterr().err == "warning: sidecar records 3 frames, video held 1\n"
+    rec = ws["tmp"] / "rec"
+    assert sorted(path.name for path in rec.iterdir()) == [f"0000_{level}.pgm" for level in "HLMQ"]
+    for level, plane in ws["planes"].items():
+        with open(rec / f"0000_{level}.pgm", "rb") as handle:
+            assert np.array_equal(read_pgm(handle), bitplane.render(plane))
+
+
+@pytest.mark.parametrize("last_public", [None, "0"], ids=["valid-sidecar", "bad-last-record"])
+def test_extract_of_a_video_with_no_frames(workspace, capsys, last_public):
+    # Every sidecar record is checked before any output, also when no frame follows.
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    empty = ws["tmp"] / "empty.y4m"
+    sidecar_args = write_stego_prefix(ws, stego, empty, 0)
+    if last_public is not None:
+        sidecar = ws["tmp"] / "stego.y4m.sidecar.json"
+        doc = json.loads(sidecar.read_text())
+        doc["frames"][-1]["H"][-1] = last_public
+        sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    if last_public is None:
+        assert main(extract_args(ws, empty) + sidecar_args) == 0
+        assert capsys.readouterr().err == "warning: sidecar records 3 frames, video held 0\n"
+    else:
+        assert main(extract_args(ws, empty) + sidecar_args) == 4
+        assert_one_error_line(capsys, 4)
+    assert not (ws["tmp"] / "rec").exists()
+
+
 @pytest.mark.parametrize("case", ["more-frames", "truncated", "existing-dir"])
 def test_failed_extract_leaves_no_pgm(workspace, capsys, case):
     # The last frame fails after the first two decoded: its sidecar record is
@@ -583,6 +642,45 @@ def test_raw_video_input(workspace, tmp_path):
     assert main(args + ["--width", "32", "--height", "32"]) == 0
 
 
+@pytest.mark.parametrize(
+    "case", ["keygen", "keygen-relative", "keygen-linked-dir", "embed-sidecar", "embed-report"]
+)
+def test_two_outputs_naming_one_file_write_nothing(workspace, capsys, monkeypatch, case):
+    # The second output would replace the first: a shared key path would
+    # leave only the private key where the public key should be.
+    ws = workspace
+    monkeypatch.chdir(ws["tmp"])
+    (ws["tmp"] / "link").symlink_to(ws["tmp"], target_is_directory=True)
+    same = ws["tmp"] / "same.out"
+    second = {
+        "keygen-relative": "same.out",  # relative to the working directory
+        "keygen-linked-dir": str(ws["tmp"] / "link" / "same.out"),
+    }.get(case, str(same))
+    if case.startswith("keygen"):
+        args = ["keygen", "--pub", str(same), "--priv", second, "--paper-fidelity", "--seed", "3"]
+    else:
+        args = embed_args(ws, same, extra=[f"--{case.split('-')[1]}", second])
+    before = tree(ws["tmp"])
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "UsageError", "exit": 2, "message": f"two outputs name the same file: '{second}'"}
+    ]
+    assert tree(ws["tmp"]) == before
+
+
+def test_outputs_through_a_symlinked_name_are_two_files(tmp_path):
+    # os.replace replaces a symlink itself, not the file it points to.
+    (tmp_path / "link.json").symlink_to(tmp_path / "priv.json")
+    (tmp_path / "priv.json").write_text("old")
+    assert main(["keygen", "--pub", str(tmp_path / "link.json"), "--priv", str(tmp_path / "priv.json"),
+                 "--paper-fidelity", "--seed", "3", "--force"]) == 0
+    assert not (tmp_path / "link.json").is_symlink()
+    assert elgamal.load_public_key(tmp_path / "link.json").p == 997
+    assert elgamal.load_private_key(tmp_path / "priv.json").x > 0
+
+
 def test_bench_smoke(tmp_path, capsys):
     dataset = tmp_path / "clips"
     dataset.mkdir()
@@ -659,8 +757,8 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
                       private=elgamal.ElGamalPrivate(x=420))
     result = bench.run(dataset, cfg, attack_specs=[AttackSpec.parse("sp:0.01")], attack_seeds=2)
     assert calls == []
-    assert result.robustness[0].attack == "none"
-    assert set(result.robustness[0].ssim_by_level.values()) == {1.0}
+    assert list(result.robustness) == ["none", "sp:0.01"]
+    assert set(result.robustness["none"].values()) == {1.0}
     # The counters sit on extract's path: one frame record replays four keystreams,
     # and each level of [5], which no replayed exponent proves, runs the d^x reference.
     frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1, 0)
@@ -1151,6 +1249,25 @@ def test_bench_max_frames_zero_scores_no_frame(tmp_path, capsys):
                  "--paper-fidelity", "--seed", "0", "--max-frames", "0"]) == 0
     assert len(report.read_text().splitlines()) == 1  # header only, no fidelity row
     assert "skipping empty clip three.y4m" in capsys.readouterr().err
+
+
+def test_bench_decodes_only_the_first_robust_frames(tmp_path):
+    # Every frame embeds and counts for fidelity; the robustness runs decode
+    # the first --robust-frames, each with the keystream of its own frame.
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "three.y4m", w=16, h=16, frames=3, seed=1)
+    report = tmp_path / "bench.csv"
+
+    def attacks_csv(*flags):
+        assert main(["bench", "--input", str(dataset), "--report", str(report), "--paper-fidelity",
+                     "--seed", "0", "--attacks", "sp:0.1,gauss:0:0.01", "--attack-seeds", "2", *flags]) == 0
+        return (tmp_path / "bench.attacks.csv").read_text()
+
+    first = attacks_csv("--robust-frames", "1")
+    assert report.read_text().splitlines()[1].split(",")[:2] == ["three.y4m", "3"]
+    assert attacks_csv("--max-frames", "1", "--robust-frames", "1") == first
+    assert attacks_csv("--robust-frames", "2") != first
 
 
 @pytest.mark.parametrize("flag", ["--max-frames", "--robust-frames"])

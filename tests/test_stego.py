@@ -566,8 +566,7 @@ def json_dumps_sidecar(sidecar):
     ('30"\\:1\n', "f\u00e9\t\"x\u2028"),  # needs escaping, ASCII or not
 ])
 def test_sidecar_text_equals_json_dumps(frames, frame_rate, fingerprint):
-    sidecar = Sidecar(width=16, height=16, qr_width=8, qr_height=8, plain_len=8,
-                      key_fingerprint=fingerprint, frame_rate=frame_rate, frames=frames)
+    sidecar = Sidecar(width=16, height=16, key_fingerprint=fingerprint, frame_rate=frame_rate, frames=frames)
     assert sidecar.to_json() == json_dumps_sidecar(sidecar)
 
 
@@ -583,19 +582,29 @@ def test_sidecar_text_equals_json_dumps_for_an_embedded_clip():
 
 def test_sidecar_rejects_inconsistent_plain_len():
     cfg = make_cfg()
-    sidecar = new_sidecar(cfg, FrameCoder(cfg.key, 16, 16))
-    sidecar.plain_len += 1
-    with pytest.raises(FormatError):
-        Sidecar.from_json(sidecar.to_json())
+    doc = json.loads(new_sidecar(cfg, FrameCoder(cfg.key, 16, 16)).to_json())
+    doc["plain_len"] += 1
+    with pytest.raises(FormatError, match="sidecar plain_len 9 disagrees with the payload size"):
+        Sidecar.from_json(json.dumps(doc))
 
 
 def test_sidecar_rejects_a_transposed_qr_size():
     # 12x8 planes hold as many bits as 8x12 ones, so plain_len still agrees.
     cfg = make_cfg()
-    sidecar = new_sidecar(cfg, FrameCoder(cfg.key, 24, 16))
-    sidecar.qr_width, sidecar.qr_height = sidecar.qr_height, sidecar.qr_width
+    doc = json.loads(new_sidecar(cfg, FrameCoder(cfg.key, 24, 16)).to_json())
+    doc["qr"] = {"width": 8, "height": 12}
     with pytest.raises(FormatError, match="qr size 8x12 is not half of the 24x16 video"):
-        Sidecar.from_json(sidecar.to_json())
+        Sidecar.from_json(json.dumps(doc))
+
+
+def test_sidecar_derives_its_qr_size_and_key_length_from_the_video():
+    sidecar = Sidecar(width=24, height=18, key_fingerprint="0123456789abcdef")
+    assert (sidecar.qr_width, sidecar.qr_height, sidecar.plain_len) == (12, 9, 14)
+    assert [f.name for f in dataclasses.fields(Sidecar)] == [
+        "width", "height", "key_fingerprint", "frame_rate", "frames"]
+    for name in ("qr_width", "qr_height", "plain_len"):
+        with pytest.raises(AttributeError):
+            setattr(sidecar, name, 1)
 
 
 def test_extract_requires_private_key():
