@@ -129,34 +129,31 @@ def _atomic_outputs():
             temp.unlink(missing_ok=True)
 
 
-def _refuse_overwrite(path: Path, force: bool) -> None:
-    if path.exists() and not force:
-        raise UsageError(f"{path} exists; pass --force to overwrite")
-
-
 def _make_key(rng, paper_fidelity: bool, bits: int):
     """The paper's demo parameters, or a fresh safe prime of the given size."""
     if paper_fidelity:
-        p, alpha = elgamal.DEMO_P, elgamal.DEMO_ALPHA
-    else:
-        if bits > MAX_KEY_BITS:
-            raise UsageError(f"--bits {bits} is above the largest supported key size, {MAX_KEY_BITS}")
-        p, alpha = elgamal.generate_key_params(bits, rng)
-    return elgamal.keygen(p, alpha, rng)
+        return elgamal.keygen(elgamal.DEMO_P, elgamal.DEMO_ALPHA, rng)
+    if bits > MAX_KEY_BITS:
+        raise UsageError(f"--bits {bits} is above the largest supported key size, {MAX_KEY_BITS}")
+    if bits < elgamal.MIN_KEY_BITS:
+        raise UsageError(f"--bits {bits} is below the smallest supported key size, {elgamal.MIN_KEY_BITS}")
+    return elgamal.keygen(*elgamal.generate_key_params(bits, rng), rng)
 
 
 def cmd_keygen(args) -> int:
     pub_path = Path(args.pub)
     priv_path = Path(args.priv)
-    _refuse_overwrite(pub_path, args.force)
-    _refuse_overwrite(priv_path, args.force)
+    for path in (pub_path, priv_path):
+        if path.exists() and not args.force:
+            raise UsageError(f"{path} exists; pass --force to overwrite")
     # Only an explicit --seed: QRSTEG_SEED often holds the stego passphrase.
     seed = None if args.seed is None else parse_seed_text(args.seed)
     rng = Splitmix64(derive_seed(seed, 0x4B4559)) if seed is not None else secrets.SystemRandom()
-    pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
     with _atomic_outputs() as stage:
-        elgamal.save_public_key(pub, stage(pub_path))
-        elgamal.save_private_key(priv, stage(priv_path))
+        pub_temp, priv_temp = stage(pub_path), stage(priv_path)  # a refused target costs no key search
+        pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
+        elgamal.save_public_key(pub, pub_temp)
+        elgamal.save_private_key(priv, priv_temp)
     print(f"wrote {pub_path} (p: {pub.p.bit_length()} bits, alpha={pub.alpha}, y={pub.y})")
     print(f"wrote {priv_path}")
     return 0
@@ -168,6 +165,8 @@ def cmd_embed(args) -> int:
     out_path = Path(args.output)
     sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(out_path) + ".sidecar.json")
     with _open_video(args) as (meta, frames), _atomic_outputs() as stage:
+        out_temp, sidecar_temp = stage(out_path), stage(sidecar_path)  # a refused target costs no frame read
+        report_temp = args.report and stage(Path(args.report))
         # The header is untrusted: read a whole frame before sizing the coder to it.
         first = next(frames, None)
         if first is None:
@@ -176,11 +175,11 @@ def cmd_embed(args) -> int:
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()
         stego = embed_video(itertools.chain([first], frames), qr_set, cfg, coder, sidecar, report)
-        with open(stage(out_path), "wb") as out:
+        with open(out_temp, "wb") as out:
             count = write_y4m(meta, stego, out)
-        sidecar.write(stage(sidecar_path))
-        if args.report:
-            with open(stage(Path(args.report)), "w", newline="") as out:
+        sidecar.write(sidecar_temp)
+        if report_temp:
+            with open(report_temp, "w", newline="") as out:
                 report.write_csv(out)
 
     print(f"embedded {report.embedded_bits} bits into {count} frames -> {out_path}")
@@ -264,28 +263,30 @@ def cmd_bench(args) -> int:
     specs = [AttackSpec.parse(text) for text in args.attacks.split(",") if text.strip()]
     if specs and args.attack_seeds == 0:
         raise UsageError('--attack-seeds 0 would run none of the requested attacks (use --attacks "" for none)')
-    if args.pub and args.priv:
-        cfg = _load_config(seed, args.pub, args.priv)
-    elif args.pub or args.priv:
+    if bool(args.pub) != bool(args.priv):
         raise UsageError("bench needs both --pub and --priv, or neither")
-    else:
-        rng = Splitmix64(derive_seed(seed, 0x42454E4348))
-        pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
-        cfg = StegoConfig(key=StegoKey(seed=seed), public=pub, private=priv)
-    result = bench_mod.run(
-        dataset=Path(args.input),
-        cfg=cfg,
-        attack_specs=specs,
-        attack_seeds=args.attack_seeds,
-        max_frames=args.max_frames,
-        robust_frames=args.robust_frames,
-    )
-    bench_mod.print_tables(result)
+    attacks_report = args.report and Path(args.report).with_suffix(".attacks.csv")
+    with _atomic_outputs() as stage:
+        reports = args.report and (stage(Path(args.report)), stage(attacks_report))  # before any key search or sweep
+        if args.pub:
+            cfg = _load_config(seed, args.pub, args.priv)
+        else:
+            rng = Splitmix64(derive_seed(seed, 0x42454E4348))
+            pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
+            cfg = StegoConfig(key=StegoKey(seed=seed), public=pub, private=priv)
+        result = bench_mod.run(
+            dataset=Path(args.input),
+            cfg=cfg,
+            attack_specs=specs,
+            attack_seeds=args.attack_seeds,
+            max_frames=args.max_frames,
+            robust_frames=args.robust_frames,
+        )
+        bench_mod.print_tables(result)
+        if reports:
+            bench_mod.write_fidelity_csv(result, reports[0])
+            bench_mod.write_attacks_csv(result, reports[1])
     if args.report:
-        attacks_report = Path(args.report).with_suffix(".attacks.csv")
-        with _atomic_outputs() as stage:
-            bench_mod.write_fidelity_csv(result, stage(Path(args.report)))
-            bench_mod.write_attacks_csv(result, stage(attacks_report))
         print(f"reports: {args.report} and {attacks_report}")
     return 0
 

@@ -71,11 +71,12 @@ _LE_UINT32 = np.dtype("<u4")
 # primes sieve a whole batch before the rest sieve only its survivors.
 _KEY_BATCH = 512
 _SIEVE_FIRST = 16
+MIN_KEY_BITS = 16  # every candidate q >= 2^14 lies above the largest sieve prime
 
 
 @functools.cache
-def _small_primes() -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The primes below 2000; then the odd ones as uint64 and 2^64 mod each, for the key search's sieve."""
+def _small_primes() -> tuple[tuple[int, ...], np.ndarray]:
+    """The primes below 2000; then the odd ones as uint64, for the key search's sieve."""
     limit = 2000
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
@@ -83,8 +84,7 @@ def _small_primes() -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         if flags[i]:
             flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
     primes = tuple(i for i in range(limit) if flags[i])
-    odd = np.array(primes[1:], dtype=np.uint64)
-    return primes, odd, np.array([(1 << 64) % s for s in primes[1:]], dtype=np.uint64)
+    return primes, np.array(primes[1:], dtype=np.uint64)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -263,7 +263,7 @@ DEMO_ALPHA = 809  # a generator: p - 1 = 996 = 2^2 * 3 * 83
 
 
 def keygen(p: int, alpha: int, rng) -> tuple[ElGamalPublic, ElGamalPrivate]:
-    """Draw a private exponent in (1, p - 2) and derive the public key, checked by validate.
+    """Draw a private exponent in (1, p - 2) and derive the public key, taking p and alpha as proved.
 
     rng must expose randrange(start, stop).
     """
@@ -272,9 +272,7 @@ def keygen(p: int, alpha: int, rng) -> tuple[ElGamalPublic, ElGamalPrivate]:
     x = rng.randrange(2, p - 2)
     if not 1 < x < p - 2:
         raise CryptoError(f"private exponent {x} out of range (1, p - 2)")
-    pub = ElGamalPublic(p=p, alpha=alpha, y=pow(alpha, x, p))
-    pub.validate()
-    return pub, ElGamalPrivate(x=x)
+    return ElGamalPublic(p=p, alpha=alpha, y=pow(alpha, x, p)), ElGamalPrivate(x=x)
 
 
 def classic_encrypt(m: int, pub: ElGamalPublic, k: int) -> tuple[int, int]:
@@ -429,12 +427,12 @@ def generate_key_params(bits: int, rng) -> tuple[int, int]:
     which q and p are both prime (docs/wire_format.md, "Seeded keygen").
     Candidates come _KEY_BATCH at a time and are sieved together (Wiener,
     "Safe Prime Generation with a Combined Sieve", 2003): a candidate goes
-    when an odd prime s below 2000 divides q or p. Survivors are tested in
-    draw order: first 2^(p - 1) = 1 (mod p), then Miller-Rabin on q in
-    MILLER_RABIN_ROUNDS, which stops at its first failing round. With q
+    when an odd prime s below 2000 divides q or p (_sieve). Survivors are
+    tested in draw order: first 2^(p - 1) = 1 (mod p), then Miller-Rabin on
+    q in MILLER_RABIN_ROUNDS, which stops at its first failing round. With q
     prime, q > sqrt(p), 2^(2q) = 1 and gcd(2^2 - 1, p) = 1 (the sieve rejects
-    3 | p), Pocklington's criterion proves p prime (*Handbook of Applied
-    Cryptography*, ch. 4).
+    3 | p), Pocklington's criterion alone proves p prime (*Handbook of
+    Applied Cryptography*, ch. 4): no Miller-Rabin round runs on p.
 
     An rng with peek_getrandbits (permute.Splitmix64) is left just past the
     accepted candidate, where a loop of getrandbits calls leaves it, so its
@@ -444,17 +442,16 @@ def generate_key_params(bits: int, rng) -> tuple[int, int]:
     With p - 1 = 2q, alpha is a primitive root iff alpha^2 != 1 and
     alpha^q != 1 (mod p), so the generator check here is exact.
     """
-    if bits < 16:
-        raise CryptoError("key size below 16 bits is not supported")
+    if bits < MIN_KEY_BITS:
+        raise CryptoError(f"key size below {MIN_KEY_BITS} bits is not supported")
     k = bits - 1
-    stages = _sieve_stages(bits)
     peek = getattr(rng, "peek_getrandbits", None)
     found = None
     while found is None:
         rows = peek(k, _KEY_BATCH) if peek else _getrandbits_rows(rng, k, _KEY_BATCH)
         rows[:, 0] |= np.uint64(1)
         rows[:, (bits - 2) // 64] |= np.uint64(1 << (bits - 2) % 64)
-        found = _first_safe_prime(rows, stages)
+        found = _first_safe_prime(rows)
         if peek:
             rng.skip_getrandbits(k, _KEY_BATCH if found is None else found[0] + 1)
     q = found[1]
@@ -472,33 +469,45 @@ def _getrandbits_rows(rng, k: int, count: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(count, -1).copy()
 
 
-def _sieve_stages(bits: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(s, 2^(64i) mod s for each word i, (s - 1) / 2) for the sieve's odd primes s, in two stages.
+@functools.cache
+def _sieve_stages(words: int) -> list[tuple]:
+    """(M, 2^(64i) mod M for word i < words, the M of each s, s, (s - 1) / 2) per stage of the odd sieve primes s.
 
-    A prime s >= q must not reject q = s. None can: bits >= 16, so every
-    candidate is at least 2^14 = 16,384, above the largest sieve prime, 1,999.
+    Each stage's primes are grouped, in order, into products M below 2^32.
+    A prime s >= q must not reject q = s. None can: bits >= MIN_KEY_BITS, so
+    every candidate is at least 2^14 = 16,384, above the largest sieve prime, 1,999.
     """
-    _, odd, r64 = _small_primes()
-    weights = [np.ones_like(odd)]
-    for _ in range(1, -(-(bits - 1) // 64)):
-        weights.append(weights[-1] * r64 % odd)
-    weights = np.array(weights)
-    cuts = (slice(None, _SIEVE_FIRST), slice(_SIEVE_FIRST, None))
-    return [(odd[cut], weights[:, cut], odd[cut] >> np.uint64(1)) for cut in cuts]
+    stages = []
+    for s in np.split(_small_primes()[1], [_SIEVE_FIRST]):
+        moduli, group = [1], []
+        for prime in s.tolist():
+            if moduli[-1] * prime >= _UINT64_MODULUS_BOUND:
+                moduli.append(1)
+            moduli[-1] *= prime
+            group.append(len(moduli) - 1)
+        weights = np.array([[(1 << 64 * i) % m for m in moduli] for i in range(words)], dtype=np.uint64)
+        stages.append((np.array(moduli, dtype=np.uint64), weights, group, s, s >> np.uint64(1)))
+    return stages
 
 
-def _first_safe_prime(rows: np.ndarray, stages) -> tuple[int, int] | None:
-    """(index, q) of the first row q, as uint64 words low first, for which q and 2q + 1 are prime; None if there is none.
+def _sieve(rows: np.ndarray) -> np.ndarray:
+    """Indexes of the rows q, as uint64 words low first, for which no sieve prime s divides q or 2q + 1.
 
-    Each stage drops the rows for which one of its primes s divides q
-    (q = 0 mod s) or 2q + 1 (q = (s - 1) / 2 mod s); q mod s is the sum of
-    its words times 2^(64i) mod s.
+    s | 2q + 1 iff q = (s - 1) / 2 (mod s). q mod M is the sum over words i
+    of (word mod M) * (2^(64i) mod M) mod M, each term below 2^32, so no
+    uint64 step overflows; then q mod s = (q mod M) mod s.
     """
     alive = np.arange(len(rows))
-    for s, weights, half in stages:
-        r = (rows[alive, :, None] % s * weights).sum(axis=1) % s
+    for moduli, weights, group, s, half in _sieve_stages(rows.shape[1]):
+        r = (rows[alive, :, None] % moduli * weights % moduli).sum(axis=1) % moduli
+        r = r[:, group] % s
         alive = alive[((r != 0) & (r != half)).all(axis=1)]
-    for j in alive.tolist():
+    return alive
+
+
+def _first_safe_prime(rows: np.ndarray) -> tuple[int, int] | None:
+    """(index, q) of the first row q, as uint64 words low first, for which q and 2q + 1 are prime; None if there is none."""
+    for j in _sieve(rows).tolist():
         q = int.from_bytes(rows[j].astype("<u8").tobytes(), "little")
         p = 2 * q + 1
         if pow(2, p - 1, p) == 1 and is_probable_prime(q):

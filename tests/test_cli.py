@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -176,6 +177,36 @@ def test_key_generation_refuses_bits_above_8192(tmp_path, capsys, bits):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("bits", ["15", "0", "-3"])
+def test_key_generation_refuses_bits_below_16(tmp_path, capsys, bits):
+    # An out-of-range flag is a usage error at either end of the range.
+    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+    assert main(["keygen", "--pub", str(pub), "--priv", str(priv), "--bits", bits, "--seed", "1"]) == 2
+    assert_one_error_line(capsys, 2)
+    assert not pub.exists() and not priv.exists()
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+    report = tmp_path / "bench.csv"
+    assert main(["bench", "--input", str(dataset), "--bits", bits, "--seed", "0",
+                 "--report", str(report)]) == 2
+    assert_one_error_line(capsys, 2)
+    assert not report.exists()
+
+
+def test_seeded_keygen_proves_q_and_never_p(tmp_path, monkeypatch):
+    # Pocklington's criterion proves p from q: Miller-Rabin runs on q alone.
+    proved = []
+    real = elgamal.is_probable_prime
+    monkeypatch.setattr(elgamal, "is_probable_prime", lambda n: proved.append(n) or real(n))
+    pub = tmp_path / "k.pub"
+    assert main(["keygen", "--pub", str(pub), "--priv", str(tmp_path / "k.priv"),
+                 "--bits", "256", "--seed", "1"]) == 0
+    p = int(json.loads(pub.read_text())["p"])
+    assert p not in proved
+    assert proved[-1] == (p - 1) // 2
+
+
 def test_keygen_fresh_prime(tmp_path):
     pub_path = tmp_path / "p.pub"
     priv_path = tmp_path / "p.priv"
@@ -185,6 +216,19 @@ def test_keygen_fresh_prime(tmp_path):
     assert pub.p.bit_length() == 96
     assert elgamal.is_probable_prime(pub.p)
     assert elgamal.is_probable_prime((pub.p - 1) // 2)
+
+
+def test_seeded_512_bit_key_files_are_byte_identical(tmp_path):
+    # Pins the seeded search at a size no golden bench reaches: same sieve
+    # survivors, same first safe prime, same generator and private exponent.
+    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+    assert main(["keygen", "--pub", str(pub), "--priv", str(priv), "--bits", "512", "--seed", "1"]) == 0
+    assert hashlib.sha256(pub.read_bytes()).hexdigest() == (
+        "99b635904f6aafdc644b1fc0f7a435fed4270df05da79f50ba4814c34076fd68"
+    )
+    assert hashlib.sha256(priv.read_bytes()).hexdigest() == (
+        "9b403e889bb478218d664f51135a9119e3c05e15b39d99f07625a8d21a0ab3e1"
+    )
 
 
 def test_embed_extract_roundtrip(workspace, capsys, tmp_path):
@@ -667,6 +711,31 @@ def test_two_outputs_naming_one_file_write_nothing(workspace, capsys, monkeypatc
     assert [json.loads(line) for line in err.splitlines()] == [
         {"error": "UsageError", "exit": 2, "message": f"two outputs name the same file: '{second}'"}
     ]
+    assert tree(ws["tmp"]) == before
+
+
+@pytest.mark.parametrize("command", ["keygen", "embed", "bench"])
+def test_a_refused_output_stops_the_command_before_its_work(workspace, capsys, monkeypatch, command):
+    # Every output target is staged before the key search, the first frame read or the sweep.
+    ws = workspace
+    for owner, name in ((elgamal, "generate_key_params"), (cli, "FrameCoder"), (bench, "run")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **kw: pytest.fail(f"{name} ran before the refusal"))
+    same = ws["tmp"] / "same.out"
+    if command == "keygen":
+        args, code = ["keygen", "--pub", str(same), "--priv", str(same), "--bits", "64", "--seed", "1"], 2
+    elif command == "embed":
+        args, code = embed_args(ws, same, extra=["--sidecar", str(same)]), 2
+    else:
+        dataset = ws["tmp"] / "clips"
+        dataset.mkdir()
+        write_clip(dataset / "one.y4m", w=16, h=16, frames=1, seed=1)
+        (ws["tmp"] / "r.attacks.csv").mkdir()
+        args, code = ["bench", "--input", str(dataset), "--report", str(ws["tmp"] / "r.csv"), "--seed", "0"], 3
+    before = tree(ws["tmp"])
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line)["exit"] for line in err.splitlines()] == [code]
     assert tree(ws["tmp"]) == before
 
 

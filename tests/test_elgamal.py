@@ -23,7 +23,8 @@ from qrsteg.elgamal import (
     xor_bytes,
 )
 from qrsteg.errors import CryptoError, FormatError
-from qrsteg.permute import Splitmix64
+from qrsteg.permute import Splitmix64, StegoKey
+from qrsteg.stego import StegoConfig
 
 # Demo key material: p = 997, alpha = 809, x = 420 -> y = 12.
 PUB = ElGamalPublic(p=997, alpha=809, y=12)
@@ -151,12 +152,15 @@ def test_keygen_definitional_invariants():
 
 
 def test_keygen_rejects_bad_parameters():
-    with pytest.raises(CryptoError):
-        keygen(996, 809, random.Random(0))  # composite modulus
-    with pytest.raises(CryptoError):
-        keygen(997, 1, random.Random(0))
-    with pytest.raises(CryptoError):
-        keygen(997, 996, random.Random(0))
+    # keygen proves nothing; validate refuses each bad (p, alpha), and so
+    # does StegoConfig, where a key enters the pipeline.
+    cases = ((996, 809, "p = 996 is not prime"), (997, 1, "alpha out of range"), (997, 996, "alpha out of range"))
+    for p, alpha, message in cases:
+        with pytest.raises(CryptoError, match=message):
+            ElGamalPublic(p=p, alpha=alpha, y=12).validate()
+        pub, priv = keygen(p, alpha, random.Random(0))
+        with pytest.raises(CryptoError, match=message):
+            StegoConfig(key=StegoKey(seed=0), public=pub, private=priv)
 
 
 @pytest.mark.parametrize("q", [2, 3, 83])
@@ -508,6 +512,21 @@ def test_key_search_matches_the_sequential_rule(bits, seeds):
         oracle, batch = Splitmix64(seed), Splitmix64(seed)
         assert elgamal.generate_key_params(bits, batch) == sequential_key_params(bits, oracle)
         assert batch._state == oracle._state
+
+
+@pytest.mark.parametrize("bits", [16, 17, 64, 65, 256, 512, 2048])
+def test_grouped_sieve_keeps_what_direct_residues_keep(bits):
+    # Real candidate batches, bits set as generate_key_params sets them; no
+    # Miller-Rabin runs. A candidate survives iff no odd sieve prime divides q or 2q + 1.
+    odd = elgamal._small_primes()[0][1:]
+    for seed in range(3):
+        rows = Splitmix64(seed).peek_getrandbits(bits - 1, elgamal._KEY_BATCH)
+        rows[:, 0] |= np.uint64(1)
+        rows[:, (bits - 2) // 64] |= np.uint64(1 << (bits - 2) % 64)
+        qs = [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in rows]
+        want = [j for j, q in enumerate(qs) if all(q % s and (2 * q + 1) % s for s in odd)]
+        assert 0 < len(want) < len(qs)
+        assert elgamal._sieve(rows).tolist() == want
 
 
 def test_key_search_returns_only_a_safe_prime():
