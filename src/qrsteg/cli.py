@@ -137,7 +137,7 @@ def _make_key(rng, paper_fidelity: bool, bits: int):
         raise UsageError(f"--bits {bits} is above the largest supported key size, {MAX_KEY_BITS}")
     if bits < elgamal.MIN_KEY_BITS:
         raise UsageError(f"--bits {bits} is below the smallest supported key size, {elgamal.MIN_KEY_BITS}")
-    return elgamal.keygen(*elgamal.generate_key_params(bits, rng), rng)
+    return elgamal.generate_key(bits, rng)
 
 
 def cmd_keygen(args) -> int:

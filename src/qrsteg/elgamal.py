@@ -13,24 +13,30 @@ at both ends (stego.prepare_payload, stego.decrypt_streams).
 
 The powers alpha^k and y^k have fixed bases, so they come from fixed-base
 window tables (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92;
-*Handbook of Applied Cryptography* 14.6.3). With 6-bit windows a table
-holds ceil(bits(p) / 6) rows of 64 entries: 43 rows for a 256-bit p,
-built in about 2 ms, and 342 rows (about 6 MiB) for a 2048-bit p, built
-in about 0.4 s. Each power then costs one modular multiplication per
-window instead of a square-and-multiply chain. One kernel, _table_pows,
-raises both bases to a batch of exponents. For p < 2^32 every product of
-two residues stays below 2^64, so a batch of at least _ARRAY_MIN_VALUES
-exponents runs on uint64 arrays with numpy gathers and expands into key
-bytes in one pass. Larger p and smaller batches keep Python integers: a
-numpy call has a fixed cost of 15-60 us, which a few values never earn
-back. Key generation, key validation and classic_encrypt, which raises
-each base once, use builtin pow at every size.
+*Handbook of Applied Cryptography* 14.6.3). A table with w-bit windows
+holds ceil(bits(p) / w) rows of 2^w entries, and each power then costs
+one modular multiplication per row instead of a square-and-multiply
+chain. For p < 2^32 every product of two residues stays below 2^64, so a
+batch of at least _ARRAY_MIN_VALUES exponents runs on uint64 arrays with
+numpy gathers (_array_table_pows) and expands into key bytes in one pass.
+Larger p and smaller batches keep Python integers (_table_pow): a numpy
+call has a fixed cost of 15-60 us, which a few values never earn back.
+Key generation, key validation and classic_encrypt, which raises each
+base once, use builtin pow at every size.
 
-Both ends run that kernel. The receiver is given the sender's exponent
-stream (in v1 it derives from the stego seed), so replay_keystream proves
-a level whole when its public values d equal the alpha^k, and then takes
-the y^k = d^x. A level that fails, from a tampered sidecar or another
-seed, runs the d^x reference rule (regenerate_keystream) on every value.
+The sender (keystream) raises alpha and y to each k on two 6-bit tables
+per key: 43 rows of 64 entries for a 256-bit p, built in about 2 ms, and
+342 rows (about 6 MiB) for a 2048-bit p, built in about 0.4 s. The
+receiver is given the sender's exponent stream (in v1 it derives from the
+stego seed), so replay_keystreams proves a level whole when its public
+values d equal the alpha^k. It raises alpha only: with y = alpha^x, the
+key y^k = d^x is alpha^(x * k mod (p - 1)). One table of alpha serves
+every level of a whole extract, its window chosen by _window_bits for
+the two chains per public value: 8 bits for a 2-frame CIF clip under a
+256-bit key, one row of 1024 entries (a single gather) at p = 997, and 5
+bits for one CIF frame under a 2048-bit key. A level that fails, from a
+tampered sidecar or another seed, runs the d^x reference rule
+(regenerate_keystream) on every value.
 """
 
 from __future__ import annotations
@@ -50,10 +56,12 @@ from .errors import CryptoError, FormatError
 
 MILLER_RABIN_ROUNDS = 40
 
-# Fixed-base table window: 6 bits keeps nearly all of the 8-bit speed at
-# 256 bits while the build stays cheap enough for a 2048-bit one-frame embed.
+# The sender's fixed-base table window: 6 bits keeps nearly all of the 8-bit
+# speed at 256 bits while the build stays cheap enough for a 2048-bit one-frame embed.
 WINDOW_BITS = 6
-_WINDOW_MASK = (1 << WINDOW_BITS) - 1
+
+# The receiver's table holds at most this many entries, whatever its window.
+_TABLE_MAX_ENTRIES = 1 << 16
 
 # Moduli below this bound run the keystream on uint64 arrays: a product of
 # two residues stays below 2^64.
@@ -115,35 +123,51 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _fixed_base_table(base: int, p: int) -> list[list[int]]:
-    """Row i holds base^(j * 2^(WINDOW_BITS * i)) mod p for j < 2^WINDOW_BITS.
+def _fixed_base_table(base: int, p: int, window: int) -> list[list[int]]:
+    """Row i holds base^(j * 2^(window * i)) mod p for j < 2^window.
 
     There are enough rows for every exponent below 2^bits(p).
     """
     rows = []
-    for _ in range(-(-p.bit_length() // WINDOW_BITS)):
-        row = [1] * (_WINDOW_MASK + 1)
-        for j in range(1, _WINDOW_MASK + 1):
+    for _ in range(-(-p.bit_length() // window)):
+        row = [1] * (1 << window)
+        for j in range(1, 1 << window):
             row[j] = row[j - 1] * base % p
         rows.append(row)
         base = row[-1] * base % p
     return rows
 
 
+def _window_bits(bits: int, chains: int) -> int:
+    """The window of one table that raises its base to `chains` exponents below 2^bits.
+
+    A table of ceil(bits / w) rows costs 2^w - 1 multiplications a row to
+    build, and each chain one a row, so w minimises
+    ceil(bits / w) * (2^w - 1 + chains), the smallest such w on a tie, over
+    the tables of at most _TABLE_MAX_ENTRIES entries. w = 1 stays a choice
+    above 32,768 bits, where no table fits.
+    """
+    fits = [w for w in range(2, 17) if -(-bits // w) << w <= _TABLE_MAX_ENTRIES]
+    return min([1, *fits], key=lambda w: -(-bits // w) * ((1 << w) - 1 + chains))
+
+
 def _table_pow(table: list[list[int]], k: int, p: int) -> int:
     """base^k mod p for 0 <= k < 2^bits(p): one table entry per window of k."""
+    mask = len(table[0]) - 1
+    window = mask.bit_length()
     r = 1
     for row in table:
-        r = r * row[k & _WINDOW_MASK] % p
-        k >>= WINDOW_BITS
+        r = r * row[k & mask] % p
+        k >>= window
     return r
 
 
 def _array_table_pows(tables: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
     """_table_pow of every exponent in the uint64 array k, for each of the stacked uint64 tables."""
-    rows = tables.shape[1]
-    shifts = np.arange(0, rows * WINDOW_BITS, WINDOW_BITS, dtype=np.uint64)[:, None]
-    windows = (k >> shifts) & np.uint64(_WINDOW_MASK)  # row i: window i of each k
+    rows, size = tables.shape[1:]
+    window = size.bit_length() - 1
+    shifts = np.arange(0, rows * window, window, dtype=np.uint64)[:, None]
+    windows = (k >> shifts) & np.uint64(size - 1)  # row i: window i of each k
     factors = tables[:, np.arange(rows)[:, None], windows]  # table x row x exponent
     r = factors[:, 0]
     for i in range(1, rows):
@@ -163,11 +187,13 @@ def _le_bytes(e: np.ndarray) -> bytes:
 class ElGamalPublic:
     """Receiver public key: prime modulus p, primitive root alpha, y = alpha^x mod p.
 
-    The fixed-base tables for alpha and y (below 2^32 also stacked as one
-    uint64 array) are built on first use and kept for the life of the
-    object: 2 x 43 x 64 integers (about 2 ms per base) for a 256-bit p,
-    2 x 342 x 64 (about 0.4 s and 6 MiB per base) for a 2048-bit p.
-    keystream and replay_keystream build them; regenerate_keystream never does.
+    The sender's 6-bit fixed-base tables for alpha and y (below 2^32 also
+    stacked as one uint64 array) are built on first use and kept for the
+    life of the object: 2 x 43 x 64 integers (about 2 ms per base) for a
+    256-bit p, 2 x 342 x 64 (about 0.4 s and 6 MiB per base) for a
+    2048-bit p. Only keystream builds them. The receiver,
+    replay_keystreams, builds one table of alpha per call, sized to the
+    values it replays, and keeps none; regenerate_keystream builds none.
     """
 
     p: int
@@ -176,11 +202,11 @@ class ElGamalPublic:
 
     @cached_property
     def _alpha_table(self) -> list[list[int]]:
-        return _fixed_base_table(self.alpha, self.p)
+        return _fixed_base_table(self.alpha, self.p, WINDOW_BITS)
 
     @cached_property
     def _y_table(self) -> list[list[int]]:
-        return _fixed_base_table(self.y, self.p)
+        return _fixed_base_table(self.y, self.p, WINDOW_BITS)
 
     @cached_property
     def _uint64_tables(self) -> np.ndarray:
@@ -206,7 +232,8 @@ class ElGamalPublic:
 
         The checks run once per object: the object is frozen, so a pass is
         remembered, while a failing key raises on every call. A key loaded
-        afresh is a new object and is checked again.
+        afresh is a new object and is checked again; a key generate_key
+        searched for enters with its pass recorded.
         """
         self._checked  # raises until the checks pass, then reads the cached pass
 
@@ -372,7 +399,7 @@ def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalP
     """The receiver's keystream by the d^x rule: the bytes of d^x mod p for every sender public value d.
 
     The reference rule: a range check of every value, then one builtin pow
-    per value. replay_keystream gives the same bytes faster, given the
+    per value. replay_keystreams gives the same bytes faster, given the
     sender's rng.
     """
     if sender_publics and (min(sender_publics) <= 0 or max(sender_publics) >= p):
@@ -381,28 +408,50 @@ def regenerate_keystream(sender_publics: tuple[int, ...], p: int, priv: ElGamalP
     return _receiver_key(b"".join(int_to_bytes_le(pow(d, priv.x, p)) for d in sender_publics), nbytes)
 
 
-def replay_keystream(
-    sender_publics: Sequence[int], pub: ElGamalPublic, priv: ElGamalPrivate, nbytes: int, rng
-) -> bytes:
-    """regenerate_keystream's bytes, from the sender's exponents where rng replays them.
+def replay_keystreams(
+    levels: Sequence[tuple[Sequence[int], object]], pub: ElGamalPublic, priv: ElGamalPrivate, nbytes: int
+) -> list[bytes]:
+    """regenerate_keystream's bytes for each level (sender_publics, rng), from the sender's exponents where rng replays them.
 
-    rng is the stream the sender drew from (for a stego frame, payload_rng
-    of its key, level and frame), so its next len(sender_publics) draws are
-    the sender's k in order, whatever its rounds were. _table_pows raises
-    alpha and y to all of them in one batch, as the sender did. When the
-    level's public values equal those alpha^k exactly, the level is proved
-    whole and its key is the bytes of the y^k. Otherwise, from a tampered
-    sidecar or another stream, the whole level takes the d^x reference,
-    regenerate_keystream, which also range-checks every value.
+    Each rng is the stream the sender drew its level from (for a stego
+    frame, payload_rng of its key, level and frame), so its next
+    len(sender_publics) draws are the sender's k in order, whatever its
+    rounds were. Only alpha is raised, to each k and to x * k mod (p - 1),
+    on one table shared by all levels, its window sized by _window_bits to
+    those two chains per value. When a level's public values equal its alpha^k
+    exactly, the level is proved whole and its key is the bytes of
+    alpha^(x * k) = y^k = d^x. Otherwise, from a tampered sidecar or
+    another stream, the whole level takes the d^x reference,
+    regenerate_keystream, which also range-checks every value. Levels are
+    settled in order, so the first that fails raises.
 
-    y^k = alpha^(kx) = d^x needs y = alpha^x (mod p), so callers pass a
-    proved pair (check_key_pair, which stego.StegoConfig runs when built):
-    under another x a proved level gives the sender's keystream, not d^x.
+    alpha^(x * k mod (p - 1)) = d^x needs p prime and y = alpha^x (mod p),
+    so callers pass a proved pair (validate and check_key_pair, which
+    stego.StegoConfig runs when built): under another x a proved level
+    gives the sender's keystream, not d^x.
     """
-    alpha_k, key = _table_pows(pub, rng.randrange_array(2, pub.p - 2, len(sender_publics)))
-    if alpha_k != list(sender_publics):
-        return regenerate_keystream(tuple(sender_publics), pub.p, priv, nbytes)
-    return _receiver_key(key, nbytes)
+    p = pub.p
+    x = priv.x % (p - 1)  # below 2^32 when p is, so x * k fits a uint64
+    ks = [rng.randrange_array(2, p - 2, len(publics)) for publics, rng in levels]
+    count = sum(map(len, ks))
+    table = _fixed_base_table(pub.alpha, p, _window_bits(p.bit_length(), 2 * count))
+    if p < _UINT64_MODULUS_BOUND and count >= _ARRAY_MIN_VALUES:
+        k = np.concatenate([np.asarray(level_k, dtype=np.uint64) for level_k in ks])
+        e = np.concatenate((k, k * np.uint64(x) % np.uint64(p - 1)))
+        powers = _array_table_pows(np.array([table], dtype=np.uint64), e, p)[0]
+        splits = np.cumsum([len(level_k) for level_k in ks])[:-1]
+        alpha_k = [part.tolist() for part in np.split(powers[:count], splits)]
+        keys = [_le_bytes(part) for part in np.split(powers[count:], splits)]
+    else:
+        alpha_k = [[_table_pow(table, int(v), p) for v in level_k] for level_k in ks]
+        keys = [
+            b"".join(int_to_bytes_le(_table_pow(table, int(v) * x % (p - 1), p)) for v in level_k)
+            for level_k in ks
+        ]
+    return [
+        _receiver_key(key, nbytes) if d == list(publics) else regenerate_keystream(tuple(publics), p, priv, nbytes)
+        for (publics, _), d, key in zip(levels, alpha_k, keys)
+    ]
 
 
 def _receiver_key(key: bytes, nbytes: int) -> bytes:
@@ -460,6 +509,18 @@ def generate_key_params(bits: int, rng) -> tuple[int, int]:
         if pow(alpha, 2, p) != 1 and pow(alpha, q, p) != 1:
             return p, alpha
     raise CryptoError("no generator found below 1000 (astronomically unlikely)")
+
+
+def generate_key(bits: int, rng) -> tuple[ElGamalPublic, ElGamalPrivate]:
+    """keygen on a fresh safe prime and generator from generate_key_params, the public key already proved.
+
+    The search proves p (Pocklington) and alpha (a generator, so 1 < alpha < p - 1),
+    and y = alpha^x is then in (0, p): every check validate makes holds, so
+    its pass is recorded instead of 40 more Miller-Rabin rounds on p.
+    """
+    pub, priv = keygen(*generate_key_params(bits, rng), rng)
+    vars(pub)["_checked"] = True  # where the cached_property keeps validate's pass
+    return pub, priv
 
 
 def _getrandbits_rows(rng, k: int, count: int) -> np.ndarray:

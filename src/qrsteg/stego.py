@@ -378,24 +378,30 @@ class ExtractedSet:
 def frame_keystreams(
     publics_by_level: Mapping[str, Sequence[int]], cfg: StegoConfig, plain_len: int, frame_index: int
 ) -> dict[str, bytes]:
-    """Regenerate one frame's four keystreams from its sidecar record.
-
-    Each level replays the sender's exponents from payload_rng and proves
-    its public values against them as a whole (elgamal.replay_keystream).
-    That gives the d^x bytes only when the private key matches the public
-    key, which cfg proved when it was built.
+    """Regenerate one frame's four keystreams from its sidecar record, on a table sized to that frame.
 
     Noise changes the carried bits, never the keys, so callers decoding
     several copies of a frame can regenerate once and reuse the result.
     """
-    private = _private_key(cfg)
-    return {
-        level: elgamal.replay_keystream(
-            publics_by_level[level], cfg.public, private, plain_len,
-            payload_rng(cfg.key, level, frame_index),
-        )
-        for level in QR_LEVELS
-    }
+    return _keystreams({frame_index: publics_by_level}, cfg, plain_len)[0]
+
+
+def _keystreams(
+    records: Mapping[int, Mapping[str, Sequence[int]]], cfg: StegoConfig, plain_len: int
+) -> list[dict[str, bytes]]:
+    """The four keystreams of each sidecar frame record, keyed by frame index, in the mapping's order.
+
+    Each level replays the sender's exponents from payload_rng and proves
+    its public values against them as a whole, and every level of every
+    record shares one table of alpha (elgamal.replay_keystreams). That
+    gives the d^x bytes only when the private key matches the public key,
+    which cfg proved when it was built.
+    """
+    levels = [
+        (record[level], payload_rng(cfg.key, level, index)) for index, record in records.items() for level in QR_LEVELS
+    ]
+    keys = iter(elgamal.replay_keystreams(levels, cfg.public, _private_key(cfg), plain_len))
+    return [{level: next(keys) for level in QR_LEVELS} for _ in records]
 
 
 def _private_key(cfg: StegoConfig) -> ElGamalPrivate:
@@ -449,15 +455,15 @@ def extract_video(
     """Recover one payload set per frame using the sidecar's key material.
 
     The first frame must match the sidecar geometry. Every sidecar frame's
-    keystreams are then derived before the coder is built, so a bad public
-    value or a short list in any frame fails the run before any output,
-    also when the video holds no frame.
+    keystreams are then derived, on one table sized to them all, before the
+    coder is built, so a bad public value or a short list in any frame fails
+    the run before any output, also when the video holds no frame.
     """
     frames = iter(frames)
     first = next(frames, None)
     if first is not None and (first.width, first.height) != (sidecar.width, sidecar.height):
         raise ShapeError("stego video geometry disagrees with the sidecar")
-    keys = [frame_keystreams(record, cfg, sidecar.plain_len, index) for index, record in enumerate(sidecar.frames)]
+    keys = _keystreams(dict(enumerate(sidecar.frames)), cfg, sidecar.plain_len)
     if first is None:
         return
     coder = FrameCoder(cfg.key, sidecar.width, sidecar.height)

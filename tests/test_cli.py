@@ -207,6 +207,23 @@ def test_seeded_keygen_proves_q_and_never_p(tmp_path, monkeypatch):
     assert proved[-1] == (p - 1) // 2
 
 
+def test_keyless_bench_proves_q_and_never_p(tmp_path, monkeypatch):
+    # The key bench searches for enters StegoConfig proved: Miller-Rabin
+    # runs on q candidates alone, never on p.
+    dataset = tmp_path / "clips"
+    dataset.mkdir()
+    write_clip(dataset / "clip.y4m", w=16, h=16, frames=1, seed=0)
+    proved, keys = [], []
+    real_prove, real_run = elgamal.is_probable_prime, bench.run
+    monkeypatch.setattr(elgamal, "is_probable_prime", lambda n: proved.append(n) or real_prove(n))
+    monkeypatch.setattr(bench, "run", lambda **kw: keys.append(kw["cfg"].public) or real_run(**kw))
+    assert main(["bench", "--input", str(dataset), "--bits", "64", "--seed", "3", "--attacks", ""]) == 0
+    p = keys[0].p
+    assert p.bit_length() == 64 and p not in proved
+    assert proved[-1] == (p - 1) // 2
+    assert {n.bit_length() for n in proved} == {63}  # q candidates: getrandbits(63) with its top bit set
+
+
 def test_keygen_fresh_prime(tmp_path):
     pub_path = tmp_path / "p.pub"
     priv_path = tmp_path / "p.priv"
@@ -819,7 +836,7 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
     for i in range(2):
         write_clip(dataset / f"clip{i}.y4m", w=16, h=16, frames=2, seed=i)
     calls = []
-    for name in ("regenerate_keystream", "replay_keystream"):
+    for name in ("regenerate_keystream", "replay_keystreams"):
         real = getattr(elgamal, name)
         monkeypatch.setattr(elgamal, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     cfg = StegoConfig(key=StegoKey(seed=0), public=elgamal.ElGamalPublic(p=997, alpha=809, y=12),
@@ -828,10 +845,11 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
     assert calls == []
     assert list(result.robustness) == ["none", "sp:0.01"]
     assert set(result.robustness["none"].values()) == {1.0}
-    # The counters sit on extract's path: one frame record replays four keystreams,
-    # and each level of [5], which no replayed exponent proves, runs the d^x reference.
+    # The counters sit on extract's path: one frame record replays its four
+    # keystreams in one batch, and each level of [5], which no replayed
+    # exponent proves, runs the d^x reference.
     frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1, 0)
-    assert calls == ["replay_keystream", "regenerate_keystream"] * 4
+    assert calls == ["replay_keystreams"] + ["regenerate_keystream"] * 4
 
 
 def count_pair_proofs(monkeypatch, pub_path, priv_path):

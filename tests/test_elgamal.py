@@ -40,30 +40,60 @@ TINY_PRIV = ElGamalPrivate(x=6)
 
 @st.composite
 def table_cases(draw):
-    """(base, k, p) over odd moduli 5 .. 2^300, often a whole number of windows long."""
-    w = elgamal.WINDOW_BITS
+    """(base, k, p, w) over odd moduli 5 .. 2^300 and windows w, often a whole number of windows long."""
+    w = draw(st.sampled_from([elgamal.WINDOW_BITS, 1, 2, 5, 8]))  # the sender's, then widths the receiver picks
     bits = draw(st.one_of(st.sampled_from(range(w, 301, w)), st.integers(3, 300)))
     p = max(5, draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1)
     all_ones = (1 << (w * ((p.bit_length() - 1) // w))) - 1  # every window 2^w - 1, below p
     k = draw(st.one_of(st.sampled_from([2, p - 3, all_ones]), st.integers(0, p - 1)))
-    return draw(st.integers(0, p - 1)), k, p
+    return draw(st.integers(0, p - 1)), k, p, w
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(table_cases())
-@example((3, (1 << 294) - 1, (1 << 300) - 3))
+@example((3, (1 << 294) - 1, (1 << 300) - 3, 6))
+@example((3, (1 << 296) - 1, (1 << 300) - 3, 8))
+@example((3, 996, 997, 10))  # one row: base^k is a single entry
 def test_table_pow_matches_builtin_pow(case):
-    base, k, p = case
-    assert elgamal._table_pow(elgamal._fixed_base_table(base, p), k, p) == pow(base, k, p)
+    base, k, p, w = case
+    assert elgamal._table_pow(elgamal._fixed_base_table(base, p, w), k, p) == pow(base, k, p)
+
+
+def brute_force_window(bits, chains):
+    """The rule by hand: the smallest w minimising table build plus chains, one multiplication per row each."""
+    best = None
+    for w in range(1, 65):
+        rows = -(-bits // w)
+        if w > 1 and rows * 2**w > 2**16:
+            continue
+        cost = rows * (2**w - 1 + chains)
+        if best is None or cost < best[0]:
+            best = cost, w
+    return best[1]
+
+
+def test_window_rule_is_the_argmin_under_the_entry_cap():
+    for bits in (2, 10, 16, 31, 32, 33, 64, 255, 256, 257, 1024, 2048, 4096, 8192):
+        for chains in (0, 1, 7, 50, 104, 800, 1584, 6400, 25_344, 10**5, 10**6, 10**9):
+            w = elgamal._window_bits(bits, chains)
+            assert w == brute_force_window(bits, chains), (bits, chains)
+            assert -(-bits // w) << w <= 2**16
+    # The sizes the receiver meets (two chains per public value): a 2-frame
+    # CIF clip under a 256-bit key (99 values per level), the same clip at
+    # p = 997 (at least 1,584 values per level), one CIF frame at 2048 bits.
+    assert elgamal._window_bits(256, 2 * 8 * 99) == 8
+    assert elgamal._window_bits(10, 2 * 8 * 1584) == 10  # one row of 1024 entries
+    assert elgamal._window_bits(2048, 2 * 4 * 13) == 5
+    assert elgamal._window_bits(40_000, 10**6) == 1  # no table fits the cap; the narrowest is kept
 
 
 def test_keystream_builds_each_table_once(monkeypatch):
     built = []
     real = elgamal._fixed_base_table
 
-    def counting(base, p):
+    def counting(base, p, window):
         built.append(base)
-        return real(base, p)
+        return real(base, p, window)
 
     monkeypatch.setattr(elgamal, "_fixed_base_table", counting)
     pub = ElGamalPublic(p=997, alpha=809, y=12)
@@ -324,6 +354,11 @@ def receiver_outcome(regenerate, *args):
         return f"CryptoError: {exc}"
 
 
+def replay_one(sender_publics, pub, priv, nbytes, rng):
+    """replay_keystreams on a batch of one level."""
+    return elgamal.replay_keystreams([(sender_publics, rng)], pub, priv, nbytes)[0]
+
+
 @pytest.mark.parametrize("pub,priv", RECEIVER_KEYS,
                          ids=[f"{pub.p.bit_length()}bit" for pub, _ in RECEIVER_KEYS])
 def test_replay_keystream_matches_sequential_oracle(pub, priv):
@@ -337,10 +372,51 @@ def test_replay_keystream_matches_sequential_oracle(pub, priv):
         cases = [(publics, n), (publics, n + 1), (tampered, n), (publics[:-1], n)]  # rng seed n is the sender's
         for sender_publics, seed in cases:
             want = receiver_outcome(sequential_regenerate, sender_publics, pub.p, priv, n)
-            got = receiver_outcome(elgamal.replay_keystream, sender_publics, pub, priv, n, Splitmix64(seed))
+            got = receiver_outcome(replay_one, sender_publics, pub, priv, n, Splitmix64(seed))
             assert got == want
         if n:  # the last public's bytes are needed: without it the keystream is short
             assert want.startswith("CryptoError: corrupt bundle")
+
+
+# p = 997, the largest prime below 2^32 (the uint64 path's widest products), 64 and 256 bits.
+BATCH_KEYS = [RECEIVER_KEYS[0], RECEIVER_KEYS[1], (ORACLE_KEYS[4], ElGamalPrivate(10**18)), RECEIVER_KEYS[3]]
+
+
+def frame_levels(pub, frames, nbytes):
+    """(sender publics, seed) per level of each frame, four levels a frame, drawn as a sender draws them."""
+    seeds = [100 * frame + level for frame in range(frames) for level in range(4)]
+    return [(keystream(pub, nbytes, Splitmix64(seed)).sender_publics, seed) for seed in seeds]
+
+
+@pytest.mark.parametrize("pub,priv", BATCH_KEYS, ids=[f"{pub.p.bit_length()}bit" for pub, _ in BATCH_KEYS])
+def test_a_tampered_level_alone_takes_the_reference_in_a_batch(pub, priv, monkeypatch):
+    # Three frames in one batch, one table: frame 1's level Q (index 4 + 2)
+    # holds one altered value, so that level alone runs regenerate_keystream.
+    assert pub.y == pow(pub.alpha, priv.x, pub.p)
+    n = 100
+    levels = frame_levels(pub, 3, n)
+    publics = list(levels[6][0])
+    publics[len(publics) // 2] = publics[len(publics) // 2] % (pub.p - 1) + 1
+    levels[6] = tuple(publics), levels[6][1]
+    regenerated = []
+    real = elgamal.regenerate_keystream
+    monkeypatch.setattr(elgamal, "regenerate_keystream", lambda *args: regenerated.append(args[0]) or real(*args))
+    got = elgamal.replay_keystreams([(d, Splitmix64(seed)) for d, seed in levels], pub, priv, n)
+    assert got == [sequential_regenerate(d, pub.p, priv, n) for d, _ in levels]
+    assert regenerated == [tuple(publics)]
+
+
+@pytest.mark.parametrize("pub,priv", BATCH_KEYS, ids=[f"{pub.p.bit_length()}bit" for pub, _ in BATCH_KEYS])
+def test_an_unreduced_private_exponent_gives_the_d_to_the_x_bytes(pub, priv):
+    # x + (p - 1) * 2^70 is the same key (check_key_pair accepts it), and
+    # x * k must be reduced mod p - 1 before any uint64 product.
+    big = ElGamalPrivate(priv.x + (pub.p - 1) * 2**70)
+    elgamal.check_key_pair(pub, big)
+    for frames, n in ((1, 3), (3, 100)):  # a batch below _ARRAY_MIN_VALUES values at p = 997, and one above
+        levels = frame_levels(pub, frames, n)
+        want = [sequential_regenerate(d, pub.p, big, n) for d, _ in levels]
+        assert want == [sequential_regenerate(d, pub.p, priv, n) for d, _ in levels]
+        assert elgamal.replay_keystreams([(d, Splitmix64(seed)) for d, seed in levels], pub, big, n) == want
 
 
 @pytest.mark.parametrize("pub", ORACLE_KEYS, ids=lambda pub: f"{pub.p.bit_length()}bit")
@@ -570,5 +646,5 @@ def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch
                 calls.clear()
                 head = ks.sender_publics[:m]
                 want = sequential_regenerate(head, pub.p, priv, len(head))
-                assert elgamal.replay_keystream(head, pub, priv, len(head), Splitmix64(seed)) == want
+                assert replay_one(head, pub, priv, len(head), Splitmix64(seed)) == want
                 assert calls == (["_array_table_pows"] if len(head) >= cut else [])

@@ -5,9 +5,9 @@ planes, 252 bits per level, so the last keystream byte has four unused
 bits. The digests pin every PGM that ``qrsteg extract`` writes for it.
 Under the paper's p = 997 key, extraction must also print no warning.
 
-Under a 64-bit key (p >= 2^32) and under the p = 997 key, three runs are
-pinned: a clean one, one whose sidecar has a single public value replaced
-by another value in (0, p), and one given the wrong seed. The last two
+Under a 64-bit and a 256-bit key (p >= 2^32) and under the p = 997 key,
+three runs are pinned: a clean one, one whose sidecar has a single public
+value replaced by another value in (0, p), and one given the wrong seed. The last two
 recover noise, and that noise is pinned too: whatever route the receiver
 takes to a keystream, its bytes are those of d^x mod p for every sidecar
 public d.
@@ -38,9 +38,19 @@ GOLDEN_PGMS_DEMO = {
     "wrong_seed": "db0cc87c843bcc98aeeb847cb716d6029eb3f00a28336e78287ca7f5e42f1265",
 }
 
+# A 256-bit value fills a 32-byte level alone: one public value per level.
+GOLDEN_PGMS_256 = {
+    "clean": GOLDEN_PGMS,
+    "tampered": "49a3e073dc3ec5db904332577ab53c8e10493d7543f17a423018358742529f64",
+    "wrong_seed": "cb72f1d4d4b86c026ca9da009db3a6c2df370d1d46193fc8b1ad808bc2d8a753",
+}
+
 # (test id, keygen arguments, case, digest); the 64-bit ids carry no key prefix.
 KEYED_CASES = [
     (case, ["--bits", "64", "--seed", "7"], case, GOLDEN_PGMS_64[case]) for case in sorted(GOLDEN_PGMS_64)
+] + [
+    (f"256_{case}", ["--bits", "256", "--seed", "7"], case, GOLDEN_PGMS_256[case])
+    for case in sorted(GOLDEN_PGMS_256)
 ] + [
     (f"demo_{case}", ["--paper-fidelity", "--seed", "5"], case, GOLDEN_PGMS_DEMO[case])
     for case in sorted(GOLDEN_PGMS_DEMO)
@@ -95,7 +105,8 @@ def test_extract_under_a_64_bit_key_is_byte_identical(tmp_path, capsys, keygen_a
     if case == "tampered":
         sidecar = tmp_path / "stego.y4m.sidecar.json"
         doc = json.loads(sidecar.read_text())
-        doc["frames"][1]["M"][2] = "2"
+        publics = doc["frames"][1]["M"]
+        publics[min(2, len(publics) - 1)] = "2"
         sidecar.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
     capsys.readouterr()
