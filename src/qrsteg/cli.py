@@ -36,9 +36,6 @@ from .stego import (
 from .videoio import VideoMeta, read_pgm, read_raw_yuv, read_y4m, write_pgm, write_y4m
 
 DEFAULT_KEY_BITS = 256
-# The key search holds a batch of candidates as a 512 x ceil(bits / 64)
-# uint64 array, and a search at this size already takes hours.
-MAX_KEY_BITS = 8192
 DEFAULT_BENCH_ATTACKS = "sp:0.01,sp:0.1,gauss:0:0.01,gauss:0:0.1,poisson,speckle:0.05"
 
 
@@ -133,8 +130,8 @@ def _make_key(rng, paper_fidelity: bool, bits: int):
     """The paper's demo parameters, or a fresh safe prime of the given size."""
     if paper_fidelity:
         return elgamal.keygen(elgamal.DEMO_P, elgamal.DEMO_ALPHA, rng)
-    if bits > MAX_KEY_BITS:
-        raise UsageError(f"--bits {bits} is above the largest supported key size, {MAX_KEY_BITS}")
+    if bits > elgamal.MAX_KEY_BITS:
+        raise UsageError(f"--bits {bits} is above the largest supported key size, {elgamal.MAX_KEY_BITS}")
     if bits < elgamal.MIN_KEY_BITS:
         raise UsageError(f"--bits {bits} is below the smallest supported key size, {elgamal.MIN_KEY_BITS}")
     return elgamal.generate_key(bits, rng)

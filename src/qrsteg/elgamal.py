@@ -16,32 +16,25 @@ window tables (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92;
 *Handbook of Applied Cryptography* 14.6.3). A table with w-bit windows
 holds ceil(bits(p) / w) rows of 2^w entries, and each power then costs
 one modular multiplication per row instead of a square-and-multiply
-chain. For p < 2^32 every product of two residues stays below 2^64, so a
-batch of at least _ARRAY_MIN_VALUES exponents runs on uint64 arrays with
-numpy gathers (_array_table_pows) and expands into key bytes in one pass.
-Larger p and smaller batches keep Python integers (_table_pow): a numpy
-call has a fixed cost of 15-60 us, which a few values never earn back.
-Key generation, key validation and classic_encrypt, which raises each
-base once, use builtin pow at every size.
+chain. One kernel, _table_pows, raises a table to a batch of exponents,
+on uint64 numpy gathers or on Python ints, and one expander, _key_bytes,
+turns its powers into key bytes. Key generation, key validation and
+classic_encrypt, which raises each base once, use builtin pow.
 
-The sender (keystream) raises alpha and y to each k on two 6-bit tables
-per key: 43 rows of 64 entries for a 256-bit p, built in about 2 ms, and
-342 rows (about 6 MiB) for a 2048-bit p, built in about 0.4 s. The
-receiver is given the sender's exponent stream (in v1 it derives from the
-stego seed), so replay_keystreams proves a level whole when its public
-values d equal the alpha^k. It raises alpha only: with y = alpha^x, the
-key y^k = d^x is alpha^(x * k mod (p - 1)). One table of alpha serves
-every level of a whole extract, its window chosen by _window_bits for
-the two chains per public value: 8 bits for a 2-frame CIF clip under a
-256-bit key, one row of 1024 entries (a single gather) at p = 997, and 5
-bits for one CIF frame under a 2048-bit key. A level that fails, from a
-tampered sidecar or another seed, runs the d^x reference rule
-(regenerate_keystream) on every value.
+The sender (keystream) raises its key's two cached 6-bit tables, of alpha
+and of y, to each k. The receiver is given the sender's exponent stream
+(in v1 it derives from the stego seed), so replay_keystreams proves a
+level whole when its public values d equal the alpha^k. With y = alpha^x,
+the key y^k = d^x is alpha^(x * k mod (p - 1)), so the receiver raises
+one table of alpha, sized by _window_bits to a whole extract. A level
+that fails, from a tampered sidecar or another seed, runs the d^x
+reference rule (regenerate_keystream) on every value.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import secrets
@@ -67,8 +60,8 @@ _TABLE_MAX_ENTRIES = 1 << 16
 # two residues stays below 2^64.
 _UINT64_MODULUS_BOUND = 1 << 32
 
-# Fewer values than this take the Python-int path even below the bound: at
-# p = 997 and p = 2^32 - 5, one round of this many costs about the same either way.
+# A _table_pows call on fewer exponents than this takes the Python-int path even
+# below the bound: at p = 997 and p = 2^32 - 5, this many cost about the same either way.
 _ARRAY_MIN_VALUES = 16
 
 # Byte i of a value below 2^32 belongs to its minimal encoding iff the value is at least 2^(8i).
@@ -80,6 +73,10 @@ _LE_UINT32 = np.dtype("<u4")
 _KEY_BATCH = 512
 _SIEVE_FIRST = 16
 MIN_KEY_BITS = 16  # every candidate q >= 2^14 lies above the largest sieve prime
+# The key search holds a batch as a 512 x ceil(bits / 64) uint64 array and at
+# this size already takes hours; validate refuses a larger p before any
+# Miller-Rabin round, which at 14,000 bits takes 6 s each.
+MAX_KEY_BITS = 8192
 
 
 @functools.cache
@@ -162,38 +159,46 @@ def _table_pow(table: list[list[int]], k: int, p: int) -> int:
     return r
 
 
-def _array_table_pows(tables: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
-    """_table_pow of every exponent in the uint64 array k, for each of the stacked uint64 tables."""
-    rows, size = tables.shape[1:]
-    window = size.bit_length() - 1
-    shifts = np.arange(0, rows * window, window, dtype=np.uint64)[:, None]
-    windows = (k >> shifts) & np.uint64(size - 1)  # row i: window i of each k
-    factors = tables[:, np.arange(rows)[:, None], windows]  # table x row x exponent
-    r = factors[:, 0]
-    for i in range(1, rows):
-        r = r * factors[:, i] % np.uint64(p)
-    return r
+def _table_pows(table: list[list[int]], k, p: int) -> np.ndarray:
+    """_table_pow of each exponent in k: uint64 gathers, or Python ints as an object array.
+
+    The one place a power chooses its path. With p < 2^32 every product of
+    two residues stays below 2^64, so a batch of at least _ARRAY_MIN_VALUES
+    exponents runs on uint64 arrays and returns uint64. Larger p and smaller
+    batches run _table_pow and return Python ints: a numpy call costs 15-60
+    us, which a few values never earn back.
+    """
+    if p < _UINT64_MODULUS_BOUND and len(k) >= _ARRAY_MIN_VALUES:
+        rows, size = len(table), len(table[0])
+        window = size.bit_length() - 1
+        shifts = np.arange(0, rows * window, window, dtype=np.uint64)[:, None]
+        windows = (np.asarray(k, dtype=np.uint64) >> shifts) & np.uint64(size - 1)  # row i: window i of each k
+        factors = np.array(table, dtype=np.uint64)[np.arange(rows)[:, None], windows]
+        r = factors[0]
+        for f in factors[1:]:
+            r = r * f % np.uint64(p)
+        return r
+    return np.array([_table_pow(table, int(v), p) for v in k], dtype=object)
 
 
-def _le_bytes(e: np.ndarray) -> bytes:
-    """b"".join(map(int_to_bytes_le, e)) for a uint64 array of values below 2^32, in one pass."""
-    if np.count_nonzero(e) < e.size:
+def _key_bytes(powers: np.ndarray) -> bytes:
+    """b"".join(map(int_to_bytes_le, powers)) for a result of _table_pows; a uint64 one expands in one pass."""
+    if powers.dtype == object:
+        return b"".join(map(int_to_bytes_le, powers))
+    if np.count_nonzero(powers) < powers.size:
         raise CryptoError("cannot expand non-positive value 0")
-    keep = e[:, None] >= _BYTE_FLOORS  # row j: which bytes of e[j] are in its encoding
-    return e.astype(_LE_UINT32).view(np.uint8).reshape(-1, 4)[keep].tobytes()
+    keep = powers[:, None] >= _BYTE_FLOORS  # row j: which bytes of powers[j] are in its encoding
+    return powers.astype(_LE_UINT32).view(np.uint8).reshape(-1, 4)[keep].tobytes()
 
 
 @dataclass(frozen=True)
 class ElGamalPublic:
     """Receiver public key: prime modulus p, primitive root alpha, y = alpha^x mod p.
 
-    The sender's 6-bit fixed-base tables for alpha and y (below 2^32 also
-    stacked as one uint64 array) are built on first use and kept for the
-    life of the object: 2 x 43 x 64 integers (about 2 ms per base) for a
-    256-bit p, 2 x 342 x 64 (about 0.4 s and 6 MiB per base) for a
-    2048-bit p. Only keystream builds them. The receiver,
-    replay_keystreams, builds one table of alpha per call, sized to the
-    values it replays, and keeps none; regenerate_keystream builds none.
+    keystream builds the 6-bit fixed-base tables of alpha and y on first
+    use and keeps them for the life of the object: 43 rows of 64 entries
+    each (about 2 ms) at 256 bits, 342 rows (about 0.4 s and 6 MiB) at
+    2048 bits. The receiver keeps no table.
     """
 
     p: int
@@ -209,12 +214,11 @@ class ElGamalPublic:
         return _fixed_base_table(self.y, self.p, WINDOW_BITS)
 
     @cached_property
-    def _uint64_tables(self) -> np.ndarray:
-        return np.array((self._alpha_table, self._y_table), dtype=np.uint64)
-
-    @cached_property
     def _checked(self) -> bool:
         """The checks validate makes. Cached only when they pass."""
+        bits = self.p.bit_length()
+        if bits > MAX_KEY_BITS:
+            raise CryptoError(f"p has {bits} bits, above the largest supported key size, {MAX_KEY_BITS}")
         if not is_probable_prime(self.p):
             raise CryptoError(f"p = {self.p} is not prime")
         if not 1 < self.alpha < self.p - 1:
@@ -224,7 +228,7 @@ class ElGamalPublic:
         return True
 
     def validate(self) -> None:
-        """Check that p is prime, alpha lies in (1, p - 1) and y in (0, p).
+        """Check that p is prime of at most MAX_KEY_BITS bits, alpha lies in (1, p - 1) and y in (0, p).
 
         Whether alpha generates the group is not checked: that needs the
         factors of p - 1. Keys this program makes have it proved where the
@@ -330,24 +334,6 @@ def int_to_bytes_le(v: int) -> bytes:
     return v.to_bytes((v.bit_length() + 7) // 8, "little")
 
 
-def _table_pows(pub: ElGamalPublic, k) -> tuple[list[int], bytes]:
-    """alpha^k mod p for each exponent in k, and the key bytes of every y^k mod p joined in order.
-
-    Each exponent is below 2^bits(p). A batch of at least _ARRAY_MIN_VALUES
-    exponents with p < 2^32 runs on the stacked uint64 tables; any other on
-    Python ints.
-    """
-    p = pub.p
-    if p < _UINT64_MODULUS_BOUND and len(k) >= _ARRAY_MIN_VALUES:
-        d, e = _array_table_pows(pub._uint64_tables, np.asarray(k, dtype=np.uint64), p)
-        return d.tolist(), _le_bytes(e)
-    k = list(map(int, k))
-    return (
-        [_table_pow(pub._alpha_table, v, p) for v in k],
-        b"".join(int_to_bytes_le(_table_pow(pub._y_table, v, p)) for v in k),
-    )
-
-
 def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
     """Derive at least nbytes of key material, then truncate to exactly nbytes.
 
@@ -371,9 +357,9 @@ def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
     parts: list[bytes] = []
     total = 0
     while total < nbytes:
-        d, key = _table_pows(pub, rng.randrange_array(2, p - 2, -(-(nbytes - total) // most)))
-        publics += d
-        parts.append(key)
+        k = rng.randrange_array(2, p - 2, -(-(nbytes - total) // most))
+        publics += _table_pows(pub._alpha_table, k, p).tolist()
+        parts.append(_key_bytes(_table_pows(pub._y_table, k, p)))
         total += len(parts[-1])
     return Keystream(sender_publics=tuple(publics), key_bytes=b"".join(parts)[:nbytes])
 
@@ -431,26 +417,19 @@ def replay_keystreams(
     gives the sender's keystream, not d^x.
     """
     p = pub.p
-    x = priv.x % (p - 1)  # below 2^32 when p is, so x * k fits a uint64
-    ks = [rng.randrange_array(2, p - 2, len(publics)) for publics, rng in levels]
-    count = sum(map(len, ks))
-    table = _fixed_base_table(pub.alpha, p, _window_bits(p.bit_length(), 2 * count))
-    if p < _UINT64_MODULUS_BOUND and count >= _ARRAY_MIN_VALUES:
-        k = np.concatenate([np.asarray(level_k, dtype=np.uint64) for level_k in ks])
-        e = np.concatenate((k, k * np.uint64(x) % np.uint64(p - 1)))
-        powers = _array_table_pows(np.array([table], dtype=np.uint64), e, p)[0]
-        splits = np.cumsum([len(level_k) for level_k in ks])[:-1]
-        alpha_k = [part.tolist() for part in np.split(powers[:count], splits)]
-        keys = [_le_bytes(part) for part in np.split(powers[count:], splits)]
-    else:
-        alpha_k = [[_table_pow(table, int(v), p) for v in level_k] for level_k in ks]
-        keys = [
-            b"".join(int_to_bytes_le(_table_pow(table, int(v) * x % (p - 1), p)) for v in level_k)
-            for level_k in ks
-        ]
+    x = priv.x % (p - 1)
+    width = np.uint64 if p < _UINT64_MODULUS_BOUND else object  # x * k fits a uint64 only below 2^32
+    ks = [np.asarray(rng.randrange_array(2, p - 2, len(publics)), width) for publics, rng in levels]
+    k = np.concatenate([np.empty(0, width), *ks])
+    table = _fixed_base_table(pub.alpha, p, _window_bits(p.bit_length(), 2 * len(k)))
+    powers = _table_pows(table, np.concatenate((k, k * x % (p - 1))), p)
+    alpha_k, keys = powers[: len(k)].tolist(), powers[len(k) :]
+    ends = list(itertools.accumulate(map(len, ks), initial=0))
     return [
-        _receiver_key(key, nbytes) if d == list(publics) else regenerate_keystream(tuple(publics), p, priv, nbytes)
-        for (publics, _), d, key in zip(levels, alpha_k, keys)
+        _receiver_key(_key_bytes(keys[a:b]), nbytes)
+        if alpha_k[a:b] == list(publics)
+        else regenerate_keystream(tuple(publics), p, priv, nbytes)
+        for (publics, _), a, b in zip(levels, ends, ends[1:])
     ]
 
 

@@ -186,6 +186,11 @@ def read_raw_yuv(stream, width: int, height: int) -> Iterator[FrameYuv420]:
 # --- binary PGM -------------------------------------------------------------
 
 
+# The longest PGM header token read: the magic and three decimal fields need
+# a few bytes each, and a longer one is refused at once, unread.
+_PGM_TOKEN_MAX = 32
+
+
 def _next_pgm_token(stream) -> bytes:
     token = b""
     while True:
@@ -200,6 +205,8 @@ def _next_pgm_token(stream) -> bytes:
             if token:
                 return token
             continue
+        if len(token) == _PGM_TOKEN_MAX:
+            raise FormatError(f"PGM header token longer than {_PGM_TOKEN_MAX} bytes")
         token += ch
 
 

@@ -327,6 +327,17 @@ def test_embed_rejects_wrong_qr_size(workspace, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "CapacityError"
 
 
+def test_embed_refuses_a_long_pgm_header_token(workspace, capsys):
+    ws = workspace
+    bad = ws["tmp"] / "bad.pgm"
+    bad.write_bytes(b"P5\n" + b"9" * 1_000_000 + b" 16\n255\n" + bytes(256))
+    args = embed_args(ws, ws["tmp"] / "x.y4m")
+    args[args.index(str(ws["qr_paths"]["L"]))] = str(bad)
+    assert main(args) == 3
+    assert_one_error_line(capsys, 3)
+    assert not (ws["tmp"] / "x.y4m").exists()
+
+
 def test_embed_rejects_empty_video(workspace, capsys):
     ws = workspace
     empty = ws["tmp"] / "empty.y4m"
@@ -1046,6 +1057,29 @@ def test_embed_names_the_public_key_it_refuses(workspace, capsys):
     assert main(embed_args(ws, stego)) == 4
     message = json.loads(capsys.readouterr().err)["message"]
     assert message == f"public key {ws['pub']}: p = 1003 is not prime"
+    assert not stego.exists()
+
+
+@pytest.mark.parametrize("p", [2**8192 + 1, 3 * (2**8190 + 1)], ids=["8193bit", "8192bit_3x"])
+def test_a_key_above_the_largest_size_is_refused_before_any_primality_round(workspace, capsys, monkeypatch, p):
+    # At 14,000 bits one Miller-Rabin round takes about 6 s, so the size is
+    # checked first. A p of the largest size still reaches the primality test.
+    ws = workspace
+    assert elgamal.MAX_KEY_BITS == 8192
+    tested = []
+    real = elgamal.is_probable_prime
+    monkeypatch.setattr(elgamal, "is_probable_prime", lambda n: tested.append(n) or real(n))
+    elgamal.save_public_key(elgamal.ElGamalPublic(p=p, alpha=2, y=4), ws["pub"])
+    stego = ws["tmp"] / "stego.y4m"
+    capsys.readouterr()
+    assert main(embed_args(ws, stego)) == 4
+    message = json.loads(capsys.readouterr().err)["message"]
+    if p.bit_length() > elgamal.MAX_KEY_BITS:
+        assert message == f"public key {ws['pub']}: p has 8193 bits, above the largest supported key size, 8192"
+        assert tested == []
+    else:
+        assert message == f"public key {ws['pub']}: p = {p} is not prime"
+        assert tested == [p]
     assert not stego.exists()
 
 

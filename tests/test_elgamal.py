@@ -245,14 +245,16 @@ def test_int_to_bytes_le_rejects_non_positive():
             int_to_bytes_le(v)
 
 
-def test_le_bytes_matches_int_to_bytes_le():
+def test_key_bytes_matches_int_to_bytes_le():
     values = [1, 255, 256, 65535, 65536, 2**24 - 1, 2**24, 4294967290]
     for chosen in ([], values[:1], values, values[::-1]):
-        out = elgamal._le_bytes(np.array(chosen, dtype=np.uint64))
-        assert type(out) is bytes
-        assert out == b"".join(map(int_to_bytes_le, chosen))
-    with pytest.raises(CryptoError, match=re.escape("cannot expand non-positive value 0")):
-        elgamal._le_bytes(np.array([7, 0, 7], dtype=np.uint64))
+        for powers in (np.array(chosen, dtype=np.uint64), np.array(chosen + [2**64 + 1], dtype=object)):
+            out = elgamal._key_bytes(powers)
+            assert type(out) is bytes
+            assert out == b"".join(map(int_to_bytes_le, powers.tolist()))
+    for zero in (np.array([7, 0, 7], dtype=np.uint64), np.array([7, 0, 7], dtype=object)):
+        with pytest.raises(CryptoError, match=re.escape("cannot expand non-positive value 0")):
+            elgamal._key_bytes(zero)
 
 
 def test_keystream_demo_vector():
@@ -281,6 +283,8 @@ ORACLE_KEYS = [
     ElGamalPublic(p=2**64 - 59, alpha=5, y=pow(5, 10**18, 2**64 - 59)),
     ElGamalPublic(p=P256, alpha=2, y=pow(2, 3**150, P256)),
 ]
+# Each key with the private exponent written in its y.
+ORACLE_PAIRS = list(zip(ORACLE_KEYS, map(ElGamalPrivate, (420, 123456789, 987654321, 10**9, 10**18, 3**150))))
 
 
 def sequential_keystream(pub, nbytes, rng):
@@ -322,12 +326,7 @@ def sequential_regenerate(sender_publics, p, priv, nbytes):
 
 
 # Keys on both sides of the uint64 bound, with their private exponents.
-RECEIVER_KEYS = [
-    (ORACLE_KEYS[0], ElGamalPrivate(420)),
-    (ORACLE_KEYS[1], ElGamalPrivate(123456789)),
-    (ORACLE_KEYS[2], ElGamalPrivate(987654321)),
-    (ORACLE_KEYS[5], ElGamalPrivate(3**150)),
-]
+RECEIVER_KEYS = [ORACLE_PAIRS[i] for i in (0, 1, 2, 5)]
 
 
 @pytest.mark.parametrize("pub,priv", RECEIVER_KEYS,
@@ -379,7 +378,7 @@ def test_replay_keystream_matches_sequential_oracle(pub, priv):
 
 
 # p = 997, the largest prime below 2^32 (the uint64 path's widest products), 64 and 256 bits.
-BATCH_KEYS = [RECEIVER_KEYS[0], RECEIVER_KEYS[1], (ORACLE_KEYS[4], ElGamalPrivate(10**18)), RECEIVER_KEYS[3]]
+BATCH_KEYS = [ORACLE_PAIRS[i] for i in (0, 1, 4, 5)]
 
 
 def frame_levels(pub, frames, nbytes):
@@ -621,17 +620,28 @@ def test_key_search_returns_only_a_safe_prime():
     assert alpha == min(a for a in range(2, 1000) if pow(a, 2, p) != 1 and pow(a, safe_q, p) != 1)
 
 
-@pytest.mark.parametrize("pub,priv", RECEIVER_KEYS[:2],
-                         ids=[f"{pub.p.bit_length()}bit" for pub, _ in RECEIVER_KEYS[:2]])
+@pytest.mark.parametrize("pub,priv", ORACLE_PAIRS, ids=[f"{pub.p.bit_length()}bit" for pub, _ in ORACLE_PAIRS])
 def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch):
-    # Below 2^32, rounds and replays of fewer than _ARRAY_MIN_VALUES
-    # values skip numpy; either path must give the sequential rule's bytes.
+    # _table_pows gathers on uint64 only below 2^32 and for at least
+    # _ARRAY_MIN_VALUES exponents. The sender raises a round's k on its two
+    # tables, the receiver k and x * k on one, so it gathers from half as many
+    # values. Either path must give the sequential rule's bytes.
+    assert pub.y == pow(pub.alpha, priv.x, pub.p)
     cut = elgamal._ARRAY_MIN_VALUES
     most = -(-pub.p.bit_length() // 8)  # bytes per draw at most, so n = draws * most opens with draws
-    calls = []
-    real = elgamal._array_table_pows
-    monkeypatch.setattr(elgamal, "_array_table_pows", lambda *args: calls.append("_array_table_pows") or real(*args))
-    for draws in (1, 2, cut - 1, cut, cut + 1, 4 * cut):
+    calls = []  # (exponents, gathered on uint64) per _table_pows call
+    real = elgamal._table_pows
+
+    def spy(table, k, p):
+        out = real(table, k, p)
+        calls.append((len(k), out.dtype == np.uint64))
+        return out
+
+    def gathers(count):
+        return pub.p < 2**32 and count >= cut
+
+    monkeypatch.setattr(elgamal, "_table_pows", spy)
+    for draws in (0, 1, cut - 1, cut, cut + 1, 4 * cut):
         for seed in (0, 3):
             n = draws * most
             calls.clear()
@@ -641,10 +651,13 @@ def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch
             assert (list(ks.sender_publics), ks.key_bytes) == (publics, key)
             assert batch._state == oracle._state
             assert {type(d) for d in ks.sender_publics} <= {int}
-            assert ("_array_table_pows" in calls) == (draws >= cut)  # later rounds are smaller
-            for m in (1, cut - 1, cut, cut + 1, len(publics)):
-                calls.clear()
-                head = ks.sender_publics[:m]
-                want = sequential_regenerate(head, pub.p, priv, len(head))
-                assert replay_one(head, pub, priv, len(head), Splitmix64(seed)) == want
-                assert calls == (["_array_table_pows"] if len(head) >= cut else [])
+            assert calls[:2] == ([(draws, gathers(draws))] * 2 if draws else [])  # later rounds are smaller
+            assert all(gathered == gathers(count) for count, gathered in calls)
+    for seed in (0, 3):
+        publics = keystream(pub, 4 * cut * most, Splitmix64(seed)).sender_publics
+        for m in (0, 1, cut - 1, cut, cut + 1, len(publics)):
+            calls.clear()
+            head = publics[:m]
+            want = sequential_regenerate(head, pub.p, priv, m)
+            assert replay_one(head, pub, priv, m, Splitmix64(seed)) == want
+            assert calls == [(2 * m, gathers(2 * m))]

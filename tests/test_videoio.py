@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from qrsteg import synth
+from qrsteg import synth, videoio
 from qrsteg.errors import FormatError, ShapeError
 from qrsteg.videoio import (
     FrameYuv420,
@@ -147,6 +147,34 @@ def test_pgm_rejects_wrong_magic_and_maxval():
         read_pgm(io.BytesIO(b"P2\n1 1\n255\n0"))
     with pytest.raises(FormatError):
         read_pgm(io.BytesIO(b"P5\n1 1\n65535\n\x00\x00"))
+
+
+class CountingStream(io.BytesIO):
+    """A BytesIO that counts the bytes read from it."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.bytes_read = 0
+
+    def read(self, size=-1):
+        out = super().read(size)
+        self.bytes_read += len(out)
+        return out
+
+
+@pytest.mark.parametrize("field", range(4), ids=["magic", "width", "height", "maxval"])
+def test_pgm_refuses_a_long_header_token_unread(field):
+    # Growing a token byte by byte is quadratic in its length: a 1 MB width
+    # token once took 19 s to refuse. No more than cap + 1 bytes of it are read.
+    cap = videoio._PGM_TOKEN_MAX
+    fields = [b"P5", b"3", b"2", b"255"]
+    fields[field] = b"9" * 1_000_000
+    stream = CountingStream(b" ".join(fields) + b"\n" + bytes(6))
+    with pytest.raises(FormatError, match=f"PGM header token longer than {cap} bytes"):
+        read_pgm(stream)
+    assert stream.bytes_read <= len(b" ".join(fields[:field] + [b""])) + cap + 1
+    # A token of exactly cap bytes is read whole.
+    assert read_pgm(io.BytesIO(b"P5 " + b"0" * (cap - 1) + b"3 2 255\n" + bytes(6))).shape == (2, 3)
 
 
 def test_meta_rejects_odd_dimensions():
