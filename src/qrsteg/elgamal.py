@@ -16,10 +16,11 @@ window tables (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92;
 *Handbook of Applied Cryptography* 14.6.3). A table with w-bit windows
 holds ceil(bits(p) / w) rows of 2^w entries, and each power then costs
 one modular multiplication per row instead of a square-and-multiply
-chain. One kernel, _table_pows, raises a table to a batch of exponents,
-on uint64 numpy gathers or on Python ints, and one expander, _key_bytes,
-turns its powers into key bytes. Key generation, key validation and
-classic_encrypt, which raises each base once, use builtin pow.
+chain. Each table is built once, as the array that the one kernel,
+_table_pows, gathers from; its dtype (uint64 below 2^32, else Python
+ints) sets the width of every power. _key_bytes turns powers into key
+bytes. Key generation, key validation and classic_encrypt, which raises
+each base once, use builtin pow.
 
 The sender (keystream) raises its key's two cached 6-bit tables, of alpha
 and of y, to each k. The receiver is given the sender's exponent stream
@@ -59,10 +60,6 @@ _TABLE_MAX_ENTRIES = 1 << 16
 # Moduli below this bound run the keystream on uint64 arrays: a product of
 # two residues stays below 2^64.
 _UINT64_MODULUS_BOUND = 1 << 32
-
-# A _table_pows call on fewer exponents than this takes the Python-int path even
-# below the bound: at p = 997 and p = 2^32 - 5, this many cost about the same either way.
-_ARRAY_MIN_VALUES = 16
 
 # Byte i of a value below 2^32 belongs to its minimal encoding iff the value is at least 2^(8i).
 _BYTE_FLOORS = np.array([1, 1 << 8, 1 << 16, 1 << 24], dtype=np.uint64)
@@ -120,10 +117,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _fixed_base_table(base: int, p: int, window: int) -> list[list[int]]:
-    """Row i holds base^(j * 2^(window * i)) mod p for j < 2^window.
+def _fixed_base_table(base: int, p: int, window: int) -> np.ndarray:
+    """Row i holds base^(j * 2^(window * i)) mod p for j < 2^window, as the array _table_pows gathers from.
 
-    There are enough rows for every exponent below 2^bits(p).
+    There are enough rows for every exponent below 2^bits(p). The dtype
+    sets every power's width: uint64 below _UINT64_MODULUS_BOUND, else object.
     """
     rows = []
     for _ in range(-(-p.bit_length() // window)):
@@ -132,7 +130,7 @@ def _fixed_base_table(base: int, p: int, window: int) -> list[list[int]]:
             row[j] = row[j - 1] * base % p
         rows.append(row)
         base = row[-1] * base % p
-    return rows
+    return np.array(rows, dtype=np.uint64 if p < _UINT64_MODULUS_BOUND else object)
 
 
 def _window_bits(bits: int, chains: int) -> int:
@@ -148,37 +146,17 @@ def _window_bits(bits: int, chains: int) -> int:
     return min([1, *fits], key=lambda w: -(-bits // w) * ((1 << w) - 1 + chains))
 
 
-def _table_pow(table: list[list[int]], k: int, p: int) -> int:
-    """base^k mod p for 0 <= k < 2^bits(p): one table entry per window of k."""
-    mask = len(table[0]) - 1
-    window = mask.bit_length()
-    r = 1
-    for row in table:
-        r = r * row[k & mask] % p
-        k >>= window
+def _table_pows(table: np.ndarray, k, p: int) -> np.ndarray:
+    """base^k mod p for each exponent 0 <= k < 2^bits(p), in the table's dtype: a gather and a product per row."""
+    rows, size = table.shape
+    window = size.bit_length() - 1
+    shifts = np.arange(0, rows * window, window).astype(table.dtype)[:, None]
+    windows = (np.asarray(k, dtype=table.dtype) >> shifts) & (size - 1)  # row i: window i of each k
+    factors = table[np.arange(rows)[:, None], windows.astype(np.intp)]
+    r = factors[0]
+    for f in factors[1:]:
+        r = r * f % p
     return r
-
-
-def _table_pows(table: list[list[int]], k, p: int) -> np.ndarray:
-    """_table_pow of each exponent in k: uint64 gathers, or Python ints as an object array.
-
-    The one place a power chooses its path. With p < 2^32 every product of
-    two residues stays below 2^64, so a batch of at least _ARRAY_MIN_VALUES
-    exponents runs on uint64 arrays and returns uint64. Larger p and smaller
-    batches run _table_pow and return Python ints: a numpy call costs 15-60
-    us, which a few values never earn back.
-    """
-    if p < _UINT64_MODULUS_BOUND and len(k) >= _ARRAY_MIN_VALUES:
-        rows, size = len(table), len(table[0])
-        window = size.bit_length() - 1
-        shifts = np.arange(0, rows * window, window, dtype=np.uint64)[:, None]
-        windows = (np.asarray(k, dtype=np.uint64) >> shifts) & np.uint64(size - 1)  # row i: window i of each k
-        factors = np.array(table, dtype=np.uint64)[np.arange(rows)[:, None], windows]
-        r = factors[0]
-        for f in factors[1:]:
-            r = r * f % np.uint64(p)
-        return r
-    return np.array([_table_pow(table, int(v), p) for v in k], dtype=object)
 
 
 def _key_bytes(powers: np.ndarray) -> bytes:
@@ -195,10 +173,10 @@ def _key_bytes(powers: np.ndarray) -> bytes:
 class ElGamalPublic:
     """Receiver public key: prime modulus p, primitive root alpha, y = alpha^x mod p.
 
-    keystream builds the 6-bit fixed-base tables of alpha and y on first
-    use and keeps them for the life of the object: 43 rows of 64 entries
-    each (about 2 ms) at 256 bits, 342 rows (about 0.4 s and 6 MiB) at
-    2048 bits. The receiver keeps no table.
+    keystream builds the 6-bit fixed-base table arrays of alpha and y on
+    first use and keeps them for the life of the object: 43 rows of 64
+    entries each (about 2 ms) at 256 bits, 342 rows (about 0.4 s and 6
+    MiB) at 2048 bits. The receiver keeps no table.
     """
 
     p: int
@@ -206,11 +184,11 @@ class ElGamalPublic:
     y: int
 
     @cached_property
-    def _alpha_table(self) -> list[list[int]]:
+    def _alpha_table(self) -> np.ndarray:
         return _fixed_base_table(self.alpha, self.p, WINDOW_BITS)
 
     @cached_property
-    def _y_table(self) -> list[list[int]]:
+    def _y_table(self) -> np.ndarray:
         return _fixed_base_table(self.y, self.p, WINDOW_BITS)
 
     @cached_property
@@ -418,10 +396,9 @@ def replay_keystreams(
     """
     p = pub.p
     x = priv.x % (p - 1)
-    width = np.uint64 if p < _UINT64_MODULUS_BOUND else object  # x * k fits a uint64 only below 2^32
-    ks = [np.asarray(rng.randrange_array(2, p - 2, len(publics)), width) for publics, rng in levels]
-    k = np.concatenate([np.empty(0, width), *ks])
-    table = _fixed_base_table(pub.alpha, p, _window_bits(p.bit_length(), 2 * len(k)))
+    table = _fixed_base_table(pub.alpha, p, _window_bits(p.bit_length(), 2 * sum(len(d) for d, _ in levels)))
+    ks = [np.asarray(rng.randrange_array(2, p - 2, len(publics)), table.dtype) for publics, rng in levels]
+    k = np.concatenate([np.empty(0, table.dtype), *ks])  # x * k stays below 2^64 on uint64
     powers = _table_pows(table, np.concatenate((k, k * x % (p - 1))), p)
     alpha_k, keys = powers[: len(k)].tolist(), powers[len(k) :]
     ends = list(itertools.accumulate(map(len, ks), initial=0))

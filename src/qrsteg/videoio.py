@@ -87,17 +87,27 @@ def _split_frame(data: bytes, width: int, height: int) -> FrameYuv420:
     return FrameYuv420(y=y.copy(), u=u.copy(), v=v.copy())
 
 
-def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
-    """Parse the stream header and return (meta, frame iterator)."""
-    header = bytearray()
-    while not header.endswith(b"\n"):
+# The longest Y4M header line read, the stream's or a frame's after FRAME,
+# newline included; a longer one is refused after _Y4M_LINE_MAX + 1 bytes.
+_Y4M_LINE_MAX = 512
+
+
+def _read_y4m_line(stream, what: str) -> bytes:
+    """The bytes of stream up to its next newline, which is read but not returned."""
+    line = bytearray()
+    while not line.endswith(b"\n"):
         ch = stream.read(1)
         if not ch:
-            raise FormatError("missing Y4M header line")
-        header += ch
-        if len(header) > 512:
-            raise FormatError("Y4M header line too long")
-    fields = header[:-1].split(b" ")
+            raise FormatError(f"truncated stream while reading {what}")
+        line += ch
+        if len(line) > _Y4M_LINE_MAX:
+            raise FormatError(f"{what} longer than {_Y4M_LINE_MAX} bytes")
+    return bytes(line[:-1])
+
+
+def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
+    """Parse the stream header and return (meta, frame iterator)."""
+    fields = _read_y4m_line(stream, "Y4M header line").split(b" ")
     if fields[0] != Y4M_MAGIC:
         raise FormatError("not a Y4M stream (bad magic)")
     width = height = None
@@ -145,10 +155,7 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
                 return
             if marker != b"FRAME":
                 raise FormatError(f"expected FRAME marker, got {marker!r}")
-            while True:  # frame parameters up to newline are skipped
-                ch = _read_exact(stream, 1, "frame header")
-                if ch == b"\n":
-                    break
+            _read_y4m_line(stream, "Y4M frame parameter line")  # skipped
             yield _split_frame(_read_exact(stream, nbytes, "frame data"), width, height)
 
     return meta, frames()

@@ -338,6 +338,19 @@ def test_embed_refuses_a_long_pgm_header_token(workspace, capsys):
     assert not (ws["tmp"] / "x.y4m").exists()
 
 
+def test_embed_refuses_a_long_y4m_frame_parameter_line(workspace, capsys):
+    ws = workspace
+    bad = ws["tmp"] / "bad.y4m"
+    cover = ws["cover"].read_bytes()
+    second = cover.index(b"FRAME\n", cover.index(b"FRAME\n") + 1)
+    bad.write_bytes(cover[:second] + b"FRAME " + b"X" * 1_000_000 + cover[second + 5 :])
+    args = embed_args(ws, ws["tmp"] / "x.y4m")
+    args[args.index(str(ws["cover"]))] = str(bad)
+    assert main(args) == 3
+    assert_one_error_line(capsys, 3)
+    assert not (ws["tmp"] / "x.y4m").exists()
+
+
 def test_embed_rejects_empty_video(workspace, capsys):
     ws = workspace
     empty = ws["tmp"] / "empty.y4m"

@@ -54,9 +54,18 @@ def table_cases(draw):
 @example((3, (1 << 294) - 1, (1 << 300) - 3, 6))
 @example((3, (1 << 296) - 1, (1 << 300) - 3, 8))
 @example((3, 996, 997, 10))  # one row: base^k is a single entry
+@example((4294967290, 4294967289, 4294967291, 6))  # the largest prime below 2^32: the widest uint64 products
+@example((4294967289, 4294967290, 4294967291, 8))
+@example((4294967310, 4294967309, 4294967311, 6))  # the smallest prime above 2^32: Python ints
 def test_table_pow_matches_builtin_pow(case):
     base, k, p, w = case
-    assert elgamal._table_pow(elgamal._fixed_base_table(base, p, w), k, p) == pow(base, k, p)
+    table = elgamal._fixed_base_table(base, p, w)
+    assert table.dtype == (np.uint64 if p < 2**32 else object)
+    assert elgamal._table_pows(table, [k], p).tolist() == [pow(base, k, p)]
+    batch = [k, 0, 1, 2, p - 1, k // 2]
+    got = elgamal._table_pows(table, batch, p)
+    assert got.dtype == table.dtype
+    assert got.tolist() == [pow(base, e, p) for e in batch]
 
 
 def brute_force_window(bits, chains):
@@ -411,7 +420,7 @@ def test_an_unreduced_private_exponent_gives_the_d_to_the_x_bytes(pub, priv):
     # x * k must be reduced mod p - 1 before any uint64 product.
     big = ElGamalPrivate(priv.x + (pub.p - 1) * 2**70)
     elgamal.check_key_pair(pub, big)
-    for frames, n in ((1, 3), (3, 100)):  # a batch below _ARRAY_MIN_VALUES values at p = 997, and one above
+    for frames, n in ((1, 3), (3, 100)):  # a batch of a few values at p = 997, and one of hundreds
         levels = frame_levels(pub, frames, n)
         want = [sequential_regenerate(d, pub.p, big, n) for d, _ in levels]
         assert want == [sequential_regenerate(d, pub.p, priv, n) for d, _ in levels]
@@ -622,14 +631,14 @@ def test_key_search_returns_only_a_safe_prime():
 
 @pytest.mark.parametrize("pub,priv", ORACLE_PAIRS, ids=[f"{pub.p.bit_length()}bit" for pub, _ in ORACLE_PAIRS])
 def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch):
-    # _table_pows gathers on uint64 only below 2^32 and for at least
-    # _ARRAY_MIN_VALUES exponents. The sender raises a round's k on its two
-    # tables, the receiver k and x * k on one, so it gathers from half as many
-    # values. Either path must give the sequential rule's bytes.
+    # A table's dtype alone picks the path: every _table_pows result is
+    # uint64 iff p < 2^32, however few its exponents. The sender raises a
+    # round's k on its two tables, the receiver k and x * k on one. Either
+    # path must give the sequential rule's bytes, and Python-int publics.
     assert pub.y == pow(pub.alpha, priv.x, pub.p)
-    cut = elgamal._ARRAY_MIN_VALUES
+    cut = 16  # draw and replay counts on both sides of 16: no batch size changes the path
     most = -(-pub.p.bit_length() // 8)  # bytes per draw at most, so n = draws * most opens with draws
-    calls = []  # (exponents, gathered on uint64) per _table_pows call
+    calls = []  # (exponents, returned uint64) per _table_pows call
     real = elgamal._table_pows
 
     def spy(table, k, p):
@@ -637,9 +646,7 @@ def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch
         calls.append((len(k), out.dtype == np.uint64))
         return out
 
-    def gathers(count):
-        return pub.p < 2**32 and count >= cut
-
+    gathers = pub.p < 2**32
     monkeypatch.setattr(elgamal, "_table_pows", spy)
     for draws in (0, 1, cut - 1, cut, cut + 1, 4 * cut):
         for seed in (0, 3):
@@ -651,8 +658,8 @@ def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch
             assert (list(ks.sender_publics), ks.key_bytes) == (publics, key)
             assert batch._state == oracle._state
             assert {type(d) for d in ks.sender_publics} <= {int}
-            assert calls[:2] == ([(draws, gathers(draws))] * 2 if draws else [])  # later rounds are smaller
-            assert all(gathered == gathers(count) for count, gathered in calls)
+            assert calls[:2] == ([(draws, gathers)] * 2 if draws else [])  # later rounds are smaller
+            assert all(gathered == gathers for _, gathered in calls)
     for seed in (0, 3):
         publics = keystream(pub, 4 * cut * most, Splitmix64(seed)).sender_publics
         for m in (0, 1, cut - 1, cut, cut + 1, len(publics)):
@@ -660,4 +667,4 @@ def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch
             head = publics[:m]
             want = sequential_regenerate(head, pub.p, priv, m)
             assert replay_one(head, pub, priv, m, Splitmix64(seed)) == want
-            assert calls == [(2 * m, gathers(2 * m))]
+            assert calls == [(2 * m, gathers)]

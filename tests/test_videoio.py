@@ -177,6 +177,24 @@ def test_pgm_refuses_a_long_header_token_unread(field):
     assert read_pgm(io.BytesIO(b"P5 " + b"0" * (cap - 1) + b"3 2 255\n" + bytes(6))).shape == (2, 3)
 
 
+def test_y4m_refuses_a_long_frame_parameter_line_unread():
+    # The bytes after FRAME were read one at a time to a newline, with no
+    # limit: a 1 MB parameter line took 0.33 s to refuse. Now no more than
+    # cap + 1 of its bytes are read.
+    cap = videoio._Y4M_LINE_MAX
+    header = b"YUV4MPEG2 W2 H2\n"
+    frame = b"FRAME\n" + bytes(6)
+    stream = CountingStream(header + frame + b"FRAME " + b"X" * 1_000_000 + b"\n" + bytes(6))
+    _, frames = read_y4m(stream)
+    next(frames)
+    with pytest.raises(FormatError, match=f"Y4M frame parameter line longer than {cap} bytes"):
+        next(frames)
+    assert stream.bytes_read <= len(header + frame + b"FRAME") + cap + 1
+    # A parameter line of exactly cap bytes, newline included, is read whole.
+    _, frames = read_y4m(io.BytesIO(header + b"FRAME" + b" " * (cap - 1) + b"\n" + bytes(6)))
+    assert next(frames).y.shape == (2, 2)
+
+
 def test_meta_rejects_odd_dimensions():
     with pytest.raises(ShapeError):
         VideoMeta(width=3, height=4)
