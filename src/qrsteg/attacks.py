@@ -26,9 +26,6 @@ import numpy as np
 from .errors import FormatError
 from .videoio import FrameYuv420
 
-KINDS = ("salt_pepper", "gaussian", "poisson", "speckle")
-
-
 @dataclass(frozen=True)
 class AttackSpec:
     kind: str
@@ -53,30 +50,19 @@ class AttackSpec:
             raise FormatError(f"speckle variance {self.variance} too large")
 
     def label(self) -> str:
-        if self.kind == "salt_pepper":
-            return f"sp:{self.density:g}"
-        if self.kind == "gaussian":
-            return f"gauss:{self.mean:g}:{self.variance:g}"
-        if self.kind == "speckle":
-            return f"speckle:{self.variance:g}"
-        return "poisson"
+        names, params, _ = _GRAMMAR[self.kind]
+        return ":".join([names[0], *(f"{getattr(self, param):g}" for param in params)])
 
     @classmethod
     def parse(cls, text: str) -> "AttackSpec":
         """Parse CLI spec strings: sp:D, gauss:M:V, poisson, speckle:V."""
-        parts = text.strip().split(":")
-        name = parts[0].lower()
-        try:
-            if name in ("sp", "salt_pepper", "saltpepper") and len(parts) == 2:
-                return cls(kind="salt_pepper", density=float(parts[1]))
-            if name in ("gauss", "gaussian") and len(parts) == 3:
-                return cls(kind="gaussian", mean=float(parts[1]), variance=float(parts[2]))
-            if name == "poisson" and len(parts) == 1:
-                return cls(kind="poisson")
-            if name == "speckle" and len(parts) == 2:
-                return cls(kind="speckle", variance=float(parts[1]))
-        except ValueError as exc:
-            raise FormatError(f"bad attack parameter in {text!r}: {exc}") from exc
+        name, *values = text.strip().split(":")
+        for kind, (names, params, _) in _GRAMMAR.items():
+            if name.lower() in names and len(values) == len(params):
+                try:
+                    return cls(kind, **{param: float(value) for param, value in zip(params, values)})
+                except ValueError as exc:
+                    raise FormatError(f"bad attack parameter in {text!r}: {exc}") from exc
         raise FormatError(f"cannot parse attack spec {text!r}")
 
 
@@ -134,14 +120,19 @@ def speckle(frame: FrameYuv420, variance: float, rng: np.random.Generator) -> Fr
     return _per_plane(frame, corrupt)
 
 
+# kind -> (spec names, the first being the label's; parameters in spec order; attack)
+_GRAMMAR = {
+    "salt_pepper": (("sp", "salt_pepper", "saltpepper"), ("density",), salt_pepper),
+    "gaussian": (("gauss", "gaussian"), ("mean", "variance"), gaussian),
+    "poisson": (("poisson",), (), poisson),
+    "speckle": (("speckle",), ("variance",), speckle),
+}
+KINDS = tuple(_GRAMMAR)
+
+
 def apply_attack(frame: FrameYuv420, spec: AttackSpec, rng: np.random.Generator) -> FrameYuv420:
-    if spec.kind == "salt_pepper":
-        return salt_pepper(frame, spec.density, rng)
-    if spec.kind == "gaussian":
-        return gaussian(frame, spec.mean, spec.variance, rng)
-    if spec.kind == "poisson":
-        return poisson(frame, rng)
-    return speckle(frame, spec.variance, rng)
+    _, params, attack = _GRAMMAR[spec.kind]
+    return attack(frame, *(getattr(spec, param) for param in params), rng)
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import functools
 import itertools
 import json
@@ -207,7 +208,7 @@ def cmd_extract(args) -> int:
 
     out_dir = Path(args.output)
     new_dirs = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
-    ssim_sums = {level: 0.0 for level in QR_LEVELS}
+    ssim_sums = dict.fromkeys(originals, 0.0)
     count = 0
     try:
         with _open_video(args) as (_, frames), _atomic_outputs() as stage:
@@ -221,11 +222,12 @@ def cmd_extract(args) -> int:
                     if level in originals:
                         ssim_sums[level] += originals[level].score(image)
                 count += 1
+            means = {level: total / count for level, total in ssim_sums.items()} if count else {}
             if args.report and count:
                 with open(stage(Path(args.report)), "w", newline="") as out:
-                    out.write("qr_level,ssim\n")
-                    for level in originals:
-                        out.write(f"{level},{ssim_sums[level] / count:.6f}\n")
+                    writer = csv.writer(out)
+                    writer.writerow(["qr_level", "ssim"])
+                    writer.writerows([level, f"{mean:.6f}"] for level, mean in means.items())
     except BaseException:
         for path in new_dirs:  # the staged PGMs are gone, so a directory this run made is empty
             with contextlib.suppress(OSError):
@@ -237,10 +239,8 @@ def cmd_extract(args) -> int:
             file=sys.stderr,
         )
     print(f"extracted {count} payload sets into {out_dir}")
-    if originals and count:
-        for level in QR_LEVELS:
-            if level in originals:
-                print(f"ssim {level}: {ssim_sums[level] / count:.4f}")
+    for level, mean in means.items():
+        print(f"ssim {level}: {mean:.4f}")
     return 0
 
 

@@ -139,8 +139,8 @@ def _window_bits(bits: int, chains: int) -> int:
     A table of ceil(bits / w) rows costs 2^w - 1 multiplications a row to
     build, and each chain one a row, so w minimises
     ceil(bits / w) * (2^w - 1 + chains), the smallest such w on a tie, over
-    the tables of at most _TABLE_MAX_ENTRIES entries. w = 1 stays a choice
-    above 32,768 bits, where no table fits.
+    the tables of at most _TABLE_MAX_ENTRIES entries. w = 1 serves an
+    empty batch, where no window pays for its table.
     """
     fits = [w for w in range(2, 17) if -(-bits // w) << w <= _TABLE_MAX_ENTRIES]
     return min([1, *fits], key=lambda w: -(-bits // w) * ((1 << w) - 1 + chains))
@@ -556,9 +556,17 @@ def save_private_key(priv: ElGamalPrivate, path: str | Path) -> None:
 
 
 def parse_decimals(texts: list) -> list[int]:
-    """Integers stored as decimal strings, as the key and sidecar writers store them."""
-    if not set(map(type, texts)) <= {str}:  # a JSON number, boolean or null is not coerced
-        bad = next(text for text in texts if type(text) is not str)
+    """Integers stored as decimal strings, as the key and sidecar writers store them.
+
+    Each text is ASCII digits after at most one leading "-": int() alone
+    would also take spaces, "+", "_" and non-ASCII digits.
+    """
+    try:
+        digits = "".join(texts).replace("-", "")  # join refuses a JSON number, boolean or null
+    except TypeError:
+        digits = None
+    if digits is None or (digits and not (digits.isascii() and digits.isdigit())):
+        bad = next(t for t in texts if not (isinstance(t, str) and t.isascii() and t.replace("-", "").isdigit()))
         raise ValueError(f"{bad!r} is not a decimal string")
     return list(map(int, texts))
 

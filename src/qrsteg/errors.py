@@ -1,6 +1,5 @@
 """Exception taxonomy and the process exit codes the CLI maps it to."""
 
-EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_CRYPTO = 4

@@ -376,17 +376,6 @@ class ExtractedSet:
 
 
 def frame_keystreams(
-    publics_by_level: Mapping[str, Sequence[int]], cfg: StegoConfig, plain_len: int, frame_index: int
-) -> dict[str, bytes]:
-    """Regenerate one frame's four keystreams from its sidecar record, on a table sized to that frame.
-
-    Noise changes the carried bits, never the keys, so callers decoding
-    several copies of a frame can regenerate once and reuse the result.
-    """
-    return _keystreams({frame_index: publics_by_level}, cfg, plain_len)[0]
-
-
-def _keystreams(
     records: Mapping[int, Mapping[str, Sequence[int]]], cfg: StegoConfig, plain_len: int
 ) -> list[dict[str, bytes]]:
     """The four keystreams of each sidecar frame record, keyed by frame index, in the mapping's order.
@@ -395,7 +384,9 @@ def _keystreams(
     its public values against them as a whole, and every level of every
     record shares one table of alpha (elgamal.replay_keystreams). That
     gives the d^x bytes only when the private key matches the public key,
-    which cfg proved when it was built.
+    which cfg proved when it was built. Noise changes the carried bits,
+    never the keys, so callers decoding several copies of a frame can
+    derive its keys once and reuse them.
     """
     levels = [
         (record[level], payload_rng(cfg.key, level, index)) for index, record in records.items() for level in QR_LEVELS
@@ -439,7 +430,7 @@ def decode_frame_streams(
     """Decrypt extracted ciphertext bit streams back into payload planes.
 
     Keys come from the d^x rule, elgamal.regenerate_keystream; extract_video
-    gets the same bytes faster from frame_keystreams, given the frame index.
+    gets the same bytes faster from frame_keystreams, given the frame indexes.
     """
     private = _private_key(cfg)
     keys = {
@@ -463,7 +454,7 @@ def extract_video(
     first = next(frames, None)
     if first is not None and (first.width, first.height) != (sidecar.width, sidecar.height):
         raise ShapeError("stego video geometry disagrees with the sidecar")
-    keys = _keystreams(dict(enumerate(sidecar.frames)), cfg, sidecar.plain_len)
+    keys = frame_keystreams(dict(enumerate(sidecar.frames)), cfg, sidecar.plain_len)
     if first is None:
         return
     coder = FrameCoder(cfg.key, sidecar.width, sidecar.height)

@@ -19,6 +19,8 @@ Y4M_MAGIC = b"YUV4MPEG2"
 # 8-bit 4:2:0 colorspace tags; they differ only in chroma siting.
 Y4M_COLORSPACES = ("420", "420jpeg", "420paldv", "420mpeg2")
 Y4M_INTERLACE = ("p", "t", "b", "m", "?")
+# VideoMeta fields kept with their tag letter, as write_y4m prints them
+_Y4M_TAG_FIELDS = {"I": "interlace", "A": "aspect", "C": "colorspace"}
 
 
 @dataclass(eq=False)
@@ -110,8 +112,7 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
     fields = _read_y4m_line(stream, "Y4M header line").split(b" ")
     if fields[0] != Y4M_MAGIC:
         raise FormatError("not a Y4M stream (bad magic)")
-    width = height = None
-    frame_rate, interlace, aspect, colorspace = "25:1", "Ip", "A1:1", "C420jpeg"
+    tags = {}  # VideoMeta's arguments, only those the header gives: VideoMeta holds the defaults
     for token in fields[1:]:
         if not token:
             continue
@@ -122,30 +123,17 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
             raise FormatError(f"Y4M header token {tag}{value} is not a ratio of decimal integers")
         if tag == "I" and value not in Y4M_INTERLACE:
             raise FormatError(f"Y4M header token I{value} is not one of I{', I'.join(Y4M_INTERLACE)}")
-        if tag == "W":
-            width = int(value)
-        elif tag == "H":
-            height = int(value)
+        if tag == "C" and value not in Y4M_COLORSPACES:
+            raise FormatError(f"unsupported colorspace C{value}; only 8-bit 4:2:0 is handled")
+        if tag in ("W", "H"):
+            tags["width" if tag == "W" else "height"] = int(value)
         elif tag == "F":
-            frame_rate = value
-        elif tag == "I":
-            interlace = "I" + value
-        elif tag == "A":
-            aspect = "A" + value
-        elif tag == "C":
-            if value not in Y4M_COLORSPACES:
-                raise FormatError(f"unsupported colorspace C{value}; only 8-bit 4:2:0 is handled")
-            colorspace = "C" + value
-    if width is None or height is None:
+            tags["frame_rate"] = value
+        elif tag in _Y4M_TAG_FIELDS:
+            tags[_Y4M_TAG_FIELDS[tag]] = tag + value
+    if "width" not in tags or "height" not in tags:
         raise FormatError("Y4M header lacks W or H")
-    meta = VideoMeta(
-        width=width,
-        height=height,
-        frame_rate=frame_rate,
-        interlace=interlace,
-        aspect=aspect,
-        colorspace=colorspace,
-    )
+    meta = VideoMeta(**tags)
 
     def frames() -> Iterator[FrameYuv420]:
         nbytes = meta.frame_bytes()
@@ -156,7 +144,7 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
             if marker != b"FRAME":
                 raise FormatError(f"expected FRAME marker, got {marker!r}")
             _read_y4m_line(stream, "Y4M frame parameter line")  # skipped
-            yield _split_frame(_read_exact(stream, nbytes, "frame data"), width, height)
+            yield _split_frame(_read_exact(stream, nbytes, "frame data"), meta.width, meta.height)
 
     return meta, frames()
 
@@ -221,12 +209,13 @@ def read_pgm(stream) -> np.ndarray:
     """Read a binary (P5) PGM with maxval 255 into a (h, w) uint8 array."""
     if _next_pgm_token(stream) != b"P5":
         raise FormatError("not a binary PGM (magic must be P5)")
-    try:
-        width = int(_next_pgm_token(stream))
-        height = int(_next_pgm_token(stream))
-        maxval = int(_next_pgm_token(stream))
-    except ValueError as exc:
-        raise FormatError(f"bad PGM header field: {exc}") from exc
+    fields = []
+    for _ in range(3):  # width, height and maxval, each checked before the next is read
+        token = _next_pgm_token(stream)
+        if not token.isdigit():  # ASCII digits only: int() would also take a sign or "_"
+            raise FormatError(f"PGM header field {token!r} is not a decimal integer")
+        fields.append(int(token))
+    width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise FormatError(f"bad PGM dimensions {width}x{height}")
     if maxval != 255:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrsteg.attacks import (
     AttackSpec,
@@ -42,6 +44,44 @@ def test_spec_parsing():
 def test_spec_labels_roundtrip():
     for text in ("sp:0.1", "gauss:0:0.01", "poisson", "speckle:0.05"):
         assert AttackSpec.parse(text).label() == text
+
+
+# The spec grammar as docs and the CLI help state it: every name of a kind
+# (the first is the label's) and its parameters in spec order.
+SPEC_NAMES = {
+    "salt_pepper": ("sp", "salt_pepper", "saltpepper"),
+    "gaussian": ("gauss", "gaussian"),
+    "poisson": ("poisson",),
+    "speckle": ("speckle",),
+}
+SPEC_PARAMS = {
+    "salt_pepper": {"density": st.floats(0.0, 1.0)},
+    "gaussian": {"mean": st.floats(allow_nan=False, allow_infinity=False), "variance": st.floats(0.0, 1e308)},
+    "poisson": {},
+    "speckle": {"variance": st.floats(0.0, 1e307)},  # 3 * variance must stay finite, also rounded by :g
+}
+
+
+@st.composite
+def spelled_specs(draw):
+    """(kind, one of its spec names in any letter case, its finite parameters in spec order)."""
+    kind = draw(st.sampled_from(sorted(SPEC_NAMES)))
+    name = draw(st.sampled_from(SPEC_NAMES[kind]))
+    upper = draw(st.lists(st.booleans(), min_size=len(name), max_size=len(name)))
+    spelled = "".join(c.upper() if up else c for c, up in zip(name, upper))
+    return kind, spelled, {param: draw(values) for param, values in SPEC_PARAMS[kind].items()}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spelled_specs())
+def test_every_spec_name_parses_as_the_short_name(case):
+    kind, spelled, params = case
+    values = [repr(value) for value in params.values()]
+    spec = AttackSpec.parse(":".join([spelled, *values]))
+    assert spec == AttackSpec.parse(":".join([SPEC_NAMES[kind][0], *values])) == AttackSpec(kind, **params)
+    # A parameter :g prints exactly (6 significant digits) survives label and parse.
+    exact = AttackSpec(kind, **{param: float(f"{value:g}") for param, value in params.items()})
+    assert AttackSpec.parse(exact.label()) == exact
 
 
 def test_salt_pepper_density_zero_is_identity():

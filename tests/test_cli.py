@@ -277,8 +277,10 @@ def test_embed_extract_roundtrip(workspace, capsys, tmp_path):
         with open(outdir / f"0000_{level}.pgm", "rb") as handle:
             recovered = bitplane.load_qr(read_pgm(handle))
         assert np.array_equal(recovered.bits, ws["planes"][level].bits)
-    text = (tmp_path / "ssim.csv").read_text()
-    assert "qr_level,ssim" in text and "L,1.000000" in text
+    # csv.writer's dialect, as every report the program writes: lines end in \r\n.
+    assert (tmp_path / "ssim.csv").read_bytes() == (
+        b"qr_level,ssim\r\nL,1.000000\r\nM,1.000000\r\nQ,1.000000\r\nH,1.000000\r\n"
+    )
 
 
 def test_embed_is_deterministic(workspace):
@@ -872,7 +874,7 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
     # The counters sit on extract's path: one frame record replays its four
     # keystreams in one batch, and each level of [5], which no replayed
     # exponent proves, runs the d^x reference.
-    frame_keystreams({level: [5] for level in "LMQH"}, cfg, 1, 0)
+    frame_keystreams({0: {level: [5] for level in "LMQH"}}, cfg, 1)
     assert calls == ["replay_keystreams"] + ["regenerate_keystream"] * 4
 
 
@@ -1486,6 +1488,7 @@ def fuzz_extract(root, capsys, pub="pub.json", priv="priv.json", sidecar="stego.
     assert code in (3, 4)
     assert_one_error_line(capsys, code)
     assert not list(out_dir.glob("*.pgm"))
+    return code
 
 
 DELETE = object()
@@ -1509,11 +1512,18 @@ def truncations(text):
     return st.integers(0, len(text.rstrip()) - 1).map(lambda i: text[:i])
 
 
+def decimal(value) -> int:
+    """The integer a decimal string holds: ASCII digits after at most one "-" (docs/wire_format.md)."""
+    if not (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
+        raise ValueError(f"{value!r} is not a decimal string")
+    return int(value)
+
+
 def valid_key_pair(pub_doc, priv_doc) -> bool:
     """Whether the mutated documents still load as a matching, proved key pair."""
     try:
-        p, alpha, y = elgamal.parse_decimals([pub_doc[name] for name in ("p", "alpha", "y")])
-        (x,) = elgamal.parse_decimals([priv_doc["x"]])
+        p, alpha, y = (decimal(pub_doc[name]) for name in ("p", "alpha", "y"))
+        x = decimal(priv_doc["x"])
         public = elgamal.ElGamalPublic(p, alpha, y)
         public.validate()
         elgamal.check_key_pair(public, elgamal.ElGamalPrivate(x))
@@ -1554,11 +1564,39 @@ def test_key_file_fuzz_fails_cleanly(fuzz_stego, capsys, data):
 
 
 def in_range_decimal(value, p=997) -> bool:
-    """Whether value is a string that reads as a public value in (0, p)."""
+    """Whether value is a decimal string that reads as a public value in (0, p)."""
     try:
-        return isinstance(value, str) and 0 < int(value) < p
+        return 0 < decimal(value) < p
     except ValueError:
         return False
+
+
+# Texts int() reads as the number they spell, none of them a decimal string.
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+NON_DECIMAL_FORMS = {
+    "space": lambda text: f" {text}",
+    "plus": lambda text: f"+{text}",
+    "underscore": lambda text: f"{text[:-1]}_{text[-1]}",
+    "arabic_indic": lambda text: text.translate(ARABIC_INDIC_DIGITS),
+}
+
+
+@pytest.mark.parametrize("form", NON_DECIMAL_FORMS)
+@pytest.mark.parametrize("file", ["pub", "priv", "sidecar"])
+def test_a_decimal_field_in_another_form_is_refused(fuzz_stego, capsys, file, form):
+    # Each text spells the very value the writer stored, so int() would load
+    # it unchanged; the files stay ASCII, json.dumps escaping the digits.
+    root, pub_doc, priv_doc, side_doc = fuzz_stego
+    if file == "sidecar":
+        publics = side_doc["frames"][1]["Q"]
+        index = next(i for i, value in enumerate(publics) if len(value) > 1)
+        doc, path = side_doc, ("frames", 1, "Q", index)
+        text = publics[index]
+    else:
+        doc, path = (pub_doc, ("p",)) if file == "pub" else (priv_doc, ("x",))
+        text = doc[path[0]]
+    (root / f"bad_{file}.json").write_text(json.dumps(set_path(doc, path, NON_DECIMAL_FORMS[form](text))))
+    assert fuzz_extract(root, capsys, **{file: f"bad_{file}.json"}) == 3
 
 
 @st.composite
@@ -1734,10 +1772,7 @@ def pgm_mutations(draw, data):
     else:
         index = draw(st.integers(0, 2))
         value = draw(no_separator() | st.integers().map(lambda v: str(v).encode()))
-        try:
-            number = int(value)
-        except ValueError:
-            number = None
+        number = int(value) if value.isdigit() else None  # a header field is ASCII digits
         # Any other size that fits the 252 pixel bytes reads; embed then refuses it as capacity.
         refused = number is None or (number != 255 if index == 2 else number <= 0 or number >= 300)
         assume(refused)

@@ -149,6 +149,13 @@ def test_pgm_rejects_wrong_magic_and_maxval():
         read_pgm(io.BytesIO(b"P5\n1 1\n65535\n\x00\x00"))
 
 
+@pytest.mark.parametrize("fields", [b"+2 1_1 0255", b"3 +2 255", b"3 2 +255", b"-3 2 255"])
+def test_pgm_header_fields_must_be_ascii_digits(fields):
+    # int() would take a sign and "_": the first header once read as an 11x2 image.
+    with pytest.raises(FormatError, match="is not a decimal integer"):
+        read_pgm(io.BytesIO(b"P5 " + fields + b"\n" + bytes(66)))
+
+
 class CountingStream(io.BytesIO):
     """A BytesIO that counts the bytes read from it."""
 
