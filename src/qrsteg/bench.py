@@ -1,9 +1,10 @@
 """Benchmark harness behind the bench command.
 
 Embeds a fixed synthetic payload set into every clip of a directory,
-reports per-clip fidelity (capacity, PSNR, MSE, keystream transport
-overhead), then measures recovered-payload SSIM under each configured
-noise attack, averaged over frames, noise seeds, and clips.
+reports per-clip fidelity (capacity, PSNR, MSE, and the sidecar's bytes
+on disk over the payload bytes), then measures recovered-payload SSIM
+under each configured noise attack, averaged over frames, noise seeds,
+and clips.
 
 Every clean and attacked copy of a frame is decoded with the keystream
 the sender derived while embedding it: the keystream is a function of
@@ -16,7 +17,6 @@ it against the public key when it was built, and refuses one without it.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import sys
@@ -47,8 +47,8 @@ _ATTACK_SALT = 0xA77AC4
 class FidelityRow:
     name: str
     report: QualityReport
-    bp_bytes: int  # keystream transport: the sender public values, minimal bytes each
-    bp_overhead: float  # keystream transport bytes / payload bytes
+    bp_bytes: int  # the sidecar as Sidecar.write stores it: the key transport on disk
+    bp_overhead: float  # sidecar bytes / payload bytes
 
 
 @dataclass
@@ -101,11 +101,7 @@ def run(
         subset = [frame for i, frame in enumerate(stego) if i < robust_frames]
         del keys[robust_frames:]
         count = len(sidecar.frames)
-        bit_lengths = Counter()
-        for rec in sidecar.frames:
-            for publics in rec.values():
-                bit_lengths.update(map(int.bit_length, publics))
-        bp_bytes = sum((bits + 7) // 8 * n for bits, n in bit_lengths.items())
+        bp_bytes = len(sidecar.to_json()) + 1  # ASCII text and the newline Sidecar.write adds
         payload_bytes = count * len(QR_LEVELS) * sidecar.plain_len
         result.fidelity.append(FidelityRow(clip.name, report, bp_bytes, bp_bytes / payload_bytes))
 
@@ -149,46 +145,31 @@ def print_tables(result: BenchResult) -> None:
         print(f"  {attack:16s} {values}")
 
 
-def write_fidelity_csv(result: BenchResult, path: Path) -> None:
-    with open(path, "w", newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(
-            [
-                "clip",
-                "frames",
-                "video_pixels",
-                "embedded_bits",
-                "capacity_bpp",
-                "psnr_db",
-                "mse",
-                "psnr_luma_db",
-                "mse_luma",
-                "bp_bytes",
-                "bp_overhead",
-            ]
-        )
-        for row in result.fidelity:
-            r = row.report
-            writer.writerow(
-                [
-                    row.name,
-                    len(r.frame_mse),
-                    r.luma_pixels,
-                    r.embedded_bits,
-                    f"{r.capacity():.6f}",
-                    fmt_psnr(r.average_psnr()),
-                    f"{r.average_mse():.6f}",
-                    fmt_psnr(r.average_psnr(luma_only=True)),
-                    f"{r.average_mse(luma_only=True):.6f}",
-                    row.bp_bytes,
-                    f"{row.bp_overhead:.6f}",
-                ]
-            )
+FIDELITY_HEADER = ("clip", "frames", "video_pixels", "embedded_bits", "capacity_bpp", "psnr_db", "mse",
+                   "psnr_luma_db", "mse_luma", "bp_bytes", "bp_overhead")
+ATTACKS_HEADER = ("attack", *(f"ssim_{lvl}" for lvl in QR_LEVELS))
 
 
-def write_attacks_csv(result: BenchResult, path: Path) -> None:
-    with open(path, "w", newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(["attack"] + [f"ssim_{lvl}" for lvl in QR_LEVELS])
-        for attack, ssim in result.robustness.items():
-            writer.writerow([attack] + [f"{ssim[lvl]:.4f}" for lvl in QR_LEVELS])
+def fidelity_rows(result: BenchResult) -> list[list]:
+    """The fidelity table under FIDELITY_HEADER, one row a clip."""
+    return [
+        [
+            row.name,
+            len(row.report.frame_mse),
+            row.report.luma_pixels,
+            row.report.embedded_bits,
+            f"{row.report.capacity():.6f}",
+            fmt_psnr(row.report.average_psnr()),
+            f"{row.report.average_mse():.6f}",
+            fmt_psnr(row.report.average_psnr(luma_only=True)),
+            f"{row.report.average_mse(luma_only=True):.6f}",
+            row.bp_bytes,
+            f"{row.bp_overhead:.6f}",
+        ]
+        for row in result.fidelity
+    ]
+
+
+def attacks_rows(result: BenchResult) -> list[list]:
+    """The robustness table under ATTACKS_HEADER, one row an attack label."""
+    return [[attack] + [f"{ssim[lvl]:.4f}" for lvl in QR_LEVELS] for attack, ssim in result.robustness.items()]

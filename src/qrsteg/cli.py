@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import itertools
 import json
@@ -24,7 +23,7 @@ from . import bitplane, elgamal
 from .attacks import AttackSpec, attack_video
 from .errors import CryptoError, FormatError, QrstegError, UsageError
 from .permute import Splitmix64, StegoKey, derive_seed
-from .quality import QualityReport, SsimReference
+from .quality import QualityReport, SsimReference, write_csv
 from .stego import (
     QR_LEVELS,
     FrameCoder,
@@ -177,8 +176,7 @@ def cmd_embed(args) -> int:
             count = write_y4m(meta, stego, out)
         sidecar.write(sidecar_temp)
         if report_temp:
-            with open(report_temp, "w", newline="") as out:
-                report.write_csv(out)
+            write_csv(report_temp, QualityReport.CSV_HEADER, report.csv_rows())
 
     print(f"embedded {report.embedded_bits} bits into {count} frames -> {out_path}")
     print(f"capacity: {report.capacity():g} bpp")
@@ -224,10 +222,8 @@ def cmd_extract(args) -> int:
                 count += 1
             means = {level: total / count for level, total in ssim_sums.items()} if count else {}
             if args.report and count:
-                with open(stage(Path(args.report)), "w", newline="") as out:
-                    writer = csv.writer(out)
-                    writer.writerow(["qr_level", "ssim"])
-                    writer.writerows([level, f"{mean:.6f}"] for level, mean in means.items())
+                write_csv(stage(Path(args.report)), ("qr_level", "ssim"),
+                          ([level, f"{mean:.6f}"] for level, mean in means.items()))
     except BaseException:
         for path in new_dirs:  # the staged PGMs are gone, so a directory this run made is empty
             with contextlib.suppress(OSError):
@@ -281,8 +277,8 @@ def cmd_bench(args) -> int:
         )
         bench_mod.print_tables(result)
         if reports:
-            bench_mod.write_fidelity_csv(result, reports[0])
-            bench_mod.write_attacks_csv(result, reports[1])
+            write_csv(reports[0], bench_mod.FIDELITY_HEADER, bench_mod.fidelity_rows(result))
+            write_csv(reports[1], bench_mod.ATTACKS_HEADER, bench_mod.attacks_rows(result))
     if args.report:
         print(f"reports: {args.report} and {attacks_report}")
     return 0
@@ -303,6 +299,7 @@ def count(text: str) -> int:
     return value
 
 
+@functools.cache  # argparse measures the terminal on every add_argument: build the tree once
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qrsteg",

@@ -574,7 +574,7 @@ def parse_decimals(texts: list) -> list[int]:
 def _load_key_fields(path: str | Path, kind: str, names: tuple[str, ...]) -> list[int]:
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not ASCII or not JSON
         raise FormatError(f"cannot read key file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise FormatError(f"{path} is not a {kind} file")

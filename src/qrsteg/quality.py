@@ -4,7 +4,8 @@ MSE runs over all Y, U, and V samples with plain sample-count weighting.
 PSNR uses a peak of 255; identical frames get an "identical" sentinel
 (infinity) and are excluded from averages. SSIM is the single-window
 global form with the usual stabilizers C1 = (0.01*255)^2 and
-C2 = (0.03*255)^2, population statistics (divide by N).
+C2 = (0.03*255)^2, population statistics (divide by N). Every report CSV
+the program writes goes through write_csv.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -129,13 +131,13 @@ class QualityReport:
     def capacity(self) -> float:
         return capacity_bpp(self.embedded_bits, self.luma_pixels)
 
-    def write_csv(self, stream) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(["frame", "mse", "psnr_db", "mse_luma", "psnr_luma_db"])
-        for i, (m, ml) in enumerate(zip(self.frame_mse, self.frame_mse_luma)):
-            writer.writerow([i, f"{m:.6f}", fmt_psnr(psnr_from_mse(m)),
-                             f"{ml:.6f}", fmt_psnr(psnr_from_mse(ml))])
-        writer.writerow(
+    CSV_HEADER = ("frame", "mse", "psnr_db", "mse_luma", "psnr_luma_db")
+
+    def csv_rows(self) -> list[list]:
+        """The per-frame report under CSV_HEADER: one row a frame, the averages, the capacity."""
+        rows = [[i, f"{m:.6f}", fmt_psnr(psnr_from_mse(m)), f"{ml:.6f}", fmt_psnr(psnr_from_mse(ml))]
+                for i, (m, ml) in enumerate(zip(self.frame_mse, self.frame_mse_luma))]
+        rows.append(
             [
                 "average",
                 f"{self.average_mse():.6f}",
@@ -145,9 +147,18 @@ class QualityReport:
             ]
         )
         if self.luma_pixels:
-            writer.writerow(["capacity_bpp", f"{self.capacity():.6f}", "", "", ""])
+            rows.append(["capacity_bpp", f"{self.capacity():.6f}", "", "", ""])
+        return rows
 
 
 def fmt_psnr(value: float) -> str:
     """PSNR as the reports print it: three decimals, or "identical"."""
     return "identical" if not math.isfinite(value) else f"{value:.3f}"
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write one report CSV: the header row, then rows, in csv.writer's default dialect."""
+    with open(path, "w", newline="") as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -27,7 +27,7 @@ from . import elgamal, permute
 from .bitplane import QrPlane
 from .elgamal import ElGamalPrivate, ElGamalPublic, Keystream
 from .errors import CapacityError, CryptoError, FormatError, ShapeError
-from .videoio import FrameYuv420
+from .videoio import FrameYuv420, VideoMeta
 from .wavelet import SubBands, fwd_haar_int, inv_haar_int
 
 if TYPE_CHECKING:  # quality imports this module's clip range
@@ -221,7 +221,7 @@ class Sidecar:
     width: int
     height: int
     key_fingerprint: str
-    frame_rate: str = "25:1"
+    frame_rate: str = VideoMeta.frame_rate
     frames: list[dict[str, list[int]]] = field(default_factory=list)
 
     # the payload plane size and keystream bytes per level follow from the video size
@@ -254,7 +254,7 @@ class Sidecar:
     def from_json(cls, text: str) -> "Sidecar":
         try:
             doc = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to parse
             raise FormatError(f"sidecar is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != SIDECAR_FORMAT:
             raise FormatError("not a qrsteg sidecar")
@@ -269,7 +269,7 @@ class Sidecar:
                 width=width,
                 height=height,
                 key_fingerprint=str(doc["key_fingerprint"]),
-                frame_rate=str(video.get("frame_rate", "25:1")),
+                frame_rate=str(video.get("frame_rate", VideoMeta.frame_rate)),
                 frames=[_frame_record(record) for record in doc["frames"]],
             )
             frame_count = _json_int(video["frame_count"])
@@ -292,11 +292,15 @@ class Sidecar:
 
     @classmethod
     def read(cls, path: str | Path) -> "Sidecar":
+        """The sidecar in path; every failure is a FormatError that names the file."""
         try:
             text = Path(path).read_text(encoding="ascii")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a byte that is not ASCII
             raise FormatError(f"cannot read sidecar {path}: {exc}") from exc
-        return cls.from_json(text)
+        try:
+            return cls.from_json(text)
+        except FormatError as exc:
+            raise FormatError(f"sidecar {path}: {exc}") from exc
 
 
 def _json_block(items: list[str], depth: int, brackets: str) -> str:
@@ -336,7 +340,7 @@ def _json_int(value) -> int:
     return value
 
 
-def new_sidecar(cfg: StegoConfig, coder: FrameCoder, frame_rate: str = "25:1") -> Sidecar:
+def new_sidecar(cfg: StegoConfig, coder: FrameCoder, frame_rate: str = VideoMeta.frame_rate) -> Sidecar:
     return Sidecar(coder.width, coder.height, cfg.key.fingerprint(), frame_rate)
 
 

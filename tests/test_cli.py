@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -817,6 +818,42 @@ def test_bench_smoke(tmp_path, capsys):
     assert all(float(v) == 1.0 for v in none_row[1:])
 
 
+@pytest.mark.parametrize("keygen", [None, ["--bits", "64", "--seed", "7"]], ids=["paper", "bits64"])
+def test_bench_bp_bytes_is_the_size_of_the_sidecar_embed_writes(workspace, keygen):
+    # The public values do not depend on the payload, so bench's sidecar for a clip
+    # is the one embed writes for the same clip, key pair and seed.
+    ws = workspace
+    if keygen:
+        assert main(["keygen", "--pub", str(ws["pub"]), "--priv", str(ws["priv"]), *keygen, "--force"]) == 0
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    dataset = ws["tmp"] / "clips"
+    dataset.mkdir()
+    (dataset / "cover.y4m").write_bytes(ws["cover"].read_bytes())
+    report = ws["tmp"] / "bench.csv"
+    assert main(["bench", "--input", str(dataset), "--report", str(report), "--pub", str(ws["pub"]),
+                 "--priv", str(ws["priv"]), "--seed", "1234", "--attacks", ""]) == 0
+    with open(report, newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    size = (ws["tmp"] / "stego.y4m.sidecar.json").stat().st_size
+    assert int(row["bp_bytes"]) == size
+    assert row["bp_overhead"] == f"{size / (3 * 4 * 32):.6f}"  # 3 frames, 4 levels, 16x16 bits each
+
+
+def test_main_builds_one_parser_and_keeps_no_flags_between_commands(workspace, capsys, monkeypatch):
+    ws = workspace
+    monkeypatch.delenv("QRSTEG_SEED", raising=False)
+    cli.build_parser.cache_clear()
+    out = ws["tmp"] / "noisy.y4m"
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(out), "--attack", "sp:0.1",
+                 "--seed", "3"]) == 0
+    assert "(attacks: sp:0.1, seed: 3)" in capsys.readouterr().out
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(out)]) == 0
+    assert "(attacks: none, seed: 0)" in capsys.readouterr().out
+    assert out.read_bytes() == ws["cover"].read_bytes()
+    assert cli.build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("sizes,builds", [([16, 16, 16], 1), ([16, 24, 16], 2)])
 def test_bench_builds_one_coder_per_geometry(tmp_path, monkeypatch, sizes, builds):
     dataset = tmp_path / "clips"
@@ -970,9 +1007,12 @@ def extract_args(ws, stego, priv=None):
 
 
 def assert_one_error_line(capsys, code):
+    """The one JSON error line on stderr, which must carry exit code; returns it parsed."""
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["exit"] == code
+    error = json.loads(lines[0])
+    assert error["exit"] == code
+    return error
 
 
 @pytest.mark.parametrize("x", ["-3", "0"])
@@ -1479,16 +1519,16 @@ def fuzz_stego(tmp_path_factory):
 
 
 def fuzz_extract(root, capsys, pub="pub.json", priv="priv.json", sidecar="stego.y4m.sidecar.json"):
-    """Run extract on the fuzz clip; assert it failed cleanly with no PGM written."""
+    """Run extract on the fuzz clip; assert it failed cleanly with no PGM written; return the error line."""
     out_dir = root / "rec"
     capsys.readouterr()
     code = main(["extract", "--input", str(root / "stego.y4m"), "--output", str(out_dir),
                  "--pub", str(root / pub), "--priv", str(root / priv), "--sidecar", str(root / sidecar),
                  "--seed", "9"])
     assert code in (3, 4)
-    assert_one_error_line(capsys, code)
+    error = assert_one_error_line(capsys, code)
     assert not list(out_dir.glob("*.pgm"))
-    return code
+    return error
 
 
 DELETE = object()
@@ -1510,6 +1550,18 @@ def set_path(doc, path, value):
 def truncations(text):
     """Prefixes that lose at least the closing brace: never valid JSON."""
     return st.integers(0, len(text.rstrip()) - 1).map(lambda i: text[:i])
+
+
+def non_ascii(text):
+    """text's bytes with one 0xFF byte put in: never an ASCII file."""
+    data = text.encode("ascii")
+    return st.integers(0, len(data)).map(lambda i: data[:i] + b"\xff" + data[i:])
+
+
+def deeply_nested(doc, path) -> bytes:
+    """doc with the node at path made 200,000 arrays deep: valid JSON, too deep for json.loads."""
+    mark = "deep-nesting-mark"
+    return json.dumps(set_path(doc, path, mark)).replace(f'"{mark}"', "[" * 200_000 + "]" * 200_000).encode()
 
 
 def decimal(value) -> int:
@@ -1534,12 +1586,16 @@ def valid_key_pair(pub_doc, priv_doc) -> bool:
 
 @st.composite
 def key_file_mutations(draw, pub_doc, priv_doc):
-    """(file name, mutated text) for one of the two key files."""
+    """(file name, mutated bytes) for one of the two key files."""
     name, doc = draw(st.sampled_from([("pub.json", pub_doc), ("priv.json", priv_doc)]))
-    how = draw(st.sampled_from(["truncate", "delete", "replace", "decimal"]))
+    how = draw(st.sampled_from(["truncate", "non_ascii", "deep", "delete", "replace", "decimal"]))
     if how == "truncate":
-        return name, draw(truncations(json.dumps(doc, indent=2) + "\n"))
+        return name, draw(truncations(json.dumps(doc, indent=2) + "\n")).encode()
+    if how == "non_ascii":
+        return name, draw(non_ascii(json.dumps(doc, indent=2) + "\n"))
     field = draw(st.sampled_from(sorted(doc)))
+    if how == "deep":
+        return name, deeply_nested(doc, (field,))
     if how == "delete":
         value = DELETE
     elif how == "replace":
@@ -1549,7 +1605,7 @@ def key_file_mutations(draw, pub_doc, priv_doc):
     mutated = set_path(doc, (field,), value)
     pair = (mutated, priv_doc) if name == "pub.json" else (pub_doc, mutated)
     assume(not valid_key_pair(*pair))
-    return name, json.dumps(mutated)
+    return name, json.dumps(mutated).encode()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
@@ -1557,8 +1613,8 @@ def key_file_mutations(draw, pub_doc, priv_doc):
 @given(data=st.data())
 def test_key_file_fuzz_fails_cleanly(fuzz_stego, capsys, data):
     root, pub_doc, priv_doc, _ = fuzz_stego
-    name, text = data.draw(key_file_mutations(pub_doc, priv_doc))
-    (root / f"bad_{name}").write_text(text)
+    name, content = data.draw(key_file_mutations(pub_doc, priv_doc))
+    (root / f"bad_{name}").write_bytes(content)
     files = {"pub": f"bad_{name}"} if name == "pub.json" else {"priv": f"bad_{name}"}
     fuzz_extract(root, capsys, **files)
 
@@ -1596,27 +1652,41 @@ def test_a_decimal_field_in_another_form_is_refused(fuzz_stego, capsys, file, fo
         doc, path = (pub_doc, ("p",)) if file == "pub" else (priv_doc, ("x",))
         text = doc[path[0]]
     (root / f"bad_{file}.json").write_text(json.dumps(set_path(doc, path, NON_DECIMAL_FORMS[form](text))))
-    assert fuzz_extract(root, capsys, **{file: f"bad_{file}.json"}) == 3
+    assert fuzz_extract(root, capsys, **{file: f"bad_{file}.json"})["exit"] == 3
+
+
+@pytest.mark.parametrize("prefix", [b"\xff", b"[" * 200_000], ids=["non_ascii", "deep"])
+@pytest.mark.parametrize("file", ["pub", "priv", "sidecar"])
+def test_a_json_file_json_loads_cannot_take_is_refused_by_name(fuzz_stego, capsys, file, prefix):
+    # A byte that is not ASCII, or nesting deeper than the parser recurses, is a format error.
+    root = fuzz_stego[0]
+    name = "stego.y4m.sidecar.json" if file == "sidecar" else f"{file}.json"
+    (root / f"bad_{file}.json").write_bytes(prefix + (root / name).read_bytes())
+    error = fuzz_extract(root, capsys, **{file: f"bad_{file}.json"})
+    assert error["exit"] == 3
+    assert str(root / f"bad_{file}.json") in error["message"]
 
 
 @st.composite
 def sidecar_mutations(draw, doc):
-    """A mutated sidecar text that no reader may accept."""
-    how = draw(st.sampled_from(["truncate", "delete", "replace", "public", "cut"]))
+    """A mutated sidecar file, as bytes, that no reader may accept."""
+    how = draw(st.sampled_from(["truncate", "non_ascii", "deep", "delete", "replace", "public", "cut"]))
     if how == "truncate":
-        return draw(truncations(json.dumps(doc, indent=1) + "\n"))
+        return draw(truncations(json.dumps(doc, indent=1) + "\n")).encode()
+    if how == "non_ascii":
+        return draw(non_ascii(json.dumps(doc, indent=1) + "\n"))
     frame = draw(st.integers(0, len(doc["frames"]) - 1))
     level = draw(st.sampled_from("LMQH"))
     publics = doc["frames"][frame][level]
     if how == "cut":  # losing two values loses at least 2 key bytes; at p = 997 at most 1 is spare
         start = draw(st.integers(0, len(publics) - 2))
         count = draw(st.integers(2, len(publics) - start))
-        return json.dumps(set_path(doc, ("frames", frame, level), publics[:start] + publics[start + count:]))
+        return json.dumps(set_path(doc, ("frames", frame, level), publics[:start] + publics[start + count:])).encode()
     if how == "public":
         index = draw(st.integers(0, len(publics) - 1))
         value = draw(JSON_VALUES | st.integers().map(str))
         assume(not in_range_decimal(value))
-        return json.dumps(set_path(doc, ("frames", frame, level, index), value))
+        return json.dumps(set_path(doc, ("frames", frame, level, index), value)).encode()
     # Every field but video.frame_rate and key_fingerprint, which a reader takes as any
     # text (a fingerprint mismatch only warns). A replaced level list holds at most 3
     # values, at most 6 key bytes at p = 997, short of the 8 each level needs.
@@ -1624,14 +1694,16 @@ def sidecar_mutations(draw, doc):
              ("video", "frame_count"), ("qr",), ("qr", "width"), ("qr", "height"), ("plain_len",),
              ("frames",), ("frames", frame), ("frames", frame, level)]
     path = draw(st.sampled_from(paths))
+    if how == "deep":
+        return deeply_nested(doc, path)
     if how == "delete":
-        return json.dumps(set_path(doc, path, DELETE))
+        return json.dumps(set_path(doc, path, DELETE)).encode()
     value = draw(JSON_VALUES)
     node = doc
     for step in path:
         node = node[step]
     assume(value != node)
-    return json.dumps(set_path(doc, path, value))
+    return json.dumps(set_path(doc, path, value)).encode()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -1639,7 +1711,7 @@ def sidecar_mutations(draw, doc):
 @given(data=st.data())
 def test_sidecar_fuzz_fails_cleanly(fuzz_stego, capsys, data):
     root, _, _, doc = fuzz_stego
-    (root / "bad.sidecar.json").write_text(data.draw(sidecar_mutations(doc)))
+    (root / "bad.sidecar.json").write_bytes(data.draw(sidecar_mutations(doc)))
     fuzz_extract(root, capsys, sidecar="bad.sidecar.json")
 
 

@@ -32,7 +32,7 @@ GOLDEN_EMBED = {
 }
 
 GOLDEN_BENCH = {
-    "report": "4b061ac694c251ce6f0ceef6d08b7b9c5d8ab0d0d6238b348dd1ade80021ac4e",
+    "report": "3656d202ded6e8c3e2fe15b1517dc4ae36304f3eaa19a314c097c5285127bb5b",
     "attacks": "4530ad6ddcadc0e4ea81664377009bc8c5d76224d2a151c183cd9420f10c8d00",
 }
 

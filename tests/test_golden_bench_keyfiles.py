@@ -15,7 +15,7 @@ from qrsteg.cli import main
 from qrsteg.videoio import write_y4m
 
 GOLDEN_BENCH_256 = {
-    "report": "21a624463f43ed6d50f2884018e8f6d7589b4b36706c4b6a139d599fa322ab4f",
+    "report": "605039debb30d3685347ead83bebc0481c5bfee4a902caf895eeb38a03dffc78",
     "attacks": "e875d5c883405da95be03b467ed7d5fde41fb8e4d27a39931725cb1575e0b4ff",
 }
 

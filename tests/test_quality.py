@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from qrsteg.quality import (
     psnr_from_mse,
     SsimReference,
     ssim,
+    write_csv,
 )
 from qrsteg.videoio import FrameYuv420
 
@@ -134,7 +133,7 @@ def test_capacity_values():
         capacity_bpp(1, 0)
 
 
-def test_quality_report_csv():
+def test_quality_report_csv(tmp_path):
     report = QualityReport(embedded_bits=32)
     a = frame_from(np.full((4, 4), 50))
     b = frame_from(np.full((4, 4), 52))
@@ -143,10 +142,11 @@ def test_quality_report_csv():
     assert report.luma_pixels == 32
     assert report.average_psnr() == pytest.approx(psnr_from_mse(report.frame_mse[0]))
     assert report.frame_mse[1] == 0.0
-    buf = io.StringIO()
-    report.write_csv(buf)
-    text = buf.getvalue()
-    assert "frame,mse,psnr_db" in text
+    rows = report.csv_rows()
+    assert [row[0] for row in rows] == [0, 1, "average", "capacity_bpp"]
+    write_csv(tmp_path / "report.csv", QualityReport.CSV_HEADER, rows)
+    text = (tmp_path / "report.csv").read_bytes().decode()
+    assert text.startswith("frame,mse,psnr_db,mse_luma,psnr_luma_db\r\n")
     assert "identical" in text
     assert "average" in text
     assert "capacity_bpp,1.000000" in text

@@ -24,7 +24,7 @@ from qrsteg.stego import (
     prepare_payload,
     set_lsb,
 )
-from qrsteg.videoio import FrameYuv420
+from qrsteg.videoio import FrameYuv420, VideoMeta
 from qrsteg.wavelet import fwd_haar_int, inv_haar_int
 
 PUB = ElGamalPublic(p=997, alpha=809, y=12)
@@ -587,6 +587,15 @@ def test_sidecar_rejects_inconsistent_plain_len():
     doc["plain_len"] += 1
     with pytest.raises(FormatError, match="sidecar plain_len 9 disagrees with the payload size"):
         Sidecar.from_json(json.dumps(doc))
+
+
+def test_sidecar_without_a_frame_rate_reads_back_with_the_y4m_default():
+    cfg = make_cfg()
+    sidecar = new_sidecar(cfg, FrameCoder(cfg.key, 16, 16))
+    assert sidecar.frame_rate == VideoMeta.frame_rate
+    doc = json.loads(dataclasses.replace(sidecar, frame_rate="30:1").to_json())
+    del doc["video"]["frame_rate"]
+    assert Sidecar.from_json(json.dumps(doc)).frame_rate == VideoMeta.frame_rate
 
 
 def test_sidecar_rejects_a_transposed_qr_size():
