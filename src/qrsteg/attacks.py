@@ -18,6 +18,7 @@ x * noise.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -55,14 +56,18 @@ class AttackSpec:
 
     @classmethod
     def parse(cls, text: str) -> "AttackSpec":
-        """Parse CLI spec strings: sp:D, gauss:M:V, poisson, speckle:V."""
+        """Parse CLI spec strings: sp:D, gauss:M:V, poisson, speckle:V.
+
+        Each parameter is an ASCII decimal real: digits with an optional
+        "-", fraction and exponent. float() alone would also read "_",
+        spaces and non-ASCII digits, so "sp:0_1" would replace every sample.
+        """
         name, *values = text.strip().split(":")
         for kind, (names, params, _) in _GRAMMAR.items():
             if name.lower() in names and len(values) == len(params):
-                try:
-                    return cls(kind, **{param: float(value) for param, value in zip(params, values)})
-                except ValueError as exc:
-                    raise FormatError(f"bad attack parameter in {text!r}: {exc}") from exc
+                if not all(map(_DECIMAL_REAL.fullmatch, values)):
+                    raise FormatError(f"bad attack parameter in {text!r}: not an ASCII decimal number")
+                return cls(kind, **{param: float(value) for param, value in zip(params, values)})
         raise FormatError(f"cannot parse attack spec {text!r}")
 
 
@@ -119,6 +124,8 @@ def speckle(frame: FrameYuv420, variance: float, rng: np.random.Generator) -> Fr
 
     return _per_plane(frame, corrupt)
 
+
+_DECIMAL_REAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 # kind -> (spec names, the first being the label's; parameters in spec order; attack)
 _GRAMMAR = {

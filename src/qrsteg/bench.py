@@ -62,9 +62,10 @@ def run(
     dataset: Path,
     cfg: StegoConfig,
     attack_specs: list[AttackSpec],
-    attack_seeds: int = 5,
-    max_frames: int | None = None,
-    robust_frames: int = 30,
+    *,
+    attack_seeds: int,
+    max_frames: int | None,
+    robust_frames: int,
 ) -> BenchResult:
     if cfg.private is None:
         raise CryptoError("bench requires the private key")

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import secrets
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import bitplane, elgamal
 from .attacks import AttackSpec, attack_video
-from .errors import CryptoError, FormatError, QrstegError, UsageError
+from .errors import EXIT_FORMAT, CryptoError, FormatError, QrstegError, UsageError
 from .permute import Splitmix64, StegoKey, derive_seed
 from .quality import QualityReport, SsimReference, write_csv
 from .stego import (
@@ -39,10 +40,15 @@ DEFAULT_KEY_BITS = 256
 DEFAULT_BENCH_ATTACKS = "sp:0.01,sp:0.1,gauss:0:0.01,gauss:0:0.1,poisson,speckle:0.05"
 
 
+def decimal(text: str) -> int:
+    """An integer in ASCII decimal, read by the rule of elgamal.parse_decimals."""
+    return elgamal.parse_decimals([text])[0]
+
+
 def parse_seed_text(text: str) -> int:
-    """Accept a 64-bit integer (decimal or 0x hex) or hash a passphrase."""
+    """A 64-bit integer in ASCII decimal or 0x/0X hex; any other text is a passphrase, hashed."""
     try:
-        value = int(text, 0)
+        value = int(text, 16) if re.fullmatch("0[xX][0-9a-fA-F]+", text) else decimal(text)
     except ValueError:
         return StegoKey.from_passphrase(text).seed
     if not 0 <= value < 1 << 64:
@@ -60,14 +66,17 @@ def resolve_seed(args, default: int | None = None) -> int:
     return default
 
 
-def _load_qr_files(args) -> dict[str, bitplane.QrPlane]:
-    """The payload planes named by the --qr-* flags, keyed by level."""
+def _load_qr_files(args, size: tuple[int, int] | None = None) -> dict[str, bitplane.QrPlane]:
+    """The payload planes named by the --qr-* flags, keyed by level; each must be size when given."""
     planes = {}
     for level in QR_LEVELS:
         path = getattr(args, f"qr_{level.lower()}")
         if path is not None:
             with open(path, "rb") as handle:
-                planes[level] = bitplane.load_qr(read_pgm(handle))
+                planes[level] = plane = bitplane.load_qr(read_pgm(handle))
+            if size and (plane.width, plane.height) != size:
+                raise FormatError(f"--qr-{level.lower()} {path} is {plane.width}x{plane.height}, "
+                                  f"the sidecar's payload is {size[0]}x{size[1]}")
     return planes
 
 
@@ -81,6 +90,11 @@ def _load_config(seed: int, pub_path, priv_path=None) -> StegoConfig:
         raise CryptoError(
             f"private key {priv_path} does not match public key {pub_path} (alpha^x != y mod p)"
         ) from exc
+
+
+def _sidecar_path(args, video) -> Path:
+    """--sidecar, else the stego video's path with ".sidecar.json" appended."""
+    return Path(args.sidecar or f"{video}.sidecar.json")
 
 
 @contextlib.contextmanager
@@ -160,7 +174,7 @@ def cmd_embed(args) -> int:
     cfg = _load_config(resolve_seed(args), args.pub)
     qr_set = _load_qr_files(args)
     out_path = Path(args.output)
-    sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(out_path) + ".sidecar.json")
+    sidecar_path = _sidecar_path(args, out_path)
     with _open_video(args) as (meta, frames), _atomic_outputs() as stage:
         out_temp, sidecar_temp = stage(out_path), stage(sidecar_path)  # a refused target costs no frame read
         report_temp = args.report and stage(Path(args.report))
@@ -192,8 +206,7 @@ def cmd_embed(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_config(resolve_seed(args), args.pub, args.priv)
-    sidecar_path = Path(args.sidecar) if args.sidecar else Path(str(args.input) + ".sidecar.json")
-    sidecar = Sidecar.read(sidecar_path)
+    sidecar = Sidecar.read(_sidecar_path(args, args.input))
     if cfg.key.fingerprint() != sidecar.key_fingerprint:
         print(
             "warning: seed fingerprint does not match the sidecar; recovered data will be noise",
@@ -201,7 +214,7 @@ def cmd_extract(args) -> int:
         )
     originals = {
         level: SsimReference(bitplane.render(plane))
-        for level, plane in _load_qr_files(args).items()
+        for level, plane in _load_qr_files(args, (sidecar.qr_width, sidecar.qr_height)).items()
     }
 
     out_dir = Path(args.output)
@@ -292,8 +305,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def count(text: str) -> int:
-    """A non-negative integer flag value (argparse calls a non-integer an "invalid count value")."""
-    value = int(text)
+    """A non-negative decimal flag value (argparse calls other text an "invalid count value")."""
+    value = decimal(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
@@ -308,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", help="64-bit integer or passphrase (env QRSTEG_SEED as fallback)")
+        p.add_argument("--seed", help="64-bit integer (decimal or 0x hex) or passphrase (env QRSTEG_SEED as fallback)")
 
     def add_video(p, what):
         p.add_argument("--input", required=True, help=f"{what} (.y4m, or raw with --width/--height)")
-        p.add_argument("--width", type=int, help="raw input width")
-        p.add_argument("--height", type=int, help="raw input height")
+        p.add_argument("--width", type=decimal, help="raw input width")
+        p.add_argument("--height", type=decimal, help="raw input height")
 
     def add_qr(p, required, what):
         for level, carrier in zip(QR_LEVELS, ("HL", "HH", "U", "V")):
@@ -322,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="write a public/private key file pair")
     p.add_argument("--pub", required=True, help="output path for the public key")
     p.add_argument("--priv", required=True, help="output path for the private key")
-    p.add_argument("--bits", type=int, default=DEFAULT_KEY_BITS, help="safe-prime size, 16 to 8192 (default 256)")
+    p.add_argument("--bits", type=decimal, default=DEFAULT_KEY_BITS, help="safe-prime size, 16 to 8192 (default 256)")
     p.add_argument(
         "--paper-fidelity",
         action="store_true",
         help="use the small built-in demo parameters (p=997, alpha=809)",
     )
     p.add_argument("--force", action="store_true", help="overwrite existing files")
-    p.add_argument("--seed", help="64-bit integer or passphrase (QRSTEG_SEED is not read)")
+    p.add_argument("--seed", help="64-bit integer (decimal or 0x hex) or passphrase (QRSTEG_SEED is not read)")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("embed", help="hide four payload images in a cover video")
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--paper-fidelity", action="store_true", help="generate the small demo key instead of a fresh one"
     )
-    p.add_argument("--bits", type=int, default=DEFAULT_KEY_BITS, help="key size when generating, 16 to 8192")
+    p.add_argument("--bits", type=decimal, default=DEFAULT_KEY_BITS, help="key size when generating, 16 to 8192")
     add_seed(p)
     p.set_defaults(func=cmd_bench)
 
@@ -389,14 +402,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except QrstegError as exc:
-        line = json.dumps({"error": type(exc).__name__, "exit": exc.exit_code, "message": str(exc)})
-        print(line, file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        line = json.dumps({"error": "OSError", "exit": 3, "message": str(exc)})
-        print(line, file=sys.stderr)
-        return 3
+    except (QrstegError, OSError) as exc:  # an OSError is an unreadable or unwritable file: exit 3
+        name, code = (type(exc).__name__, exc.exit_code) if isinstance(exc, QrstegError) else ("OSError", EXIT_FORMAT)
+        print(json.dumps({"error": name, "exit": code, "message": str(exc)}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

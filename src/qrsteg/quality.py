@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import QrstegError, ShapeError
-from .stego import CLIP_HI, CLIP_LO
 from .videoio import FrameYuv420
+from .wavelet import CLIP_HI, CLIP_LO
 
 PEAK = 255.0
 SSIM_C1 = (0.01 * 255.0) ** 2
@@ -38,11 +38,10 @@ def _sse(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.square(np.subtract(a, b, dtype=np.int32)).sum(dtype=np.int64))
 
 
-def mse(a: FrameYuv420, b: FrameYuv420, *, luma_only: bool = False) -> float:
+def mse(a: FrameYuv420, b: FrameYuv420) -> float:
     """Mean squared sample difference across the native planes."""
     _check_same_geometry(a, b)
-    planes = [(a.y, b.y)] if luma_only else [(a.y, b.y), (a.u, b.u), (a.v, b.v)]
-    return sum(_sse(pa, pb) for pa, pb in planes) / sum(pa.size for pa, _ in planes)
+    return sum(map(_sse, (a.y, a.u, a.v), (b.y, b.u, b.v))) / (a.y.size + a.u.size + a.v.size)
 
 
 def psnr_from_mse(value: float) -> float:

@@ -1,14 +1,13 @@
 """The embedding and extraction pipeline.
 
-Per frame: the luma plane is clipped to [2, 253] and decomposed with the
-reversible integer Haar transform; two encrypted payload bit streams go
-into the LSBs of the HL and HH detail coefficients, the other two into
-the LSBs of the U and V chroma samples. Each level's bits go to carrier
-positions given by one keyed index (the payload shuffle composed with the
-carrier order), and every frame gets a fresh keystream whose public
-values land in a sidecar the extractor consumes.
-
-The clip guarantees reconstruction stays inside [0, 255]; because the
+Per frame: the luma plane is clipped to [CLIP_LO, CLIP_HI], which keeps
+the edited reconstruction inside [0, 255] (see wavelet), and decomposed
+with the reversible integer Haar transform; two encrypted payload bit
+streams go into the LSBs of the HL and HH detail coefficients, the other
+two into the LSBs of the U and V chroma samples. Each level's bits go to
+carrier positions given by one keyed index (the payload shuffle composed
+with the carrier order), and every frame gets a fresh keystream whose
+public values land in a sidecar the extractor consumes. Because the
 transform is an exact integer bijection, a second decomposition of the
 stored stego frame returns the edited coefficients bit for bit.
 """
@@ -19,7 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,11 +26,9 @@ from . import elgamal, permute
 from .bitplane import QrPlane
 from .elgamal import ElGamalPrivate, ElGamalPublic, Keystream
 from .errors import CapacityError, CryptoError, FormatError, ShapeError
+from .quality import QualityReport
 from .videoio import FrameYuv420, VideoMeta
-from .wavelet import SubBands, fwd_haar_int, inv_haar_int
-
-if TYPE_CHECKING:  # quality imports this module's clip range
-    from .quality import QualityReport
+from .wavelet import CLIP_HI, CLIP_LO, SubBands, fwd_haar_int, inv_haar_int
 
 QR_LEVELS = ("L", "M", "Q", "H")
 
@@ -49,9 +46,6 @@ PAYLOAD_TAGS = {
     "H": permute.TAG_PAYLOAD_H,
 }
 LEVEL_INDEX = {level: i for i, level in enumerate(QR_LEVELS)}
-
-CLIP_LO = 2
-CLIP_HI = 253
 
 SIDECAR_FORMAT = "qrsteg-sidecar"
 SIDECAR_VERSION = 1
@@ -110,7 +104,7 @@ def get_lsb(value):
 
 
 def clip_cover(frame: FrameYuv420) -> FrameYuv420:
-    """The cover as the embedder actually uses it: luma limited to [2, 253]."""
+    """The cover as the embedder actually uses it: luma limited to [CLIP_LO, CLIP_HI]."""
     return FrameYuv420(y=np.clip(frame.y, CLIP_LO, CLIP_HI), u=frame.u.copy(), v=frame.v.copy())
 
 
@@ -155,16 +149,16 @@ class FrameCoder:
                     f"level {level} carries {0 if bits is None else bits.size} bits, "
                     f"carrier holds exactly {self.capacity_bits}"
                 )
-        bands = fwd_haar_int(np.clip(frame.y, CLIP_LO, CLIP_HI))
-        u, v = frame.u.copy(), frame.v.copy()
-        for level, carrier in self._carriers(bands, u, v).items():
+        cover = clip_cover(frame)
+        bands = fwd_haar_int(cover.y)
+        for level, carrier in self._carriers(bands, cover.u, cover.v).items():
             flat = carrier.reshape(-1)  # a view: every carrier is C-contiguous
             idx = self._place[level]
             flat[idx] = set_lsb(flat[idx], payload.bits[level].astype(carrier.dtype))
         y = inv_haar_int(bands)
         if y.min() < 0 or y.max() > 255:
             raise ShapeError("internal error: reconstruction left the sample range")
-        return FrameYuv420(y=y.astype(np.uint8), u=u, v=v)
+        return FrameYuv420(y=y.astype(np.uint8), u=cover.u, v=cover.v)
 
     def extract(self, frame: FrameYuv420) -> dict[str, np.ndarray]:
         """Recover the four ciphertext bit streams in original bit order."""
@@ -380,9 +374,9 @@ class ExtractedSet:
 
 
 def frame_keystreams(
-    records: Mapping[int, Mapping[str, Sequence[int]]], cfg: StegoConfig, plain_len: int
+    frames: Sequence[Mapping[str, Sequence[int]]], cfg: StegoConfig, plain_len: int
 ) -> list[dict[str, bytes]]:
-    """The four keystreams of each sidecar frame record, keyed by frame index, in the mapping's order.
+    """The four keystreams of each sidecar frame record; a record's frame index is its position.
 
     Each level replays the sender's exponents from payload_rng and proves
     its public values against them as a whole, and every level of every
@@ -392,11 +386,9 @@ def frame_keystreams(
     never the keys, so callers decoding several copies of a frame can
     derive its keys once and reuse them.
     """
-    levels = [
-        (record[level], payload_rng(cfg.key, level, index)) for index, record in records.items() for level in QR_LEVELS
-    ]
+    levels = [(record[level], payload_rng(cfg.key, level, i)) for i, record in enumerate(frames) for level in QR_LEVELS]
     keys = iter(elgamal.replay_keystreams(levels, cfg.public, _private_key(cfg), plain_len))
-    return [{level: next(keys) for level in QR_LEVELS} for _ in records]
+    return [{level: next(keys) for level in QR_LEVELS} for _ in frames]
 
 
 def _private_key(cfg: StegoConfig) -> ElGamalPrivate:
@@ -458,7 +450,7 @@ def extract_video(
     first = next(frames, None)
     if first is not None and (first.width, first.height) != (sidecar.width, sidecar.height):
         raise ShapeError("stego video geometry disagrees with the sidecar")
-    keys = frame_keystreams(dict(enumerate(sidecar.frames)), cfg, sidecar.plain_len)
+    keys = frame_keystreams(sidecar.frames, cfg, sidecar.plain_len)
     if first is None:
         return
     coder = FrameCoder(cfg.key, sidecar.width, sidecar.height)

@@ -16,6 +16,9 @@ edit moves a coefficient by at most one, and every value the inverse
 computes from such bands stays within +-2600. Any other input is taken as
 generic integer samples and works in int64. The inverse runs in the
 bands' common dtype, so its output is int16 for the bands of a uint8 plane.
+
+LSB edits to HL and HH move each inverse sample by at most one, so a plane
+clipped to [CLIP_LO, CLIP_HI], the paper's range, inverts inside [0, 255].
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+
+CLIP_LO = 2
+CLIP_HI = 253
 
 
 @dataclass(eq=False)

@@ -1,3 +1,10 @@
+from hypothesis import settings
+
+# Every property test draws the same examples on every run, with no time limit per example.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
+
+
 class ScriptedRng:
     """Hands out a fixed sequence of values through the randrange interfaces."""
 

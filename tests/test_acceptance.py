@@ -186,7 +186,7 @@ def robustness_setup():
     coder = FrameCoder(cfg.key, width, height)
     sidecar = new_sidecar(cfg, coder)
     stego = list(embed_video(cover, qr_set, cfg, coder, sidecar, QualityReport()))
-    keys = frame_keystreams(dict(enumerate(sidecar.frames)), cfg, sidecar.plain_len)
+    keys = frame_keystreams(sidecar.frames, cfg, sidecar.plain_len)
     references = {lvl: bitplane.render(plane) for lvl, plane in qr_set.items()}
     return coder, stego, keys, references, (qw, qh)
 

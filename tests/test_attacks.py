@@ -72,7 +72,7 @@ def spelled_specs(draw):
     return kind, spelled, {param: draw(values) for param, values in SPEC_PARAMS[kind].items()}
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(spelled_specs())
 def test_every_spec_name_parses_as_the_short_name(case):
     kind, spelled, params = case

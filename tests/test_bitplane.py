@@ -95,7 +95,7 @@ def test_roundtrip_random_planes():
         assert np.array_equal(back.bits, bits)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**32 - 1))
 def test_roundtrip_property(w, h, seed):
     bits = np.random.default_rng(seed).integers(0, 2, size=(h, w)).astype(np.uint8)

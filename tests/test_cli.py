@@ -888,7 +888,7 @@ def test_bench_proves_the_key_once_for_all_clips(tmp_path, monkeypatch):
     monkeypatch.setattr(elgamal, "is_probable_prime", counting)
     cfg = StegoConfig(key=StegoKey(seed=0), public=elgamal.ElGamalPublic(p=997, alpha=809, y=12),
                       private=elgamal.ElGamalPrivate(x=420))
-    result = bench.run(dataset, cfg, attack_specs=[], attack_seeds=1)
+    result = bench.run(dataset, cfg, attack_specs=[], attack_seeds=1, max_frames=None, robust_frames=30)
     assert len(result.fidelity) == 2
     assert proved == [997]
 
@@ -904,14 +904,15 @@ def test_bench_decodes_without_regenerating_a_keystream(tmp_path, monkeypatch):
         monkeypatch.setattr(elgamal, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     cfg = StegoConfig(key=StegoKey(seed=0), public=elgamal.ElGamalPublic(p=997, alpha=809, y=12),
                       private=elgamal.ElGamalPrivate(x=420))
-    result = bench.run(dataset, cfg, attack_specs=[AttackSpec.parse("sp:0.01")], attack_seeds=2)
+    result = bench.run(dataset, cfg, attack_specs=[AttackSpec.parse("sp:0.01")], attack_seeds=2,
+                       max_frames=None, robust_frames=30)
     assert calls == []
     assert list(result.robustness) == ["none", "sp:0.01"]
     assert set(result.robustness["none"].values()) == {1.0}
     # The counters sit on extract's path: one frame record replays its four
     # keystreams in one batch, and each level of [5], which no replayed
     # exponent proves, runs the d^x reference.
-    frame_keystreams({0: {level: [5] for level in "LMQH"}}, cfg, 1)
+    frame_keystreams([{level: [5] for level in "LMQH"}], cfg, 1)
     assert calls == ["replay_keystreams"] + ["regenerate_keystream"] * 4
 
 
@@ -980,13 +981,14 @@ def test_bench_run_checks_the_key_pair_before_reading_any_clip(tmp_path):
     # The StegoConfig bench.run takes proves the pair when it is built; run
     # refuses one that holds no private key.
     key, pub = StegoKey(seed=0), elgamal.ElGamalPublic(p=997, alpha=809, y=12)
+    sweep = {"attack_seeds": 1, "max_frames": None, "robust_frames": 30}
     with pytest.raises(CryptoError, match="does not match the public key"):
         StegoConfig(key=key, public=pub, private=elgamal.ElGamalPrivate(x=421))
     with pytest.raises(CryptoError, match="requires the private key"):
-        bench.run(tmp_path / "missing", StegoConfig(key=key, public=pub), attack_specs=[])
+        bench.run(tmp_path / "missing", StegoConfig(key=key, public=pub), attack_specs=[], **sweep)
     cfg = StegoConfig(key=key, public=pub, private=elgamal.ElGamalPrivate(x=420))
     with pytest.raises(FormatError, match="is not a directory"):
-        bench.run(tmp_path / "missing", cfg, attack_specs=[])
+        bench.run(tmp_path / "missing", cfg, attack_specs=[], **sweep)
 
 
 def test_bench_empty_dataset_writes_headers_only(tmp_path):
@@ -1338,7 +1340,7 @@ def attack_specs(draw):
     return ":".join([kind, *map(repr, values)])
 
 
-@settings(max_examples=120, deadline=None, derandomize=True,
+@settings(max_examples=120,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
 @given(attack_specs())
 def test_attack_spec_fuzz_exits_cleanly(fuzz_clip, capsys, spec):
@@ -1608,7 +1610,7 @@ def key_file_mutations(draw, pub_doc, priv_doc):
     return name, json.dumps(mutated).encode()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True,
+@settings(max_examples=100,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
 @given(data=st.data())
 def test_key_file_fuzz_fails_cleanly(fuzz_stego, capsys, data):
@@ -1706,7 +1708,7 @@ def sidecar_mutations(draw, doc):
     return json.dumps(set_path(doc, path, value)).encode()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
 @given(data=st.data())
 def test_sidecar_fuzz_fails_cleanly(fuzz_stego, capsys, data):
@@ -1790,7 +1792,7 @@ def fuzz_containers(tmp_path_factory):
     return root, (root / "clip.y4m").read_bytes(), (root / "qr.pgm").read_bytes()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
 @given(data=st.data())
 def test_y4m_fuzz_fails_cleanly(fuzz_containers, capsys, data):
@@ -1817,7 +1819,7 @@ def raw_mutations(draw):
     return length, ["--width", str(width), "--height", str(height)]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
+@settings(max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
 @given(raw_mutations())
 def test_raw_fuzz_fails_cleanly(fuzz_containers, capsys, mutation):
@@ -1854,7 +1856,7 @@ def pgm_mutations(draw, data):
     return b"%s\n%s %s\n%s\n" % (magic, width, height, maxval) + pixels
 
 
-@settings(max_examples=100, deadline=None, derandomize=True,
+@settings(max_examples=100,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
 @given(data=st.data())
 def test_pgm_fuzz_fails_cleanly(fuzz_containers, keys, capsys, data):
@@ -1867,3 +1869,94 @@ def test_pgm_fuzz_fails_cleanly(fuzz_containers, keys, capsys, data):
     code = main(["embed", "--input", str(root / "clip.y4m"), "--output", str(output), *qr_args,
                  "--pub", str(pub), "--seed", "9"])
     assert_refused(capsys, code, output)
+
+
+def attack_seed(ws, capsys, *seed_args):
+    """The seed the attack command reports for these arguments."""
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(ws["tmp"] / "noisy.y4m"), *seed_args]) == 0
+    return int(re.search(r"seed: (\d+)\)", capsys.readouterr().out).group(1))
+
+
+@pytest.mark.parametrize(
+    "text", ["٤٢", "４２", "4_2", " 42", "42 ", "+42", "0b101", "0o52", "0x_2a", "0x", "-0x2a"]
+)
+def test_seed_text_that_is_not_ascii_decimal_or_hex_is_a_passphrase(workspace, capsys, monkeypatch, text):
+    # int(text, 0) would read each of these as an integer seed.
+    passphrase = StegoKey.from_passphrase(text).seed
+    assert attack_seed(workspace, capsys, f"--seed={text}") == passphrase
+    monkeypatch.setenv("QRSTEG_SEED", text)
+    assert attack_seed(workspace, capsys) == passphrase
+
+
+@pytest.mark.parametrize("text,seed", [("42", 42), ("0042", 42), ("0x2a", 42), ("0X2A", 42),
+                                       (str(2**64 - 1), 2**64 - 1)])
+def test_ascii_decimal_and_hex_seed_text_is_an_integer(workspace, capsys, monkeypatch, text, seed):
+    assert attack_seed(workspace, capsys, "--seed", text) == seed
+    monkeypatch.setenv("QRSTEG_SEED", text)
+    assert attack_seed(workspace, capsys) == seed
+
+
+@pytest.mark.parametrize("text", ["-1", str(2**64), "0x10000000000000000"])
+def test_integer_seed_outside_64_bits_is_a_usage_error(workspace, capsys, monkeypatch, text):
+    ws = workspace
+    out = ws["tmp"] / "noisy.y4m"
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(out), f"--seed={text}"]) == 2
+    assert_one_error_line(capsys, 2)
+    monkeypatch.setenv("QRSTEG_SEED", text)
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(out)]) == 2
+    assert_one_error_line(capsys, 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--bits", "2_56"), ("--bits", "٣٢"), ("--width", "١٦"), ("--height", "+16"), ("--attack-seeds", " 1"),
+     ("--max-frames", "１"), ("--robust-frames", "1_0")],
+)
+def test_integer_flags_take_ascii_decimal_only(tmp_path, capsys, flag, value):
+    # int() would read each value as a count or size the command then uses.
+    dataset = one_clip_dataset(tmp_path)
+    raw = tmp_path / "one.yuv"
+    raw.write_bytes(bytes(16 * 16 * 3 // 2))
+    out = tmp_path / "out.y4m"
+    argv = {
+        "--bits": ["keygen", "--pub", str(tmp_path / "k.pub"), "--priv", str(tmp_path / "k.priv"), "--seed", "1"],
+        "--width": ["attack", "--input", str(raw), "--output", str(out), "--height", "16"],
+        "--height": ["attack", "--input", str(raw), "--output", str(out), "--width", "16"],
+    }.get(flag, ["bench", "--input", str(dataset), "--paper-fidelity", "--seed", "0", "--attacks", "sp:0.1",
+                 "--report", str(tmp_path / "bench.csv")])
+    before = set(tmp_path.rglob("*"))
+    assert main([*argv, f"{flag}={value}"]) == 2
+    assert assert_one_error_line(capsys, 2)["error"] == "UsageError"
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("spec", ["sp:0_1", "gauss:0:1_0", "sp:٠.١", "sp: 0.1", "sp:+0.1"])
+def test_attack_and_bench_take_ascii_decimal_parameters_only(workspace, capsys, spec):
+    # float() would read each parameter: "sp:0_1" as density 1, every sample replaced.
+    ws = workspace
+    out = ws["tmp"] / "noisy.y4m"
+    assert main(["attack", "--input", str(ws["cover"]), "--output", str(out), "--attack", spec]) == 3
+    assert "bad attack parameter" in assert_one_error_line(capsys, 3)["message"]
+    assert not out.exists()
+    assert main(["bench", "--input", str(one_clip_dataset(ws["tmp"])), "--paper-fidelity", "--seed", "0",
+                 "--attacks", spec]) == 3
+    assert_one_error_line(capsys, 3)
+
+
+def test_extract_checks_each_original_against_the_sidecar_before_any_keystream(workspace, capsys, monkeypatch):
+    ws = workspace
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    small = ws["tmp"] / "small.pgm"
+    write_qr(small, w=10, h=10)
+    calls = []
+    monkeypatch.setattr(elgamal, "replay_keystreams", lambda *args: calls.append(args))
+    capsys.readouterr()
+    out_dir = ws["tmp"] / "rec"
+    assert main(["extract", "--input", str(stego), "--output", str(out_dir), "--pub", str(ws["pub"]),
+                 "--priv", str(ws["priv"]), "--seed", "1234", "--qr-m", str(small)]) == 3
+    message = assert_one_error_line(capsys, 3)["message"]
+    assert str(small) in message and "10x10" in message and "16x16" in message
+    assert calls == []
+    assert not out_dir.exists()

@@ -49,7 +49,7 @@ def table_cases(draw):
     return draw(st.integers(0, p - 1)), k, p, w
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(table_cases())
 @example((3, (1 << 294) - 1, (1 << 300) - 3, 6))
 @example((3, (1 << 296) - 1, (1 << 300) - 3, 8))
@@ -533,7 +533,7 @@ def test_xor_bytes_involution_at_scale():
         assert xor_bytes(xor_bytes(a, k), k) == a
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.binary(max_size=4096), st.integers(min_value=0, max_value=2**32 - 1))
 def test_stream_roundtrip_random(plain, seed):
     rng = Splitmix64(seed)

@@ -157,7 +157,7 @@ def test_keyed_permutation_takes_the_exact_route_for_a_flagged_draw(n, rejected)
     assert perm.tolist() == _scalar_keyed_permutation(seed, tag, n)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     st.integers(0, 2**64 - 1),
     st.lists(st.one_of(st.integers(1, 2**64 - 1), st.integers(2**63 + 1, 2**63 + 2**62)),
@@ -206,7 +206,7 @@ def test_resolve_swaps_matches_scalar_loop(name):
     assert got.tolist() == _scalar_resolve_swaps(j.tolist())
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(st.integers(0, 2**32), max_size=60), st.booleans())
 def test_resolve_swaps_matches_scalar_loop_on_random_lists(draws, selfish):
     # draws[s] picks j_s in [0, s]; selfish turns every third step into a self-swap.
@@ -217,7 +217,7 @@ def test_resolve_swaps_matches_scalar_loop_on_random_lists(draws, selfish):
     assert got.tolist() == _scalar_resolve_swaps(j)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2**64 - 1), st.sampled_from(ALL_TAGS), st.integers(0, 300))
 def test_keyed_permutation_matches_scalar_fisher_yates(seed, tag, n):
     perm = keyed_permutation(StegoKey(seed=seed), tag, n)
@@ -311,7 +311,7 @@ def test_invert_rejects_non_bijection():
         invert(np.array([0, 3, 1]))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2000))
 def test_apply_invert_roundtrip(seed, tag, n):
     perm = keyed_permutation(StegoKey(seed=seed), tag, n)

@@ -49,7 +49,6 @@ def test_mse_identical_is_zero():
 def test_mse_luma_hand_case():
     a = frame_from([[10, 10], [10, 10]])
     b = frame_from([[12, 10], [10, 10]])
-    assert mse(a, b, luma_only=True) == pytest.approx(1.0)  # 4 / 4
     assert mse(a, b) == pytest.approx(4.0 / 6.0)  # chroma dilutes
 
 
@@ -190,7 +189,6 @@ def test_squared_error_sums_past_int32():
     black = frame_from(np.zeros((256, 256)), np.zeros((128, 128)), np.zeros((128, 128)))
     white = frame_from(np.full((256, 256), 255), np.full((128, 128), 255), np.full((128, 128), 255))
     assert mse(black, white) == 65025.0
-    assert mse(black, white, luma_only=True) == 65025.0
     report = QualityReport()
     report.add_frame(black, white)  # luma reference clips to 2: SSE 65536 * 253^2 = 4.19e9
     assert report.frame_mse_luma == [253.0**2]

@@ -342,7 +342,7 @@ def test_sender_keys_equal_the_receivers_regenerated_keystreams(bits):
     keys = []
     list(embed_video(frames, qr_set, cfg, coder, sidecar, QualityReport(), keys))
     assert len(keys) == len(sidecar.frames) == 3
-    replayed = stego.frame_keystreams(dict(enumerate(sidecar.frames)), cfg, sidecar.plain_len)
+    replayed = stego.frame_keystreams(sidecar.frames, cfg, sidecar.plain_len)
     for index, record in enumerate(sidecar.frames):
         reference = {lvl: elgamal.regenerate_keystream(tuple(record[lvl]), pub.p, priv, sidecar.plain_len)
                      for lvl in stego.QR_LEVELS}
