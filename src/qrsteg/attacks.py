@@ -56,7 +56,7 @@ class AttackSpec:
 
     @classmethod
     def parse(cls, text: str) -> "AttackSpec":
-        """Parse CLI spec strings: sp:D, gauss:M:V, poisson, speckle:V.
+        """Parse a CLI spec string, one of the SPEC_FORMS.
 
         Each parameter is an ASCII decimal real: digits with an optional
         "-", fraction and exponent. float() alone would also read "_",
@@ -135,6 +135,9 @@ _GRAMMAR = {
     "speckle": (("speckle",), ("variance",), speckle),
 }
 KINDS = tuple(_GRAMMAR)
+# The spec each kind parses from, parameters by initial: sp:D, gauss:M:V, poisson, speckle:V.
+SPEC_FORMS = tuple(":".join([names[0], *(param[0].upper() for param in params)])
+                   for names, params, _ in _GRAMMAR.values())
 
 
 def apply_attack(frame: FrameYuv420, spec: AttackSpec, rng: np.random.Generator) -> FrameYuv420:

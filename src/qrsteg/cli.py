@@ -21,11 +21,12 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import bitplane, elgamal
-from .attacks import AttackSpec, attack_video
+from .attacks import SPEC_FORMS, AttackSpec, attack_video
 from .errors import EXIT_FORMAT, CryptoError, FormatError, QrstegError, UsageError
 from .permute import Splitmix64, StegoKey, derive_seed
 from .quality import QualityReport, SsimReference, write_csv
 from .stego import (
+    CARRIERS,
     QR_LEVELS,
     FrameCoder,
     Sidecar,
@@ -36,21 +37,17 @@ from .stego import (
 )
 from .videoio import VideoMeta, read_pgm, read_raw_yuv, read_y4m, write_pgm, write_y4m
 
-DEFAULT_KEY_BITS = 256
 DEFAULT_BENCH_ATTACKS = "sp:0.01,sp:0.1,gauss:0:0.01,gauss:0:0.1,poisson,speckle:0.05"
 
 
-def decimal(text: str) -> int:
-    """An integer in ASCII decimal, read by the rule of elgamal.parse_decimals."""
-    return elgamal.parse_decimals([text])[0]
-
-
 def parse_seed_text(text: str) -> int:
-    """A 64-bit integer in ASCII decimal or 0x/0X hex; any other text is a passphrase, hashed."""
-    try:
-        value = int(text, 16) if re.fullmatch("0[xX][0-9a-fA-F]+", text) else decimal(text)
-    except ValueError:
+    """A 64-bit integer in ASCII decimal or 0x/0X hex, told by its form alone; other text is a passphrase, hashed."""
+    if (match := re.fullmatch("(-?)0*([0-9]+)|0[xX]([0-9a-fA-F]+)", text)) is None:
         return StegoKey.from_passphrase(text).seed
+    sign, digits, hexits = match.groups()
+    # Cut to 21 digits a decimal at or past 2^64 stays there, and int() never meets
+    # a text longer than sys.get_int_max_str_digits(); hex has no such limit.
+    value = int(hexits, 16) if hexits is not None else int(sign + digits[:21])
     if not 0 <= value < 1 << 64:
         raise UsageError("integer seeds must fit in 64 bits")
     return value
@@ -144,10 +141,6 @@ def _make_key(rng, paper_fidelity: bool, bits: int):
     """The paper's demo parameters, or a fresh safe prime of the given size."""
     if paper_fidelity:
         return elgamal.keygen(elgamal.DEMO_P, elgamal.DEMO_ALPHA, rng)
-    if bits > elgamal.MAX_KEY_BITS:
-        raise UsageError(f"--bits {bits} is above the largest supported key size, {elgamal.MAX_KEY_BITS}")
-    if bits < elgamal.MIN_KEY_BITS:
-        raise UsageError(f"--bits {bits} is below the smallest supported key size, {elgamal.MIN_KEY_BITS}")
     return elgamal.generate_key(bits, rng)
 
 
@@ -304,12 +297,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def count(text: str) -> int:
-    """A non-negative decimal flag value (argparse calls other text an "invalid count value")."""
-    value = decimal(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
-    return value
+def decimal_in(low: float = float("-inf"), high: float = float("inf")):
+    """The argparse type of an ASCII decimal flag value in [low, high], read by elgamal.parse_decimals's rule."""
+
+    def decimal(text: str) -> int:  # argparse calls a text parse_decimals refuses an "invalid decimal value"
+        if not low <= (value := elgamal.parse_decimals([text])[0]) <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
+        return value
+
+    return decimal
+
+
+count = decimal_in(0)
+key_bits = decimal_in(elgamal.MIN_KEY_BITS, elgamal.MAX_KEY_BITS)
 
 
 @functools.cache  # argparse measures the terminal on every add_argument: build the tree once
@@ -325,22 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_video(p, what):
         p.add_argument("--input", required=True, help=f"{what} (.y4m, or raw with --width/--height)")
-        p.add_argument("--width", type=decimal, help="raw input width")
-        p.add_argument("--height", type=decimal, help="raw input height")
+        p.add_argument("--width", type=decimal_in(), help="raw input width")
+        p.add_argument("--height", type=decimal_in(), help="raw input height")
+
+    def add_key_choice(p):
+        p.add_argument("--bits", type=key_bits, default=256,
+                       help=f"safe-prime size, {elgamal.MIN_KEY_BITS} to {elgamal.MAX_KEY_BITS} (default %(default)s)")
+        p.add_argument("--paper-fidelity", action="store_true", help="use the paper's small demo parameters "
+                       f"(p={elgamal.DEMO_P}, alpha={elgamal.DEMO_ALPHA}) instead of a fresh safe prime")
 
     def add_qr(p, required, what):
-        for level, carrier in zip(QR_LEVELS, ("HL", "HH", "U", "V")):
+        for level, carrier in CARRIERS.items():
             p.add_argument(f"--qr-{level.lower()}", required=required, help=what.format(level=level, carrier=carrier))
 
     p = sub.add_parser("keygen", help="write a public/private key file pair")
     p.add_argument("--pub", required=True, help="output path for the public key")
     p.add_argument("--priv", required=True, help="output path for the private key")
-    p.add_argument("--bits", type=decimal, default=DEFAULT_KEY_BITS, help="safe-prime size, 16 to 8192 (default 256)")
-    p.add_argument(
-        "--paper-fidelity",
-        action="store_true",
-        help="use the small built-in demo parameters (p=997, alpha=809)",
-    )
+    add_key_choice(p)
     p.add_argument("--force", action="store_true", help="overwrite existing files")
     p.add_argument("--seed", help="64-bit integer (decimal or 0x hex) or passphrase (QRSTEG_SEED is not read)")
     p.set_defaults(func=cmd_keygen)
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--attack",
         action="append",
-        help="attack spec (sp:D, gauss:M:V, poisson, speckle:V); repeatable, applied in order",
+        help=f"attack spec ({', '.join(SPEC_FORMS)}); repeatable, applied in order",
     )
     add_seed(p)
     p.set_defaults(func=cmd_attack)
@@ -381,17 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="directory of .y4m cover clips")
     p.add_argument("--report", help="CSV path for the fidelity table (robustness CSV lands beside it)")
     p.add_argument("--attacks", default=DEFAULT_BENCH_ATTACKS, help="comma-separated attack specs")
-    p.add_argument("--attack-seeds", type=count, default=5, help="noise seeds per attack (default 5)")
+    p.add_argument("--attack-seeds", type=count, default=5, help="noise seeds per attack (default %(default)s)")
     p.add_argument("--max-frames", type=count, help="cap frames per clip")
     p.add_argument(
         "--robust-frames", type=count, default=30, help="frames per clip for the robustness runs"
     )
     p.add_argument("--pub", help="use an existing public key")
     p.add_argument("--priv", help="use an existing private key")
-    p.add_argument(
-        "--paper-fidelity", action="store_true", help="generate the small demo key instead of a fresh one"
-    )
-    p.add_argument("--bits", type=decimal, default=DEFAULT_KEY_BITS, help="key size when generating, 16 to 8192")
+    add_key_choice(p)
     add_seed(p)
     p.set_defaults(func=cmd_bench)
 

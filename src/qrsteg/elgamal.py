@@ -447,8 +447,8 @@ def generate_key_params(bits: int, rng) -> tuple[int, int]:
     With p - 1 = 2q, alpha is a primitive root iff alpha^2 != 1 and
     alpha^q != 1 (mod p), so the generator check here is exact.
     """
-    if bits < MIN_KEY_BITS:
-        raise CryptoError(f"key size below {MIN_KEY_BITS} bits is not supported")
+    if not MIN_KEY_BITS <= bits <= MAX_KEY_BITS:
+        raise CryptoError(f"key size {bits} is outside the supported {MIN_KEY_BITS} to {MAX_KEY_BITS} bits")
     k = bits - 1
     peek = getattr(rng, "peek_getrandbits", None)
     found = None

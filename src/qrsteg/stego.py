@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -32,7 +33,8 @@ from .wavelet import CLIP_HI, CLIP_LO, SubBands, fwd_haar_int, inv_haar_int
 
 QR_LEVELS = ("L", "M", "Q", "H")
 
-# Fixed carrier mapping: L->HL, M->HH, Q->U, H->V.
+# The carrier each level's bits go to (FrameCoder._carriers), then the tag of its keyed order.
+CARRIERS = {"L": "HL", "M": "HH", "Q": "U", "H": "V"}
 CARRIER_TAGS = {
     "L": permute.TAG_COEFF_HL,
     "M": permute.TAG_COEFF_HH,
@@ -117,8 +119,7 @@ class FrameCoder:
     """
 
     def __init__(self, key: permute.StegoKey, width: int, height: int):
-        if width % 2 or height % 2 or width <= 0 or height <= 0:
-            raise ShapeError(f"cover dimensions must be even and positive, got {width}x{height}")
+        VideoMeta(width, height)  # proves the geometry by the video header rule
         self.width = width
         self.height = height
         self.capacity_bits = (width // 2) * (height // 2)  # per carrier
@@ -132,7 +133,7 @@ class FrameCoder:
 
     @staticmethod
     def _carriers(bands: SubBands, u: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
-        """Each level's carrier array: L -> HL, M -> HH, Q -> U, H -> V."""
+        """Each level's carrier array, the one CARRIERS names."""
         return {"L": bands.hl, "M": bands.hh, "Q": u, "H": v}
 
     def qr_shape(self) -> tuple[int, int]:
@@ -256,14 +257,18 @@ class Sidecar:
             raise FormatError(f"unsupported sidecar version {doc.get('version')}")
         try:
             video = doc["video"]
-            width, height = _json_int(video["width"]), _json_int(video["height"])
+            meta = VideoMeta(_json_int(video["width"]), _json_int(video["height"]),  # proved by the Y4M header rules
+                             video.get("frame_rate", VideoMeta.frame_rate))
             qr_size = (_json_int(doc["qr"]["width"]), _json_int(doc["qr"]["height"]))
             plain_len = _json_int(doc["plain_len"])
+            fingerprint = doc["key_fingerprint"]
+            if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{16}", fingerprint)):
+                raise FormatError(f"sidecar key_fingerprint {fingerprint!r} is not 16 lowercase hex digits")
             side = cls(
-                width=width,
-                height=height,
-                key_fingerprint=str(doc["key_fingerprint"]),
-                frame_rate=str(video.get("frame_rate", VideoMeta.frame_rate)),
+                width=meta.width,
+                height=meta.height,
+                key_fingerprint=fingerprint,
+                frame_rate=meta.frame_rate,
                 frames=[_frame_record(record) for record in doc["frames"]],
             )
             frame_count = _json_int(video["frame_count"])
@@ -275,7 +280,7 @@ class Sidecar:
             )
         if qr_size != (side.qr_width, side.qr_height):
             raise FormatError(
-                f"sidecar qr size {qr_size[0]}x{qr_size[1]} is not half of the {width}x{height} video"
+                f"sidecar qr size {qr_size[0]}x{qr_size[1]} is not half of the {side.width}x{side.height} video"
             )
         if plain_len != side.plain_len:
             raise FormatError(f"sidecar plain_len {plain_len} disagrees with the payload size")

@@ -16,11 +16,10 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 Y4M_MAGIC = b"YUV4MPEG2"
-# 8-bit 4:2:0 colorspace tags; they differ only in chroma siting.
-Y4M_COLORSPACES = ("420", "420jpeg", "420paldv", "420mpeg2")
-Y4M_INTERLACE = ("p", "t", "b", "m", "?")
-# VideoMeta fields kept with their tag letter, as write_y4m prints them
-_Y4M_TAG_FIELDS = {"I": "interlace", "A": "aspect", "C": "colorspace"}
+# VideoMeta's field for each header tag; all but W, H and F keep their tag letter, as write_y4m prints them
+_Y4M_TAG_FIELDS = {"W": "width", "H": "height", "F": "frame_rate", "I": "interlace", "A": "aspect", "C": "colorspace"}
+# The form of each token but W and H: only the 8-bit 4:2:0 colorspaces, which differ in chroma siting
+_Y4M_TOKEN_FORMS = {"F": "F[0-9]+:[0-9]+", "I": "I[ptbm?]", "A": "A[0-9]+:[0-9]+", "C": "C420(jpeg|paldv|mpeg2)?"}
 
 
 @dataclass(eq=False)
@@ -49,6 +48,8 @@ class FrameYuv420:
 
 @dataclass
 class VideoMeta:
+    """A Y4M stream header; building one proves it by the header rules of docs/wire_format.md."""
+
     width: int
     height: int
     frame_rate: str = "25:1"
@@ -59,6 +60,10 @@ class VideoMeta:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0 or self.width % 2 or self.height % 2:
             raise ShapeError(f"video dimensions must be even and positive, got {self.width}x{self.height}")
+        tokens = (f"F{self.frame_rate}", self.interlace, self.aspect, self.colorspace)
+        for token, form in zip(tokens, _Y4M_TOKEN_FORMS.values()):
+            if not (isinstance(token, str) and re.fullmatch(form, token)):
+                raise FormatError(f"Y4M header token {token} is not of the form {form}")
 
     def frame_bytes(self) -> int:
         return self.width * self.height * 3 // 2
@@ -112,25 +117,19 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
     fields = _read_y4m_line(stream, "Y4M header line").split(b" ")
     if fields[0] != Y4M_MAGIC:
         raise FormatError("not a Y4M stream (bad magic)")
-    tags = {}  # VideoMeta's arguments, only those the header gives: VideoMeta holds the defaults
-    for token in fields[1:]:
-        if not token:
-            continue
+    tags = {}  # VideoMeta's arguments, only those the header gives: VideoMeta holds the defaults and rules
+    for token in filter(None, fields[1:]):
         tag, value = chr(token[0]), token[1:].decode("ascii", "replace")
-        if tag in ("W", "H") and not value.isdigit():
-            raise FormatError(f"Y4M header token {tag}{value} is not a decimal integer")
-        if tag in ("F", "A") and not re.fullmatch(r"[0-9]+:[0-9]+", value):
-            raise FormatError(f"Y4M header token {tag}{value} is not a ratio of decimal integers")
-        if tag == "I" and value not in Y4M_INTERLACE:
-            raise FormatError(f"Y4M header token I{value} is not one of I{', I'.join(Y4M_INTERLACE)}")
-        if tag == "C" and value not in Y4M_COLORSPACES:
-            raise FormatError(f"unsupported colorspace C{value}; only 8-bit 4:2:0 is handled")
+        if (field := _Y4M_TAG_FIELDS.get(tag)) is None:
+            continue
+        if field in tags:  # so the value VideoMeta proves is the only one given
+            raise FormatError(f"Y4M header gives {tag} twice")
         if tag in ("W", "H"):
-            tags["width" if tag == "W" else "height"] = int(value)
-        elif tag == "F":
-            tags["frame_rate"] = value
-        elif tag in _Y4M_TAG_FIELDS:
-            tags[_Y4M_TAG_FIELDS[tag]] = tag + value
+            if not value.isdigit():
+                raise FormatError(f"Y4M header token {tag}{value} is not a decimal integer")
+            tags[field] = int(value)
+        else:
+            tags[field] = value if tag == "F" else tag + value
     if "width" not in tags or "height" not in tags:
         raise FormatError("Y4M header lacks W or H")
     meta = VideoMeta(**tags)

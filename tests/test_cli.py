@@ -4,6 +4,7 @@ import json
 import os
 import re
 import stat
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qrsteg.attacks import AttackSpec
 from qrsteg.cli import main, parse_seed_text
 from qrsteg.errors import CryptoError, FormatError
 from qrsteg.permute import StegoKey
-from qrsteg.stego import FrameCoder, StegoConfig, frame_keystreams
+from qrsteg.stego import FrameCoder, Sidecar, StegoConfig, frame_keystreams
 from qrsteg.videoio import read_pgm, read_y4m, write_pgm, write_y4m
 
 
@@ -193,6 +194,25 @@ def test_key_generation_refuses_bits_below_16(tmp_path, capsys, bits):
                  "--report", str(report)]) == 2
     assert_one_error_line(capsys, 2)
     assert not report.exists()
+
+
+@pytest.mark.parametrize("bits", ["99999", "3"])
+@pytest.mark.parametrize("source", ["keygen-paper-fidelity", "bench-paper-fidelity", "bench-key-files"])
+def test_out_of_range_bits_is_refused_whatever_the_key_source(tmp_path, capsys, keys, source, bits):
+    # --bits is checked as it is parsed, also where --paper-fidelity or key files leave it unused.
+    pub, priv = keys
+    out = tmp_path / "out.csv"
+    bench_args = ["bench", "--input", str(one_clip_dataset(tmp_path)), "--report", str(out), "--attacks", ""]
+    argv = {
+        "keygen-paper-fidelity": ["keygen", "--pub", str(out), "--priv", str(tmp_path / "out.priv"),
+                                  "--paper-fidelity"],
+        "bench-paper-fidelity": [*bench_args, "--paper-fidelity"],
+        "bench-key-files": [*bench_args, "--pub", str(pub), "--priv", str(priv)],
+    }[source]
+    before = tree(tmp_path)
+    assert main([*argv, "--seed", "0", "--bits", bits]) == 2
+    assert "--bits" in assert_one_error_line(capsys, 2)["message"]
+    assert tree(tmp_path) == before
 
 
 def test_seeded_keygen_proves_q_and_never_p(tmp_path, monkeypatch):
@@ -1235,6 +1255,31 @@ def test_extract_rejects_sidecar_geometry_that_is_not_a_json_integer(
 
 
 @pytest.mark.parametrize(
+    "fields",
+    [{"width": -2}, {"frame_rate": "bogus"}, {"frame_rate": 7}, {"key_fingerprint": ["0123456789abcdef"]},
+     {"key_fingerprint": "0123456789ABCDEF"}, {"key_fingerprint": "0123456789abcde"}],
+    ids=["negative-width", "text-frame-rate", "integer-frame-rate", "list-fingerprint", "uppercase-fingerprint",
+         "short-fingerprint"],
+)
+def test_extract_refuses_a_malformed_video_block_or_fingerprint_as_the_sidecar_loads(tmp_path, capsys, keys, fields):
+    # Each sidecar is whole but for one field and records no frames, so against
+    # a video with no frames only the loader can refuse it.
+    pub, priv = keys
+    empty = tmp_path / "empty.y4m"
+    empty.write_bytes(b"YUV4MPEG2 W16 H16 F25:1 Ip A1:1 C420jpeg\n")
+    sidecar = tmp_path / "empty.y4m.sidecar.json"
+    argv = ["extract", "--input", str(empty), "--output", str(tmp_path / "rec"), "--pub", str(pub),
+            "--priv", str(priv), "--seed", "7"]
+    good = {"width": 16, "height": 16, "frame_rate": "25:1", "key_fingerprint": StegoKey(seed=7).fingerprint()}
+    Sidecar(**good).write(sidecar)
+    assert main(argv) == 0
+    Sidecar(**{**good, **fields}).write(sidecar)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert str(sidecar) in assert_one_error_line(capsys, 3)["message"]
+
+
+@pytest.mark.parametrize(
     "field,value",
     [("p", [997]), ("p", 997.9), ("p", 997), ("alpha", None), ("y", True), ("y", "12.0")],
 )
@@ -1689,22 +1734,25 @@ def sidecar_mutations(draw, doc):
         value = draw(JSON_VALUES | st.integers().map(str))
         assume(not in_range_decimal(value))
         return json.dumps(set_path(doc, ("frames", frame, level, index), value)).encode()
-    # Every field but video.frame_rate and key_fingerprint, which a reader takes as any
-    # text (a fingerprint mismatch only warns). A replaced level list holds at most 3
-    # values, at most 6 key bytes at p = 997, short of the 8 each level needs.
+    # Every field. A replaced level list holds at most 3 values, at most 6 key
+    # bytes at p = 997, short of the 8 each level needs.
     paths = [("format",), ("version",), ("video",), ("video", "width"), ("video", "height"),
-             ("video", "frame_count"), ("qr",), ("qr", "width"), ("qr", "height"), ("plain_len",),
-             ("frames",), ("frames", frame), ("frames", frame, level)]
+             ("video", "frame_count"), ("video", "frame_rate"), ("qr",), ("qr", "width"), ("qr", "height"),
+             ("plain_len",), ("key_fingerprint",), ("frames",), ("frames", frame), ("frames", frame, level)]
     path = draw(st.sampled_from(paths))
     if how == "deep":
         return deeply_nested(doc, path)
     if how == "delete":
+        assume(path != ("video", "frame_rate"))  # a sidecar without one reads with the Y4M default
         return json.dumps(set_path(doc, path, DELETE)).encode()
     value = draw(JSON_VALUES)
     node = doc
     for step in path:
         node = node[step]
     assume(value != node)
+    # another frame rate, or another seed's fingerprint (a mismatch only warns), is a usable sidecar
+    usable = {("video", "frame_rate"): "[0-9]+:[0-9]+", ("key_fingerprint",): "[0-9a-f]{16}"}.get(path)
+    assume(not (usable and isinstance(value, str) and re.fullmatch(usable, value)))
     return json.dumps(set_path(doc, path, value)).encode()
 
 
@@ -1889,14 +1937,16 @@ def test_seed_text_that_is_not_ascii_decimal_or_hex_is_a_passphrase(workspace, c
 
 
 @pytest.mark.parametrize("text,seed", [("42", 42), ("0042", 42), ("0x2a", 42), ("0X2A", 42),
-                                       (str(2**64 - 1), 2**64 - 1)])
+                                       (str(2**64 - 1), 2**64 - 1),
+                                       pytest.param("0" * 4400 + "42", 42, id="4400-zeros-then-42")])
 def test_ascii_decimal_and_hex_seed_text_is_an_integer(workspace, capsys, monkeypatch, text, seed):
     assert attack_seed(workspace, capsys, "--seed", text) == seed
     monkeypatch.setenv("QRSTEG_SEED", text)
     assert attack_seed(workspace, capsys) == seed
 
 
-@pytest.mark.parametrize("text", ["-1", str(2**64), "0x10000000000000000"])
+@pytest.mark.parametrize("text", ["-1", str(2**64), "0x10000000000000000",
+                                  pytest.param("9" * 4301, id="4301-nines")])
 def test_integer_seed_outside_64_bits_is_a_usage_error(workspace, capsys, monkeypatch, text):
     ws = workspace
     out = ws["tmp"] / "noisy.y4m"
@@ -1906,6 +1956,47 @@ def test_integer_seed_outside_64_bits_is_a_usage_error(workspace, capsys, monkey
     assert main(["attack", "--input", str(ws["cover"]), "--output", str(out)]) == 2
     assert_one_error_line(capsys, 2)
     assert not out.exists()
+
+
+# Free text, and integer seed forms of up to 25 digits or past int()'s 4,300-digit limit.
+SEED_TEXTS = (st.text(max_size=12)
+              | st.from_regex(r"-?[0-9]{1,25}|0[xX][0-9a-fA-F]{1,20}", fullmatch=True)
+              | st.tuples(st.integers(0, 5000), st.integers(0, 2**66)).map(lambda t: "0" * t[0] + str(t[1]))
+              | st.integers(4200, 4400).map(lambda n: "9" * n))
+
+
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
+@given(text=SEED_TEXTS)
+def test_seed_text_fuzz(workspace, capsys, text):
+    # Integer form (docs/wire_format.md "Stego key") gives its value or exit 2; other text is hashed.
+    if re.fullmatch("-?[0-9]+|0[xX][0-9a-fA-F]+", text):
+        # Decimal reads a decimal text of any length; int() stops at sys.get_int_max_str_digits()
+        value = int(text, 16) if text[:2] in ("0x", "0X") else Decimal(text)
+        seed = int(value) if 0 <= value < 2**64 else None
+    else:
+        seed = StegoKey.from_passphrase(text).seed
+    if seed is None:
+        capsys.readouterr()
+        assert main(["attack", "--input", str(workspace["cover"]), "--output", str(workspace["tmp"] / "noisy.y4m"),
+                     f"--seed={text}"]) == 2
+        assert_one_error_line(capsys, 2)
+    else:
+        assert attack_seed(workspace, capsys, f"--seed={text}") == seed
+
+
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is drained per example
+@given(text=st.text(max_size=6) | st.integers(-20, 9000).map(str) | st.from_regex("-?[0-9]{1,8}", fullmatch=True))
+def test_bits_text_fuzz(tmp_path, capsys, text):
+    # --paper-fidelity does no key search, so only the flag's own check decides the exit code.
+    capsys.readouterr()
+    code = main(["keygen", "--pub", str(tmp_path / "k.pub"), "--priv", str(tmp_path / "k.priv"), "--force",
+                 "--paper-fidelity", "--seed", "1", f"--bits={text}"])
+    in_range = re.fullmatch("-?[0-9]+", text) and elgamal.MIN_KEY_BITS <= int(text) <= elgamal.MAX_KEY_BITS
+    assert code == (0 if in_range else 2)
+    if not in_range:
+        assert_one_error_line(capsys, 2)
 
 
 @pytest.mark.parametrize(

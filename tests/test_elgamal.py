@@ -558,6 +558,16 @@ def test_load_public_key_proves_the_key_and_names_the_file(tmp_path):
         elgamal.load_public_key(path)
 
 
+@pytest.mark.parametrize("bits", [elgamal.MIN_KEY_BITS - 1, elgamal.MAX_KEY_BITS + 1])
+def test_generate_key_params_refuses_an_unsupported_size_before_any_draw(bits):
+    class NoDraws:
+        def __getattr__(self, name):
+            pytest.fail(f"the search for a {bits}-bit key touched rng.{name}")
+
+    with pytest.raises(CryptoError, match=f"key size {bits} is outside the supported 16 to 8192 bits"):
+        elgamal.generate_key_params(bits, NoDraws())
+
+
 def test_generate_key_params_safe_prime():
     # An rng without peek_getrandbits draws whole batches by getrandbits.
     for rng in (random.Random(5), random.SystemRandom()):

@@ -202,6 +202,26 @@ def test_y4m_refuses_a_long_frame_parameter_line_unread():
     assert next(frames).y.shape == (2, 2)
 
 
+@pytest.mark.parametrize(
+    "field,value,token",
+    [("frame_rate", "bogus", "Fbogus"), ("frame_rate", 7, "F7"), ("frame_rate", "30", "F30"),
+     ("interlace", "Ix", "Ix"), ("interlace", "p", "p"), ("aspect", "A1", "A1"),
+     ("colorspace", "C420p10", "C420p10"), ("colorspace", "420jpeg", "420jpeg")],
+)
+def test_meta_rejects_a_value_the_y4m_header_rules_refuse(field, value, token):
+    # The rules read_y4m applies to F, I, A and C live in VideoMeta, so every reader shares them.
+    with pytest.raises(FormatError, match=f"Y4M header token {token} is not"):
+        VideoMeta(width=16, height=16, **{field: value})
+
+
+@pytest.mark.parametrize("header", [b"YUV4MPEG2 W16 H16 Fbogus F30:1\n", b"YUV4MPEG2 W16 H16 W18\n"],
+                         ids=["bad-then-good-frame-rate", "width-twice"])
+def test_read_y4m_refuses_a_tag_given_twice(header):
+    # One value per tag, so the value VideoMeta proves is the one the header gives.
+    with pytest.raises(FormatError, match="Y4M header gives [FW] twice"):
+        read_y4m(io.BytesIO(header))
+
+
 def test_meta_rejects_odd_dimensions():
     with pytest.raises(ShapeError):
         VideoMeta(width=3, height=4)
