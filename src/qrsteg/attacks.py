@@ -88,8 +88,6 @@ def salt_pepper(frame: FrameYuv420, density: float, rng: np.random.Generator) ->
         values = rng.integers(0, 2, plane.shape, dtype=np.uint8) * np.uint8(255)
         return np.where(hit, values, plane)
 
-    if not 0.0 <= density <= 1.0:
-        raise FormatError(f"density {density} outside [0, 1]")
     return _per_plane(frame, corrupt)
 
 

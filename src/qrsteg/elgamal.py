@@ -555,11 +555,18 @@ def save_private_key(priv: ElGamalPrivate, path: str | Path) -> None:
         out.write(json.dumps(doc, indent=2) + "\n")
 
 
+# int() reads at most sys.get_int_max_str_digits() digits, 4,300 by default. A value
+# of that many significant digits is past every bound a reader checks (p has at most
+# MAX_KEY_BITS bits, 2,467 digits), so a longer one is cut to that many.
+_DECIMAL_DIGITS_MAX = 4300
+
+
 def parse_decimals(texts: list) -> list[int]:
     """Integers stored as decimal strings, as the key and sidecar writers store them.
 
     Each text is ASCII digits after at most one leading "-": int() alone
-    would also take spaces, "+", "_" and non-ASCII digits.
+    would also take spaces, "+", "_" and non-ASCII digits. A text is read
+    by its value at any length (_by_value).
     """
     try:
         digits = "".join(texts).replace("-", "")  # join refuses a JSON number, boolean or null
@@ -568,7 +575,19 @@ def parse_decimals(texts: list) -> list[int]:
     if digits is None or (digits and not (digits.isascii() and digits.isdigit())):
         bad = next(t for t in texts if not (isinstance(t, str) and t.isascii() and t.replace("-", "").isdigit()))
         raise ValueError(f"{bad!r} is not a decimal string")
-    return list(map(int, texts))
+    try:
+        return list(map(int, texts))
+    except ValueError:  # an empty text, a "-" after the first character, or more digits than int() reads
+        return list(map(_by_value, texts))
+
+
+def _by_value(text: str) -> int:
+    """One text parse_decimals's form check passed, read with its leading zeros dropped
+    and its significant digits cut to _DECIMAL_DIGITS_MAX."""
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    if not digits or "-" in digits:
+        raise ValueError(f"{text!r} is not a decimal string")
+    return int(sign + (digits.lstrip("0")[:_DECIMAL_DIGITS_MAX] or "0"))
 
 
 def _load_key_fields(path: str | Path, kind: str, names: tuple[str, ...]) -> list[int]:

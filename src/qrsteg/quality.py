@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import QrstegError, ShapeError
-from .videoio import FrameYuv420
+from .videoio import FrameYuv420, VideoMeta
 from .wavelet import CLIP_HI, CLIP_LO
 
 PEAK = 255.0
@@ -28,11 +28,6 @@ SSIM_C2 = (0.03 * 255.0) ** 2
 IDENTICAL = math.inf  # PSNR sentinel for zero-MSE frames
 
 
-def _check_same_geometry(a: FrameYuv420, b: FrameYuv420) -> None:
-    if a.y.shape != b.y.shape or a.u.shape != b.u.shape or a.v.shape != b.v.shape:
-        raise ShapeError("frames differ in geometry")
-
-
 def _sse(a: np.ndarray, b: np.ndarray) -> int:
     """Exact sum of squared differences, in int64: one 256x256 plane can pass int32."""
     return int(np.square(np.subtract(a, b, dtype=np.int32)).sum(dtype=np.int64))
@@ -40,7 +35,7 @@ def _sse(a: np.ndarray, b: np.ndarray) -> int:
 
 def mse(a: FrameYuv420, b: FrameYuv420) -> float:
     """Mean squared sample difference across the native planes."""
-    _check_same_geometry(a, b)
+    VideoMeta(a.width, a.height).check_frame(b)
     return sum(map(_sse, (a.y, a.u, a.v), (b.y, b.u, b.v))) / (a.y.size + a.u.size + a.v.size)
 
 
@@ -108,7 +103,7 @@ class QualityReport:
     def add_frame(self, cover: FrameYuv420, stego: FrameYuv420) -> None:
         """Score a stego frame against its cover as embedded, luma clipped to
         [CLIP_LO, CLIP_HI]; an already clipped cover scores the same."""
-        _check_same_geometry(cover, stego)
+        VideoMeta(cover.width, cover.height).check_frame(stego)
         y = np.clip(cover.y, CLIP_LO, CLIP_HI)
         luma = _sse(y, stego.y)
         samples = cover.y.size + cover.u.size + cover.v.size

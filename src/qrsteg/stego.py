@@ -119,9 +119,7 @@ class FrameCoder:
     """
 
     def __init__(self, key: permute.StegoKey, width: int, height: int):
-        VideoMeta(width, height)  # proves the geometry by the video header rule
-        self.width = width
-        self.height = height
+        self.meta = VideoMeta(width, height)  # proves the geometry by the video header rule
         self.capacity_bits = (width // 2) * (height // 2)  # per carrier
         self._place: dict[str, np.ndarray] = {}
         plan = permute.DrawPlan(self.capacity_bits)
@@ -138,11 +136,10 @@ class FrameCoder:
 
     def qr_shape(self) -> tuple[int, int]:
         """(width, height) every payload plane must have."""
-        return self.width // 2, self.height // 2
+        return self.meta.width // 2, self.meta.height // 2
 
     def embed(self, frame: FrameYuv420, payload: FramePayload) -> FrameYuv420:
-        if frame.width != self.width or frame.height != self.height:
-            raise ShapeError("frame geometry does not match this coder")
+        self.meta.check_frame(frame)
         for level in QR_LEVELS:
             bits = payload.bits.get(level)
             if bits is None or bits.size != self.capacity_bits:
@@ -163,8 +160,7 @@ class FrameCoder:
 
     def extract(self, frame: FrameYuv420) -> dict[str, np.ndarray]:
         """Recover the four ciphertext bit streams in original bit order."""
-        if frame.width != self.width or frame.height != self.height:
-            raise ShapeError("frame geometry does not match this coder")
+        self.meta.check_frame(frame)
         carriers = self._carriers(fwd_haar_int(frame.y), frame.u, frame.v)
         return {
             level: get_lsb(carrier.reshape(-1)[self._place[level]]).astype(np.uint8, copy=False)
@@ -340,7 +336,7 @@ def _json_int(value) -> int:
 
 
 def new_sidecar(cfg: StegoConfig, coder: FrameCoder, frame_rate: str = VideoMeta.frame_rate) -> Sidecar:
-    return Sidecar(coder.width, coder.height, cfg.key.fingerprint(), frame_rate)
+    return Sidecar(coder.meta.width, coder.meta.height, cfg.key.fingerprint(), frame_rate)
 
 
 def embed_video(
@@ -453,8 +449,8 @@ def extract_video(
     """
     frames = iter(frames)
     first = next(frames, None)
-    if first is not None and (first.width, first.height) != (sidecar.width, sidecar.height):
-        raise ShapeError("stego video geometry disagrees with the sidecar")
+    if first is not None:
+        VideoMeta(sidecar.width, sidecar.height).check_frame(first)
     keys = frame_keystreams(sidecar.frames, cfg, sidecar.plain_len)
     if first is None:
         return

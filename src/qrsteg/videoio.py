@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 Y4M_MAGIC = b"YUV4MPEG2"
-# VideoMeta's field for each header tag; all but W, H and F keep their tag letter, as write_y4m prints them
+# VideoMeta's field for each header tag; all but W, H and F keep their tag letter, as VideoMeta.tokens prints them
 _Y4M_TAG_FIELDS = {"W": "width", "H": "height", "F": "frame_rate", "I": "interlace", "A": "aspect", "C": "colorspace"}
 # The form of each token but W and H: only the 8-bit 4:2:0 colorspaces, which differ in chroma siting
 _Y4M_TOKEN_FORMS = {"F": "F[0-9]+:[0-9]+", "I": "I[ptbm?]", "A": "A[0-9]+:[0-9]+", "C": "C420(jpeg|paldv|mpeg2)?"}
@@ -32,8 +32,7 @@ class FrameYuv420:
 
     def __post_init__(self):
         h, w = self.y.shape
-        if h % 2 or w % 2 or not h or not w:
-            raise ShapeError(f"luma dimensions must be even and positive, got {w}x{h}")
+        VideoMeta(w, h)  # proves the luma by the video header rule
         if self.u.shape != (h // 2, w // 2) or self.v.shape != (h // 2, w // 2):
             raise ShapeError("chroma planes must be half-size in both dimensions")
 
@@ -60,10 +59,18 @@ class VideoMeta:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0 or self.width % 2 or self.height % 2:
             raise ShapeError(f"video dimensions must be even and positive, got {self.width}x{self.height}")
-        tokens = (f"F{self.frame_rate}", self.interlace, self.aspect, self.colorspace)
-        for token, form in zip(tokens, _Y4M_TOKEN_FORMS.values()):
+        for token, form in zip(self.tokens()[2:], _Y4M_TOKEN_FORMS.values()):
             if not (isinstance(token, str) and re.fullmatch(form, token)):
                 raise FormatError(f"Y4M header token {token} is not of the form {form}")
+
+    def tokens(self) -> tuple[str, ...]:
+        """The header's tokens after the magic, as write_y4m prints them: W, H, F, I, A, C."""
+        return f"W{self.width}", f"H{self.height}", f"F{self.frame_rate}", self.interlace, self.aspect, self.colorspace
+
+    def check_frame(self, frame: FrameYuv420) -> None:
+        """Raise ShapeError unless frame has this header's width and height."""
+        if (frame.width, frame.height) != (self.width, self.height):
+            raise ShapeError(f"frame is {frame.width}x{frame.height}, expected {self.width}x{self.height}")
 
     def frame_bytes(self) -> int:
         return self.width * self.height * 3 // 2
@@ -150,17 +157,10 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
 
 def write_y4m(meta: VideoMeta, frames: Iterable[FrameYuv420], stream) -> int:
     """Emit header plus FRAME-delimited planes; returns the frame count."""
-    header = (
-        f"YUV4MPEG2 W{meta.width} H{meta.height} F{meta.frame_rate} "
-        f"{meta.interlace} {meta.aspect} {meta.colorspace}\n"
-    )
-    stream.write(header.encode("ascii"))
+    stream.write(" ".join([Y4M_MAGIC.decode(), *meta.tokens()]).encode("ascii") + b"\n")
     count = 0
     for frame in frames:
-        if frame.width != meta.width or frame.height != meta.height:
-            raise ShapeError(
-                f"frame {count} is {frame.width}x{frame.height}, expected {meta.width}x{meta.height}"
-            )
+        meta.check_frame(frame)
         stream.write(b"FRAME\n")
         stream.write(frame.y.tobytes())
         stream.write(frame.u.tobytes())
@@ -173,7 +173,8 @@ def read_raw_yuv(stream, width: int, height: int) -> Iterator[FrameYuv420]:
     """Iterate frames of a headerless planar 4:2:0 stream."""
     nbytes = VideoMeta(width=width, height=height).frame_bytes()
     while first := stream.read(1):
-        data = first + _read_exact(stream, nbytes - 1, f"a raw frame of {nbytes} bytes")
+        # sizes, not nbytes: a parsed size has at most the 4,300 digits str() prints, nbytes may have more
+        data = first + _read_exact(stream, nbytes - 1, f"a raw {width}x{height} frame")
         yield _split_frame(data, width, height)
 
 

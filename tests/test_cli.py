@@ -17,7 +17,7 @@ from qrsteg.cli import main, parse_seed_text
 from qrsteg.errors import CryptoError, FormatError
 from qrsteg.permute import StegoKey
 from qrsteg.stego import FrameCoder, Sidecar, StegoConfig, frame_keystreams
-from qrsteg.videoio import read_pgm, read_y4m, write_pgm, write_y4m
+from qrsteg.videoio import VideoMeta, read_pgm, read_y4m, write_pgm, write_y4m
 
 
 def write_clip(path, w=32, h=32, frames=3, seed=0):
@@ -161,7 +161,7 @@ def test_keygen_default_256_bit(tmp_path):
     assert elgamal.is_probable_prime(pub.p)
 
 
-@pytest.mark.parametrize("bits", ["8193", "1000000000"])
+@pytest.mark.parametrize("bits", ["8193", "1000000000", pytest.param("9" * 4301, id="4301-nines")])
 def test_key_generation_refuses_bits_above_8192(tmp_path, capsys, bits):
     # The key search holds its candidates as a 512 x ceil(bits / 64) uint64
     # array: a size past the bound is refused before any allocation or file.
@@ -384,6 +384,20 @@ def test_embed_rejects_empty_video(workspace, capsys):
     assert main(args) == 3
 
 
+def test_embed_over_an_ffmpeg_style_header_writes_back_only_the_six_known_tags(workspace):
+    # Tags beyond W, H, F, I, A and C are skipped on read and not written back.
+    ws = workspace
+    header, body = ws["cover"].read_bytes().split(b"\n", 1)
+    assert header == b"YUV4MPEG2 W32 H32 F30:1 Ip A1:1 C420jpeg"
+    ws["cover"].write_bytes(header + b" XYSCSS=420JPEG XCOLORRANGE=LIMITED\n" + body)
+    with open(ws["cover"], "rb") as cover:
+        meta, frames = read_y4m(cover)
+        assert meta == VideoMeta(32, 32, "30:1") and len(list(frames)) == 3
+    stego = ws["tmp"] / "stego.y4m"
+    assert main(embed_args(ws, stego)) == 0
+    assert stego.read_bytes().split(b"\n", 1)[0] == header
+
+
 @pytest.mark.parametrize("body", [b"", b"FRAME\n" + bytes(100)], ids=["no-frames", "truncated"])
 def test_embed_reads_a_frame_before_building_the_coder(workspace, capsys, monkeypatch, body):
     # The header is untrusted: W4000 H4000 must not buy a 4000x4000 coder build
@@ -429,7 +443,7 @@ HUGE_PGM = b"P5\n1000000000 1000000000\n255\n" + bytes(100)
 HUGE_Y4M = b"YUV4MPEG2 W1000000000 H1000000000 F25:1 C420jpeg\nFRAME\n" + bytes(100)
 
 
-@pytest.mark.parametrize("reader", ["pgm", "y4m", "raw"])
+@pytest.mark.parametrize("reader", ["pgm", "y4m", "raw", "raw-4301-digit-width"])
 def test_readers_refuse_a_declared_size_the_file_does_not_hold(workspace, capsys, reader):
     # A header may declare 10^18 bytes; the readers read in bounded chunks, so a
     # short file is a truncation, not an attempt to allocate what it declares.
@@ -443,8 +457,9 @@ def test_readers_refuse_a_declared_size_the_file_does_not_hold(workspace, capsys
         args = ["attack", "--input", str(ws["tmp"] / "huge.y4m"), "--output", str(output)]
     else:
         (ws["tmp"] / "huge.yuv").write_bytes(bytes(100))
+        width = "1000000000" if reader == "raw" else "8" * 4301  # read as 4,300 eights
         args = ["attack", "--input", str(ws["tmp"] / "huge.yuv"), "--output", str(output),
-                "--width", "1000000000", "--height", "1000000000"]
+                "--width", width, "--height", "1000000000"]
     assert main(args) == 3
     assert_one_error_line(capsys, 3)
     assert not output.exists()
@@ -458,7 +473,8 @@ def test_embed_missing_qr_flag_is_usage_error(workspace):
     assert main(args) == 2
 
 
-@pytest.mark.parametrize("case", ["embed-without-input", "keygen-bits-abc", "unknown-command", "empty-argv"])
+@pytest.mark.parametrize("case", ["embed-without-input", "keygen-bits-abc", "unknown-command", "empty-argv",
+                                  "bench-pub-without-priv", "bench-priv-without-pub"])
 def test_argument_errors_print_one_json_line(workspace, capsys, case):
     # argparse's own errors end like every other failure: one JSON line, exit 2, no output.
     ws = workspace
@@ -471,6 +487,8 @@ def test_argument_errors_print_one_json_line(workspace, capsys, case):
         "keygen-bits-abc": ["keygen", "--pub", str(tmp / "k.pub"), "--priv", str(tmp / "k.priv"), "--bits", "abc"],
         "unknown-command": ["hide", "--output", str(tmp / "out.y4m")],
         "empty-argv": [],
+        "bench-pub-without-priv": ["bench", "--input", str(tmp), "--pub", str(ws["pub"])],
+        "bench-priv-without-pub": ["bench", "--input", str(tmp), "--priv", str(ws["priv"])],
     }[case]
     before = set(tmp.rglob("*"))
     assert main(argv) == 2
@@ -1075,7 +1093,8 @@ def test_extract_rejects_malformed_sidecar_frame(workspace, capsys, tamper):
     assert_one_error_line(capsys, 3)
 
 
-@pytest.mark.parametrize("d", ["0", "997", "-1", str(2**64)])
+@pytest.mark.parametrize("d", ["0", "997", "-1", str(2**64), pytest.param("9" * 4301, id="4301-nines"),
+                               pytest.param("0" * 4400 + "997", id="4400-zeros-then-997")])
 def test_extract_checks_every_public_value_before_writing(workspace, capsys, d):
     ws = workspace
     stego = ws["tmp"] / "stego.y4m"
@@ -1137,22 +1156,30 @@ def test_embed_names_the_public_key_it_refuses(workspace, capsys):
     assert not stego.exists()
 
 
-@pytest.mark.parametrize("p", [2**8192 + 1, 3 * (2**8190 + 1)], ids=["8193bit", "8192bit_3x"])
-def test_a_key_above_the_largest_size_is_refused_before_any_primality_round(workspace, capsys, monkeypatch, p):
+@pytest.mark.parametrize(
+    "text,p",
+    [(str(2**8192 + 1), 2**8192 + 1), (str(3 * (2**8190 + 1)), 3 * (2**8190 + 1)),
+     ("9" * 4301, 10**4300 - 1), ("0" * 4400 + "1003", 1003)],
+    ids=["8193bit", "8192bit_3x", "4301-nines", "4400-zeros-then-1003"],
+)
+def test_a_key_above_the_largest_size_is_refused_before_any_primality_round(workspace, capsys, monkeypatch, text, p):
     # At 14,000 bits one Miller-Rabin round takes about 6 s, so the size is
     # checked first. A p of the largest size still reaches the primality test.
+    # A decimal is read by its value at any length: leading zeros drop, and
+    # digits past int()'s 4,300 are cut from a value already past every bound.
     ws = workspace
     assert elgamal.MAX_KEY_BITS == 8192
     tested = []
     real = elgamal.is_probable_prime
     monkeypatch.setattr(elgamal, "is_probable_prime", lambda n: tested.append(n) or real(n))
-    elgamal.save_public_key(elgamal.ElGamalPublic(p=p, alpha=2, y=4), ws["pub"])
+    ws["pub"].write_text(json.dumps({"kind": "elgamal-public", "p": text, "alpha": "2", "y": "4"}))
     stego = ws["tmp"] / "stego.y4m"
     capsys.readouterr()
     assert main(embed_args(ws, stego)) == 4
     message = json.loads(capsys.readouterr().err)["message"]
     if p.bit_length() > elgamal.MAX_KEY_BITS:
-        assert message == f"public key {ws['pub']}: p has 8193 bits, above the largest supported key size, 8192"
+        assert message == (f"public key {ws['pub']}: p has {p.bit_length()} bits, "
+                           "above the largest supported key size, 8192")
         assert tested == []
     else:
         assert message == f"public key {ws['pub']}: p = {p} is not prime"

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import warnings
 
@@ -10,7 +11,7 @@ from qrsteg.bitplane import PackedPayload, pack, payload_from_bits, unpack
 from qrsteg.elgamal import ElGamalPrivate, ElGamalPublic
 from qrsteg.errors import CapacityError, CryptoError, FormatError, ShapeError
 from qrsteg.permute import Splitmix64, StegoKey, keyed_permutation
-from qrsteg.quality import QualityReport
+from qrsteg.quality import QualityReport, mse
 from qrsteg.stego import (
     FrameCoder,
     FramePayload,
@@ -24,7 +25,7 @@ from qrsteg.stego import (
     prepare_payload,
     set_lsb,
 )
-from qrsteg.videoio import FrameYuv420, VideoMeta
+from qrsteg.videoio import FrameYuv420, VideoMeta, write_y4m
 from qrsteg.wavelet import fwd_haar_int, inv_haar_int
 
 PUB = ElGamalPublic(p=997, alpha=809, y=12)
@@ -273,6 +274,12 @@ def test_capacity_validation():
     bad = synth.qr_like_plane(4, 8, seed=1)
     with pytest.raises(CapacityError):
         prepare_payload({"L": bad, "M": qr, "Q": qr, "H": qr}, cfg, 0, coder)
+    bits = random_payload(coder, 0)
+    with pytest.raises(CapacityError, match="level M carries 63 bits, carrier holds exactly 64"):
+        coder.embed(gray_frame(), bare_payload({**bits, "M": bits["M"][:-1]}))
+    del bits["H"]
+    with pytest.raises(CapacityError, match="level H carries 0 bits"):
+        coder.embed(gray_frame(), bare_payload(bits))
 
 
 def test_video_roundtrip_with_sidecar():
@@ -645,6 +652,26 @@ def test_extract_rejects_geometry_mismatch(monkeypatch):
     with pytest.raises(ShapeError):
         list(extract_video([gray_frame()], cfg, sidecar))
     assert not built  # the mismatch is caught before a coder is built
+
+
+@pytest.mark.parametrize(
+    "site", ["FrameCoder.embed", "FrameCoder.extract", "write_y4m", "extract_video", "mse", "add_frame"]
+)
+def test_every_stage_refuses_a_frame_of_another_size_by_the_one_check(site):
+    # Each stage checks a frame against its header with VideoMeta.check_frame: one message, both sizes.
+    cfg = make_cfg()
+    coder = FrameCoder(cfg.key, 16, 16)
+    other = gray_frame(16, 8)
+    refuse = {
+        "FrameCoder.embed": lambda: coder.embed(other, bare_payload({})),
+        "FrameCoder.extract": lambda: coder.extract(other),
+        "write_y4m": lambda: write_y4m(VideoMeta(16, 16), [gray_frame(), other], io.BytesIO()),
+        "extract_video": lambda: list(extract_video([other], cfg, new_sidecar(cfg, coder))),
+        "mse": lambda: mse(gray_frame(), other),
+        "add_frame": lambda: QualityReport().add_frame(gray_frame(), other),
+    }[site]
+    with pytest.raises(ShapeError, match="^frame is 16x8, expected 16x16$"):
+        refuse()
 
 
 def test_partial_byte_geometry_roundtrip():

@@ -223,8 +223,15 @@ def test_read_y4m_refuses_a_tag_given_twice(header):
 
 
 def test_meta_rejects_odd_dimensions():
-    with pytest.raises(ShapeError):
+    # A frame proves its luma by the same rule, with the same message.
+    with pytest.raises(ShapeError, match="^video dimensions must be even and positive, got 3x4$"):
         VideoMeta(width=3, height=4)
+    with pytest.raises(ShapeError, match="^video dimensions must be even and positive, got 3x4$"):
+        FrameYuv420(
+            y=np.zeros((4, 3), dtype=np.uint8),
+            u=np.zeros((2, 1), dtype=np.uint8),
+            v=np.zeros((2, 1), dtype=np.uint8),
+        )
     with pytest.raises(ShapeError):
         FrameYuv420(
             y=np.zeros((4, 4), dtype=np.uint8),
