@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attacks import AttackSpec, attack_video
-from .bitplane import render
+from .bitplane import QrPlane, render
 from .errors import CryptoError, FormatError
 from .permute import derive_seed
 from .quality import QualityReport, SsimReference, fmt_psnr
@@ -77,7 +77,8 @@ def run(
     # attack label -> level -> SSIM sum over clips and seeds, in the order labels are first decoded
     sums: defaultdict[str, dict[str, float]] = defaultdict(lambda: dict.fromkeys(QR_LEVELS, 0.0))
     decodes: Counter[str] = Counter()  # frames decoded per attack label
-    coders: dict[tuple[int, int], FrameCoder] = {}  # one per geometry, shared across clips
+    # one coder, synthetic payload set and set of SSIM references per geometry, shared across clips
+    shared: dict[tuple[int, int], tuple[FrameCoder, dict[str, QrPlane], dict[str, SsimReference]]] = {}
 
     for clip in clips:
         with open(clip, "rb") as handle:
@@ -87,12 +88,12 @@ def run(
             print(f"bench: skipping empty clip {clip.name}", file=sys.stderr)
             continue
         geometry = (meta.width, meta.height)
-        if geometry not in coders:
-            coders[geometry] = FrameCoder(cfg.key, *geometry)
-        coder = coders[geometry]
+        if geometry not in shared:
+            coder = FrameCoder(cfg.key, *geometry)
+            qr_set = {level: qr_like_plane(*coder.qr_shape(), seed=i) for i, level in enumerate(QR_LEVELS)}
+            shared[geometry] = coder, qr_set, {level: SsimReference(render(plane)) for level, plane in qr_set.items()}
+        coder, qr_set, references = shared[geometry]
         qw, qh = coder.qr_shape()
-        qr_set = {level: qr_like_plane(qw, qh, seed=i) for i, level in enumerate(QR_LEVELS)}
-        references = {level: SsimReference(render(plane)) for level, plane in qr_set.items()}
 
         sidecar = new_sidecar(cfg, coder, meta.frame_rate)
         report = QualityReport()

@@ -16,20 +16,27 @@ window tables (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92;
 *Handbook of Applied Cryptography* 14.6.3). A table with w-bit windows
 holds ceil(bits(p) / w) rows of 2^w entries, and each power then costs
 one modular multiplication per row instead of a square-and-multiply
-chain. Each table is built once, as the array that the one kernel,
-_table_pows, gathers from; its dtype (uint64 below 2^32, else Python
-ints) sets the width of every power. _key_bytes turns powers into key
+chain. Each table is built as the array that the one kernel, _table_pows,
+gathers from; its dtype (uint64 below 2^32, else Python ints) sets the
+width of every power, and a stack of tables of one window raises each
+base to the same exponents, their window digits taken once. The kernel
+works through its exponents in chunks of _POW_CHUNK, so its memory stays
+bounded however long the batch. _window_bits sizes a table's window to
+the chains it will serve, at both ends. _key_bytes turns powers into key
 bytes. Key generation, key validation and classic_encrypt, which raises
 each base once, use builtin pow.
 
-The sender (keystream) raises its key's two cached 6-bit tables, of alpha
-and of y, to each k. The receiver is given the sender's exponent stream
-(in v1 it derives from the stego seed), so replay_keystreams proves a
-level whole when its public values d equal the alpha^k. With y = alpha^x,
-the key y^k = d^x is alpha^(x * k mod (p - 1)), so the receiver raises
-one table of alpha, sized by _window_bits to a whole extract. A level
-that fails, from a tampered sidecar or another seed, runs the d^x
-reference rule (regenerate_keystream) on every value.
+The sender (keystreams) draws the keystreams of several levels, a
+frame's four, together: each round raises every level still short of its
+bytes on one stacked table of alpha and y, cached on the key object per
+window, while each level keeps its own draws and its own stop. The
+receiver is given the sender's exponent stream (in v1 it derives from
+the stego seed), so replay_keystreams proves a level whole when its
+public values d equal the alpha^k. With y = alpha^x, the key
+y^k = d^x is alpha^(x * k mod (p - 1)), so the receiver raises one table
+of alpha, sized to a whole extract. A level that fails, from a tampered
+sidecar or another seed, runs the d^x reference rule
+(regenerate_keystream) on every value.
 """
 
 from __future__ import annotations
@@ -50,12 +57,11 @@ from .errors import CryptoError, FormatError
 
 MILLER_RABIN_ROUNDS = 40
 
-# The sender's fixed-base table window: 6 bits keeps nearly all of the 8-bit
-# speed at 256 bits while the build stays cheap enough for a 2048-bit one-frame embed.
-WINDOW_BITS = 6
-
-# The receiver's table holds at most this many entries, whatever its window.
+# A fixed-base table holds at most this many entries, whatever its window.
 _TABLE_MAX_ENTRIES = 1 << 16
+
+# Exponents _table_pows raises per pass.
+_POW_CHUNK = 4096
 
 # Moduli below this bound run the keystream on uint64 arrays: a product of
 # two residues stays below 2^64.
@@ -147,16 +153,26 @@ def _window_bits(bits: int, chains: int) -> int:
 
 
 def _table_pows(table: np.ndarray, k, p: int) -> np.ndarray:
-    """base^k mod p for each exponent 0 <= k < 2^bits(p), in the table's dtype: a gather and a product per row."""
-    rows, size = table.shape
+    """base^k mod p for each exponent 0 <= k < 2^bits(p), in the table's dtype: a gather and a product per row.
+
+    table is one (rows, size) table, giving one power per exponent, or a
+    stack (t, rows, size) of tables of one window, giving a (t, len(k))
+    array whose row j raises table j's base. The exponents go through in
+    chunks of _POW_CHUNK, so the gathered factors take bounded memory.
+    """
+    *_, rows, size = table.shape
     window = size.bit_length() - 1
     shifts = np.arange(0, rows * window, window).astype(table.dtype)[:, None]
-    windows = (np.asarray(k, dtype=table.dtype) >> shifts) & (size - 1)  # row i: window i of each k
-    factors = table[np.arange(rows)[:, None], windows.astype(np.intp)]
-    r = factors[0]
-    for f in factors[1:]:
-        r = r * f % p
-    return r
+    k = np.asarray(k, dtype=table.dtype)
+    out = []
+    for start in range(0, max(len(k), 1), _POW_CHUNK):  # an empty batch still takes one pass, for the result's shape
+        windows = (k[start : start + _POW_CHUNK] >> shifts) & (size - 1)  # row i: window i of each k
+        factors = np.moveaxis(table[..., np.arange(rows)[:, None], windows.astype(np.intp)], -2, 0)
+        r = factors[0]
+        for f in factors[1:]:
+            r = r * f % p
+        out.append(r)
+    return np.concatenate(out, axis=-1)
 
 
 def _key_bytes(powers: np.ndarray) -> bytes:
@@ -173,23 +189,22 @@ def _key_bytes(powers: np.ndarray) -> bytes:
 class ElGamalPublic:
     """Receiver public key: prime modulus p, primitive root alpha, y = alpha^x mod p.
 
-    keystream builds the 6-bit fixed-base table arrays of alpha and y on
-    first use and keeps them for the life of the object: 43 rows of 64
-    entries each (about 2 ms) at 256 bits, 342 rows (about 0.4 s and 6
-    MiB) at 2048 bits. The receiver keeps no table.
+    keystreams builds the stacked fixed-base table of alpha and y for a
+    window on first use and keeps it for the life of the object: for a CIF
+    frame, 37 rows of 128 entries each at 256 bits (window 7), and 410 rows
+    of 32 (window 5) at 2048 bits. The receiver keeps no table.
     """
 
     p: int
     alpha: int
     y: int
 
-    @cached_property
-    def _alpha_table(self) -> np.ndarray:
-        return _fixed_base_table(self.alpha, self.p, WINDOW_BITS)
-
-    @cached_property
-    def _y_table(self) -> np.ndarray:
-        return _fixed_base_table(self.y, self.p, WINDOW_BITS)
+    def _sender_table(self, window: int) -> np.ndarray:
+        """keystreams' stack of the alpha and y tables of this window, built once per object."""
+        tables = vars(self).setdefault("_sender_tables", {})  # frozen: kept in __dict__, as _checked is
+        if window not in tables:
+            tables[window] = np.stack([_fixed_base_table(base, self.p, window) for base in (self.alpha, self.y)])
+        return tables[window]
 
     @cached_property
     def _checked(self) -> bool:
@@ -313,33 +328,46 @@ def int_to_bytes_le(v: int) -> bytes:
 
 
 def keystream(pub: ElGamalPublic, nbytes: int, rng) -> Keystream:
-    """Derive at least nbytes of key material, then truncate to exactly nbytes.
+    """keystreams for one level."""
+    return keystreams(pub, nbytes, [rng])[0]
+
+
+def keystreams(pub: ElGamalPublic, nbytes: int, rngs: Sequence) -> list[Keystream]:
+    """One keystream of exactly nbytes per rng, each drawn as if alone.
 
     Each draw picks a fresh ephemeral exponent k, records alpha^k mod p
     for the receiver, and appends the minimal little-endian bytes of
     y^k mod p to the key. Excess bytes are dropped from the end; the
     public value that produced them is still recorded.
 
-    rng must expose randrange_array(start, stop, count), returning the
-    next count values of randrange(start, stop) in order (an array or a
-    list), as permute.Splitmix64 does. The draws are taken in rounds: a
+    Each rng must expose randrange_array(start, stop, count), returning
+    the next count values of randrange(start, stop) in order (an array or
+    a list), as permute.Splitmix64 does. The draws are taken in rounds: a
     draw adds at most ceil(bits(p) / 8) bytes, so a round of
-    ceil(remaining / that) draws never takes one the sequential rule
-    would not.
+    ceil(remaining / that) draws from each stream still short never takes
+    one the sequential rule would not. A round's exponents, from every
+    stream, are raised in one _table_pows call on the key's stacked table
+    of alpha and y, whose window _window_bits sizes to the first round.
     """
     if nbytes < 0:
         raise CryptoError("requested key length is negative")
     p = pub.p
     most = -(-p.bit_length() // 8)
-    publics: list[int] = []
-    parts: list[bytes] = []
-    total = 0
-    while total < nbytes:
-        k = rng.randrange_array(2, p - 2, -(-(nbytes - total) // most))
-        publics += _table_pows(pub._alpha_table, k, p).tolist()
-        parts.append(_key_bytes(_table_pows(pub._y_table, k, p)))
-        total += len(parts[-1])
-    return Keystream(sender_publics=tuple(publics), key_bytes=b"".join(parts)[:nbytes])
+    publics: list[list[int]] = [[] for _ in rngs]
+    parts: list[list[bytes]] = [[] for _ in rngs]
+    totals = [0] * len(rngs)
+    table = None
+    while short := [i for i, total in enumerate(totals) if total < nbytes]:
+        draws = [rngs[i].randrange_array(2, p - 2, -(-(nbytes - totals[i]) // most)) for i in short]
+        if table is None:
+            table = pub._sender_table(_window_bits(p.bit_length(), sum(map(len, draws))))
+        alpha_k, y_k = _table_pows(table, np.concatenate([np.asarray(k, table.dtype) for k in draws]), p)
+        ends = list(itertools.accumulate(map(len, draws), initial=0))
+        for i, a, b in zip(short, ends, ends[1:]):
+            publics[i] += alpha_k[a:b].tolist()
+            parts[i].append(_key_bytes(y_k[a:b]))
+            totals[i] += len(parts[i][-1])
+    return [Keystream(tuple(d), b"".join(key)[:nbytes]) for d, key in zip(publics, parts)]
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -574,7 +602,7 @@ def parse_decimals(texts: list) -> list[int]:
         digits = None
     if digits is None or (digits and not (digits.isascii() and digits.isdigit())):
         bad = next(t for t in texts if not (isinstance(t, str) and t.isascii() and t.replace("-", "").isdigit()))
-        raise ValueError(f"{bad!r} is not a decimal string")
+        raise ValueError(f"{_quoted(bad)} is not a decimal string")
     try:
         return list(map(int, texts))
     except ValueError:  # an empty text, a "-" after the first character, or more digits than int() reads
@@ -586,8 +614,14 @@ def _by_value(text: str) -> int:
     and its significant digits cut to _DECIMAL_DIGITS_MAX."""
     sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
     if not digits or "-" in digits:
-        raise ValueError(f"{text!r} is not a decimal string")
+        raise ValueError(f"{_quoted(text)} is not a decimal string")
     return int(sign + (digits.lstrip("0")[:_DECIMAL_DIGITS_MAX] or "0"))
+
+
+def _quoted(value) -> str:
+    """repr(value) for an error message; past 40 characters, its first 40 and its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _load_key_fields(path: str | Path, kind: str, names: tuple[str, ...]) -> list[int]:

@@ -178,11 +178,13 @@ def payload_rng(key: permute.StegoKey, level: str, frame_index: int) -> permute.
 def prepare_payload(
     qr_set: Mapping[str, QrPlane], cfg: StegoConfig, frame_index: int, coder: FrameCoder
 ) -> FramePayload:
-    """Encrypt one four-plane payload set: each level's plane bits (0 or 1) XOR a fresh keystream."""
+    """Encrypt one four-plane payload set: each level's plane bits (0 or 1) XOR a fresh keystream.
+
+    The four keystreams are drawn together (elgamal.keystreams), each from
+    its own payload_rng, once every plane has passed its checks.
+    """
     qw, qh = coder.qr_shape()
     n = coder.capacity_bits
-    bundles: dict[str, Keystream] = {}
-    bits: dict[str, np.ndarray] = {}
     for level in QR_LEVELS:
         plane = qr_set.get(level)
         if plane is None:
@@ -191,8 +193,9 @@ def prepare_payload(
             raise CapacityError(
                 f"level {level} plane is {plane.width}x{plane.height}, cover needs {qw}x{qh}"
             )
-        bundles[level] = elgamal.keystream(cfg.public, (n + 7) // 8, payload_rng(cfg.key, level, frame_index))
-        bits[level] = _key_bits(bundles[level].key_bytes, n) ^ plane.bits.ravel()
+    rngs = [payload_rng(cfg.key, level, frame_index) for level in QR_LEVELS]
+    bundles = dict(zip(QR_LEVELS, elgamal.keystreams(cfg.public, (n + 7) // 8, rngs)))
+    bits = {level: _key_bits(bundles[level].key_bytes, n) ^ qr_set[level].bits.ravel() for level in QR_LEVELS}
     return FramePayload(bundles=bundles, bits=bits)
 
 

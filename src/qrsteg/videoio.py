@@ -20,6 +20,9 @@ Y4M_MAGIC = b"YUV4MPEG2"
 _Y4M_TAG_FIELDS = {"W": "width", "H": "height", "F": "frame_rate", "I": "interlace", "A": "aspect", "C": "colorspace"}
 # The form of each token but W and H: only the 8-bit 4:2:0 colorspaces, which differ in chroma siting
 _Y4M_TOKEN_FORMS = {"F": "F[0-9]+:[0-9]+", "I": "I[ptbm?]", "A": "A[0-9]+:[0-9]+", "C": "C420(jpeg|paldv|mpeg2)?"}
+# The longest Y4M header line read, the stream's or a frame's after FRAME,
+# newline included; a longer one is refused after _Y4M_LINE_MAX + 1 bytes.
+_Y4M_LINE_MAX = 512
 
 
 @dataclass(eq=False)
@@ -32,7 +35,7 @@ class FrameYuv420:
 
     def __post_init__(self):
         h, w = self.y.shape
-        VideoMeta(w, h)  # proves the luma by the video header rule
+        VideoMeta.check_size(w, h)
         if self.u.shape != (h // 2, w // 2) or self.v.shape != (h // 2, w // 2):
             raise ShapeError("chroma planes must be half-size in both dimensions")
 
@@ -57,15 +60,26 @@ class VideoMeta:
     colorspace: str = "C420jpeg"
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0 or self.width % 2 or self.height % 2:
-            raise ShapeError(f"video dimensions must be even and positive, got {self.width}x{self.height}")
+        self.check_size(self.width, self.height)
         for token, form in zip(self.tokens()[2:], _Y4M_TOKEN_FORMS.values()):
             if not (isinstance(token, str) and re.fullmatch(form, token)):
                 raise FormatError(f"Y4M header token {token} is not of the form {form}")
+        if (size := len(self.header())) > _Y4M_LINE_MAX:  # read_y4m would refuse it
+            raise FormatError(f"Y4M header line of {size} bytes is longer than {_Y4M_LINE_MAX} bytes")
+
+    @staticmethod
+    def check_size(width: int, height: int) -> None:
+        """Raise ShapeError unless a 4:2:0 frame can be width x height: both even and positive."""
+        if width <= 0 or height <= 0 or width % 2 or height % 2:
+            raise ShapeError(f"video dimensions must be even and positive, got {width}x{height}")
 
     def tokens(self) -> tuple[str, ...]:
-        """The header's tokens after the magic, as write_y4m prints them: W, H, F, I, A, C."""
+        """The header's tokens after the magic: W, H, F, I, A, C."""
         return f"W{self.width}", f"H{self.height}", f"F{self.frame_rate}", self.interlace, self.aspect, self.colorspace
+
+    def header(self) -> bytes:
+        """The stream header line write_y4m prints, newline included."""
+        return " ".join([Y4M_MAGIC.decode(), *self.tokens()]).encode("ascii") + b"\n"
 
     def check_frame(self, frame: FrameYuv420) -> None:
         """Raise ShapeError unless frame has this header's width and height."""
@@ -99,11 +113,6 @@ def _split_frame(data: bytes, width: int, height: int) -> FrameYuv420:
     v = np.frombuffer(data[ysize + csize :], dtype=np.uint8).reshape(height // 2, width // 2)
     # copies so frames stay independent of the read buffer
     return FrameYuv420(y=y.copy(), u=u.copy(), v=v.copy())
-
-
-# The longest Y4M header line read, the stream's or a frame's after FRAME,
-# newline included; a longer one is refused after _Y4M_LINE_MAX + 1 bytes.
-_Y4M_LINE_MAX = 512
 
 
 def _read_y4m_line(stream, what: str) -> bytes:
@@ -157,7 +166,7 @@ def read_y4m(stream) -> tuple[VideoMeta, Iterator[FrameYuv420]]:
 
 def write_y4m(meta: VideoMeta, frames: Iterable[FrameYuv420], stream) -> int:
     """Emit header plus FRAME-delimited planes; returns the frame count."""
-    stream.write(" ".join([Y4M_MAGIC.decode(), *meta.tokens()]).encode("ascii") + b"\n")
+    stream.write(meta.header())
     count = 0
     for frame in frames:
         meta.check_frame(frame)

@@ -465,6 +465,20 @@ def test_readers_refuse_a_declared_size_the_file_does_not_hold(workspace, capsys
     assert not output.exists()
 
 
+def test_attack_refuses_a_size_whose_y4m_header_its_reader_would_refuse(workspace, capsys):
+    # An empty raw input has no frame to read, so only the header is at stake:
+    # with a 600-digit width it is longer than read_y4m takes, so none is written.
+    ws = workspace
+    (ws["tmp"] / "empty.yuv").write_bytes(b"")
+    output = ws["tmp"] / "o.y4m"
+    args = ["attack", "--input", str(ws["tmp"] / "empty.yuv"), "--output", str(output),
+            "--width", "2" * 600, "--height", "16"]
+    assert main(args) == 3
+    error = assert_one_error_line(capsys, 3)
+    assert error["message"] == "Y4M header line of 639 bytes is longer than 512 bytes"
+    assert not output.exists()
+
+
 def test_embed_missing_qr_flag_is_usage_error(workspace):
     ws = workspace
     args = embed_args(ws, ws["tmp"] / "x.y4m")
@@ -717,12 +731,12 @@ def test_embed_draws_one_keystream_per_level_and_frame(workspace, monkeypatch):
     # The sender XORs plane bits with the keystream it keeps: no byte-domain
     # round trip through pack, stream_encrypt or xor_bytes.
     calls = []
-    real_keystream = elgamal.keystream
-    monkeypatch.setattr(elgamal, "keystream", lambda *a: calls.append("keystream") or real_keystream(*a))
-    for name in ("elgamal.stream_encrypt", "elgamal.xor_bytes", "bitplane.pack", "stego.pack"):
+    real_keystreams = elgamal.keystreams
+    monkeypatch.setattr(elgamal, "keystreams", lambda *a: calls.append(("keystreams", len(a[2]))) or real_keystreams(*a))
+    for name in ("elgamal.keystream", "elgamal.stream_encrypt", "elgamal.xor_bytes", "bitplane.pack", "stego.pack"):
         monkeypatch.setattr(f"qrsteg.{name}", lambda *a, name=name: calls.append(name), raising=False)
     assert main(embed_args(workspace, workspace["tmp"] / "stego.y4m")) == 0
-    assert calls == ["keystream"] * 3 * 4  # 3 frames x 4 levels
+    assert calls == [("keystreams", 4)] * 3  # one call of 4 levels per frame, 3 frames
 
 
 def test_attack_identity_is_byte_exact(workspace):
@@ -898,16 +912,14 @@ def test_bench_builds_one_coder_per_geometry(tmp_path, monkeypatch, sizes, build
     dataset.mkdir()
     for i, size in enumerate(sizes):
         write_clip(dataset / f"clip{i}.y4m", w=size, h=16, frames=1, seed=i)
+    # The payload set and its SSIM references, four of each, are shared with the coder.
     built = []
-
-    def counting_coder(*args):
-        built.append(args)
-        return FrameCoder(*args)
-
-    monkeypatch.setattr(bench, "FrameCoder", counting_coder)
+    for name in ("FrameCoder", "qr_like_plane", "SsimReference"):
+        real = getattr(bench, name)
+        monkeypatch.setattr(bench, name, lambda *a, real=real, name=name, **kw: built.append(name) or real(*a, **kw))
     assert main(["bench", "--input", str(dataset), "--report", str(tmp_path / "b.csv"),
                  "--paper-fidelity", "--seed", "0", "--attacks", "sp:0.01"]) == 0
-    assert len(built) == builds
+    assert built == (["FrameCoder"] + ["qr_like_plane"] * 4 + ["SsimReference"] * 4) * builds
     assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + len(sizes)
 
 
@@ -1603,6 +1615,22 @@ def fuzz_extract(root, capsys, pub="pub.json", priv="priv.json", sidecar="stego.
     error = assert_one_error_line(capsys, code)
     assert not list(out_dir.glob("*.pgm"))
     return error
+
+
+@pytest.mark.parametrize("where", ["key file", "sidecar"])
+def test_a_long_bad_decimal_makes_a_short_error_line(fuzz_stego, capsys, where):
+    # The error quotes the start of a refused value and its length, not the whole of it.
+    root, pub_doc, _, sidecar_doc = fuzz_stego
+    bad = "7" * 199_999 + "x"
+    if where == "key file":
+        (root / "long_pub.json").write_text(json.dumps(set_path(pub_doc, ("y",), bad)))
+        error = fuzz_extract(root, capsys, pub="long_pub.json")
+    else:
+        (root / "long.sidecar.json").write_text(json.dumps(set_path(sidecar_doc, ("frames", 1, "Q", 0), bad)))
+        error = fuzz_extract(root, capsys, sidecar="long.sidecar.json")
+    assert error["exit"] == 3
+    assert "'777777" in error["message"] and "(200002 characters) is not a decimal string" in error["message"]
+    assert len(json.dumps(error)) < 300
 
 
 DELETE = object()

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedRng
-from qrsteg import elgamal
+from qrsteg import elgamal, synth
 from qrsteg.elgamal import (
     CipherBundle,
     ElGamalPrivate,
@@ -24,7 +25,8 @@ from qrsteg.elgamal import (
 )
 from qrsteg.errors import CryptoError, FormatError
 from qrsteg.permute import Splitmix64, StegoKey
-from qrsteg.stego import StegoConfig
+from qrsteg.quality import QualityReport
+from qrsteg.stego import QR_LEVELS, FrameCoder, StegoConfig, embed_video, new_sidecar
 
 # Demo key material: p = 997, alpha = 809, x = 420 -> y = 12.
 PUB = ElGamalPublic(p=997, alpha=809, y=12)
@@ -41,7 +43,7 @@ TINY_PRIV = ElGamalPrivate(x=6)
 @st.composite
 def table_cases(draw):
     """(base, k, p, w) over odd moduli 5 .. 2^300 and windows w, often a whole number of windows long."""
-    w = draw(st.sampled_from([elgamal.WINDOW_BITS, 1, 2, 5, 8]))  # the sender's, then widths the receiver picks
+    w = draw(st.sampled_from([1, 2, 5, 7, 8]))  # widths _window_bits picks
     bits = draw(st.one_of(st.sampled_from(range(w, 301, w)), st.integers(3, 300)))
     p = max(5, draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1)
     all_ones = (1 << (w * ((p.bit_length() - 1) // w))) - 1  # every window 2^w - 1, below p
@@ -66,6 +68,23 @@ def test_table_pow_matches_builtin_pow(case):
     got = elgamal._table_pows(table, batch, p)
     assert got.dtype == table.dtype
     assert got.tolist() == [pow(base, e, p) for e in batch]
+    other = (base * 3 + 1) % p
+    stacked = np.stack([table, elgamal._fixed_base_table(other, p, w)])
+    got = elgamal._table_pows(stacked, batch, p)
+    assert got.dtype == table.dtype
+    assert got.tolist() == [[pow(b, e, p) for e in batch] for b in (base, other)]
+
+
+@pytest.mark.parametrize("p", [4294967291, 2**64 - 59], ids=["uint64", "object"])
+def test_table_pows_past_one_chunk_match_builtin_pow(p):
+    # Two whole chunks and part of a third, on one table and on a stack of two.
+    rng = random.Random(p)
+    batch = [rng.randrange(p) for _ in range(2 * elgamal._POW_CHUNK + 3)]
+    tables = [elgamal._fixed_base_table(base, p, 7) for base in (3, 5)]
+    assert tables[0].dtype == (np.uint64 if p < 2**32 else object)
+    assert elgamal._table_pows(tables[0], batch, p).tolist() == [pow(3, e, p) for e in batch]
+    want = [[pow(base, e, p) for e in batch] for base in (3, 5)]
+    assert elgamal._table_pows(np.stack(tables), batch, p).tolist() == want
 
 
 def brute_force_window(bits, chains):
@@ -97,19 +116,25 @@ def test_window_rule_is_the_argmin_under_the_entry_cap():
 
 
 def test_keystream_builds_each_table_once(monkeypatch):
+    # One stacked table per (key object, window): a 3-frame embed builds
+    # alpha's and y's once, and single-level keystreams of the same window reuse them.
     built = []
     real = elgamal._fixed_base_table
-
-    def counting(base, p, window):
-        built.append(base)
-        return real(base, p, window)
-
-    monkeypatch.setattr(elgamal, "_fixed_base_table", counting)
+    monkeypatch.setattr(elgamal, "_fixed_base_table",
+                        lambda base, p, window: built.append((base, window)) or real(base, p, window))
     pub = ElGamalPublic(p=997, alpha=809, y=12)
+    cfg = StegoConfig(key=StegoKey(seed=5), public=pub)
+    coder = FrameCoder(cfg.key, 36, 28)
+    qr_set = {level: synth.qr_like_plane(18, 14, seed=i) for i, level in enumerate(QR_LEVELS)}
+    frames = synth.gradient_video(36, 28, 3, seed=1)[1]
+    assert len(list(embed_video(frames, qr_set, cfg, coder, new_sidecar(cfg, coder), QualityReport()))) == 3
+    window = elgamal._window_bits(10, 4 * 16)  # 16 draws of two bytes for each level's 32
+    assert built == [(809, window), (12, window)]
+    assert elgamal._window_bits(10, 20) == window
     for seed in range(4):
         keystream(pub, 40, Splitmix64(seed))
         stream_encrypt(bytes(40), pub, Splitmix64(seed))
-    assert sorted(built) == [12, 809]  # alpha's table and y's, once each
+    assert built == [(809, window), (12, window)]
     assert pub == PUB
 
 
@@ -440,6 +465,71 @@ def test_keystream_takes_exactly_the_sequential_draws(pub):
             assert rng._values == []
 
 
+def sequential_rounds(pub, nbytes, exponents):
+    """The draws of each round the sequential stop gives one level: ceil(remaining / most bytes a draw) each."""
+    most = -(-pub.p.bit_length() // 8)
+    lengths = (len(int_to_bytes_le(pow(pub.y, k, pub.p))) for k in exponents)
+    rounds, total = [], 0
+    while total < nbytes:
+        rounds.append(-(-(nbytes - total) // most))
+        total += sum(itertools.islice(lengths, rounds[-1]))
+    return rounds
+
+
+@pytest.mark.parametrize("pub", [pub for pub, _ in BATCH_KEYS], ids=lambda pub: f"{pub.p.bit_length()}bit")
+def test_keystreams_match_the_sequential_oracle_per_level(pub, monkeypatch):
+    # Each level draws as if alone: its public values, key bytes and end
+    # state are the sequential rule's. Each round of the frame, over the
+    # levels still short, is one _table_pows call of their draws.
+    calls = []
+    real = elgamal._table_pows
+    monkeypatch.setattr(elgamal, "_table_pows", lambda table, k, p: calls.append(len(k)) or real(table, k, p))
+    uneven = 0  # frames whose levels stop after different numbers of rounds
+    for levels in (1, 4):
+        for n in (0, 1, 31, 3168):
+            for seed in (0, 7):
+                seeds = [100 * seed + level for level in range(levels)]
+                oracles = [Splitmix64(s) for s in seeds]
+                want = [sequential_keystream(pub, n, oracle) for oracle in oracles]
+                rngs = [Splitmix64(s) for s in seeds]
+                calls.clear()
+                got = elgamal.keystreams(pub, n, rngs)
+                assert [(list(ks.sender_publics), ks.key_bytes) for ks in got] == [(d, key) for d, key, _ in want]
+                assert [rng._state for rng in rngs] == [oracle._state for oracle in oracles]
+                rounds = [sequential_rounds(pub, n, exponents) for *_, exponents in want]
+                assert calls == [sum(r[i] for r in rounds if i < len(r)) for i in range(max(map(len, rounds)))]
+                uneven += len(set(map(len, rounds))) > 1
+    assert uneven or pub.p.bit_length() in (32, 64)  # there every level here takes two rounds
+
+
+@pytest.mark.parametrize("pub", ORACLE_KEYS, ids=lambda pub: f"{pub.p.bit_length()}bit")
+def test_keystreams_take_exactly_each_levels_sequential_draws(pub):
+    # Four scripts, each exactly one level's sequential draws: a round that
+    # drew past any level's stop would exhaust its script and raise.
+    for n in (1, 31, 1000):
+        for seed in range(2):
+            want = [sequential_keystream(pub, n, Splitmix64(10 * seed + level)) for level in range(4)]
+            rngs = [ScriptedRng(exponents) for *_, exponents in want]
+            got = elgamal.keystreams(pub, n, rngs)
+            assert [(list(ks.sender_publics), ks.key_bytes) for ks in got] == [(d, key) for d, key, _ in want]
+            assert [rng._values for rng in rngs] == [[]] * 4
+
+
+def test_sender_window_for_a_cif_frame_follows_the_receiver_rule():
+    # A CIF frame's four levels of 3,168 bytes: the first round's draws size
+    # the window as _window_bits sizes the receiver's. The window needs only
+    # the size of p, so the 2048-bit modulus here need not be prime.
+    p2048 = (1 << 2047) + 1155
+    cases = [(PUB, 4 * 1584, 10), (ORACLE_KEYS[5], 4 * 99, 7),
+             (ElGamalPublic(p2048, 2, pow(2, 3**500, p2048)), 4 * 13, 5)]
+    for key, chains, window in cases:
+        pub = ElGamalPublic(key.p, key.alpha, key.y)  # a fresh object, no table yet
+        elgamal.keystreams(pub, 3168, [Splitmix64(level) for level in range(4)])
+        assert elgamal._window_bits(pub.p.bit_length(), chains) == window
+        assert list(pub._sender_tables) == [window]
+        assert pub._sender_tables[window].shape == (2, -(-pub.p.bit_length() // window), 1 << window)
+
+
 def test_v1_demo_keystream_is_biased():
     # Documents a v1 weakness (README "Security notes", ROADMAP item 4): under
     # the p = 997 demo key each y^k < 997 is written as one or two minimal
@@ -643,7 +733,7 @@ def test_key_search_returns_only_a_safe_prime():
 def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch):
     # A table's dtype alone picks the path: every _table_pows result is
     # uint64 iff p < 2^32, however few its exponents. The sender raises a
-    # round's k on its two tables, the receiver k and x * k on one. Either
+    # round's k on its stacked table, the receiver k and x * k on one. Either
     # path must give the sequential rule's bytes, and Python-int publics.
     assert pub.y == pow(pub.alpha, priv.x, pub.p)
     cut = 16  # draw and replay counts on both sides of 16: no batch size changes the path
@@ -668,7 +758,7 @@ def test_few_values_take_the_python_int_path_at_both_ends(pub, priv, monkeypatch
             assert (list(ks.sender_publics), ks.key_bytes) == (publics, key)
             assert batch._state == oracle._state
             assert {type(d) for d in ks.sender_publics} <= {int}
-            assert calls[:2] == ([(draws, gathers)] * 2 if draws else [])  # later rounds are smaller
+            assert calls[:1] == ([(draws, gathers)] if draws else [])  # later rounds are smaller
             assert all(gathered == gathers for _, gathered in calls)
     for seed in (0, 3):
         publics = keystream(pub, 4 * cut * most, Splitmix64(seed)).sender_publics

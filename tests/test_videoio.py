@@ -202,6 +202,19 @@ def test_y4m_refuses_a_long_frame_parameter_line_unread():
     assert next(frames).y.shape == (2, 2)
 
 
+def test_meta_refuses_a_header_longer_than_read_y4m_takes():
+    # "YUV4MPEG2 W<digits> H2 F25:1 Ip A1:1 C420jpeg\n" is 38 bytes and the width's digits.
+    cap = videoio._Y4M_LINE_MAX
+    widest = VideoMeta(width=int("2" * (cap - 38)), height=2)
+    stream = io.BytesIO()
+    assert write_y4m(widest, [], stream) == 0
+    assert len(stream.getvalue()) == cap
+    stream.seek(0)
+    assert read_y4m(stream)[0] == widest
+    with pytest.raises(FormatError, match=f"^Y4M header line of {cap + 1} bytes is longer than {cap} bytes$"):
+        VideoMeta(width=int("2" * (cap - 37)), height=2)
+
+
 @pytest.mark.parametrize(
     "field,value,token",
     [("frame_rate", "bogus", "Fbogus"), ("frame_rate", 7, "F7"), ("frame_rate", "30", "F30"),
@@ -223,15 +236,17 @@ def test_read_y4m_refuses_a_tag_given_twice(header):
 
 
 def test_meta_rejects_odd_dimensions():
-    # A frame proves its luma by the same rule, with the same message.
-    with pytest.raises(ShapeError, match="^video dimensions must be even and positive, got 3x4$"):
-        VideoMeta(width=3, height=4)
-    with pytest.raises(ShapeError, match="^video dimensions must be even and positive, got 3x4$"):
-        FrameYuv420(
-            y=np.zeros((4, 3), dtype=np.uint8),
-            u=np.zeros((2, 1), dtype=np.uint8),
-            v=np.zeros((2, 1), dtype=np.uint8),
-        )
+    # A frame proves its luma by the same rule, with the same message, for odd and zero sizes.
+    for width, height in ((3, 4), (4, 5), (0, 4), (4, 0)):
+        message = f"^video dimensions must be even and positive, got {width}x{height}$"
+        with pytest.raises(ShapeError, match=message):
+            VideoMeta(width=width, height=height)
+        with pytest.raises(ShapeError, match=message):
+            FrameYuv420(
+                y=np.zeros((height, width), dtype=np.uint8),
+                u=np.zeros((height // 2, width // 2), dtype=np.uint8),
+                v=np.zeros((height // 2, width // 2), dtype=np.uint8),
+            )
     with pytest.raises(ShapeError):
         FrameYuv420(
             y=np.zeros((4, 4), dtype=np.uint8),
