@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CryptoError, FormatError
+from .errors import CryptoError, FormatError, quoted
 
 MILLER_RABIN_ROUNDS = 40
 
@@ -570,6 +570,8 @@ PRIVATE_KIND = "elgamal-private"
 
 
 def save_public_key(pub: ElGamalPublic, path: str | Path) -> None:
+    """Write the public key once validate passes, so load_public_key reads back every file written."""
+    pub.validate()
     doc = {"kind": PUBLIC_KIND, "p": str(pub.p), "alpha": str(pub.alpha), "y": str(pub.y)}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
 
@@ -602,7 +604,7 @@ def parse_decimals(texts: list) -> list[int]:
         digits = None
     if digits is None or (digits and not (digits.isascii() and digits.isdigit())):
         bad = next(t for t in texts if not (isinstance(t, str) and t.isascii() and t.replace("-", "").isdigit()))
-        raise ValueError(f"{_quoted(bad)} is not a decimal string")
+        raise ValueError(f"{quoted(bad)} is not a decimal string")
     try:
         return list(map(int, texts))
     except ValueError:  # an empty text, a "-" after the first character, or more digits than int() reads
@@ -614,14 +616,8 @@ def _by_value(text: str) -> int:
     and its significant digits cut to _DECIMAL_DIGITS_MAX."""
     sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
     if not digits or "-" in digits:
-        raise ValueError(f"{_quoted(text)} is not a decimal string")
+        raise ValueError(f"{quoted(text)} is not a decimal string")
     return int(sign + (digits.lstrip("0")[:_DECIMAL_DIGITS_MAX] or "0"))
-
-
-def _quoted(value) -> str:
-    """repr(value) for an error message; past 40 characters, its first 40 and its length."""
-    text = repr(value)
-    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _load_key_fields(path: str | Path, kind: str, names: tuple[str, ...]) -> list[int]:

@@ -6,6 +6,12 @@ EXIT_CRYPTO = 4
 EXIT_CAPACITY = 5
 
 
+def quoted(value) -> str:
+    """repr(value) for an error message; past 40 characters, its first 40 and its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 class QrstegError(Exception):
     """Base class for all package errors."""
 

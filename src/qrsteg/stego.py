@@ -26,7 +26,7 @@ import numpy as np
 from . import elgamal, permute
 from .bitplane import QrPlane
 from .elgamal import ElGamalPrivate, ElGamalPublic, Keystream
-from .errors import CapacityError, CryptoError, FormatError, ShapeError
+from .errors import CapacityError, CryptoError, FormatError, ShapeError, quoted
 from .quality import QualityReport
 from .videoio import FrameYuv420, VideoMeta
 from .wavelet import CLIP_HI, CLIP_LO, SubBands, fwd_haar_int, inv_haar_int
@@ -204,23 +204,28 @@ def _key_bits(key: bytes, count: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sidecar:
     """Everything the extractor needs besides the keys and the stego video.
 
     Secret bits never appear here: per frame and level it records only the
-    sender public values that regenerate the keystream.
+    sender public values that regenerate the keystream. Proved when built,
+    so read takes back all that write stores; the frame records, which
+    embed_video appends, are read's to check.
     """
 
-    width: int
-    height: int
+    video: VideoMeta
     key_fingerprint: str
-    frame_rate: str = VideoMeta.frame_rate
     frames: list[dict[str, list[int]]] = field(default_factory=list)
 
+    def __post_init__(self):
+        fingerprint = self.key_fingerprint
+        if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{16}", fingerprint)):
+            raise FormatError(f"sidecar key_fingerprint {quoted(fingerprint)} is not 16 lowercase hex digits")
+
     # the payload plane size and keystream bytes per level follow from the video size
-    qr_width = property(lambda self: self.width // 2)
-    qr_height = property(lambda self: self.height // 2)
+    qr_width = property(lambda self: self.video.width // 2)
+    qr_height = property(lambda self: self.video.height // 2)
     plain_len = property(lambda self: (self.qr_width * self.qr_height + 7) // 8)
 
     def to_json(self) -> str:
@@ -233,10 +238,10 @@ class Sidecar:
             "format": SIDECAR_FORMAT,
             "version": SIDECAR_VERSION,
             "video": {
-                "width": self.width,
-                "height": self.height,
+                "width": self.video.width,
+                "height": self.video.height,
                 "frame_count": len(self.frames),
-                "frame_rate": self.frame_rate,
+                "frame_rate": self.video.frame_rate,
             },
             "qr": {"width": self.qr_width, "height": self.qr_height},
             "plain_len": self.plain_len,
@@ -253,23 +258,14 @@ class Sidecar:
         if not isinstance(doc, dict) or doc.get("format") != SIDECAR_FORMAT:
             raise FormatError("not a qrsteg sidecar")
         if doc.get("version") != SIDECAR_VERSION:
-            raise FormatError(f"unsupported sidecar version {doc.get('version')}")
+            raise FormatError(f"unsupported sidecar version {quoted(doc.get('version'))}")
         try:
             video = doc["video"]
-            meta = VideoMeta(_json_int(video["width"]), _json_int(video["height"]),  # proved by the Y4M header rules
+            meta = VideoMeta(_json_int(video["width"]), _json_int(video["height"]),
                              video.get("frame_rate", VideoMeta.frame_rate))
             qr_size = (_json_int(doc["qr"]["width"]), _json_int(doc["qr"]["height"]))
             plain_len = _json_int(doc["plain_len"])
-            fingerprint = doc["key_fingerprint"]
-            if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{16}", fingerprint)):
-                raise FormatError(f"sidecar key_fingerprint {fingerprint!r} is not 16 lowercase hex digits")
-            side = cls(
-                width=meta.width,
-                height=meta.height,
-                key_fingerprint=fingerprint,
-                frame_rate=meta.frame_rate,
-                frames=[_frame_record(record) for record in doc["frames"]],
-            )
+            side = cls(meta, doc["key_fingerprint"], [_frame_record(record) for record in doc["frames"]])
             frame_count = _json_int(video["frame_count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed sidecar field: {exc}") from exc
@@ -279,7 +275,7 @@ class Sidecar:
             )
         if qr_size != (side.qr_width, side.qr_height):
             raise FormatError(
-                f"sidecar qr size {qr_size[0]}x{qr_size[1]} is not half of the {side.width}x{side.height} video"
+                f"sidecar qr size {qr_size[0]}x{qr_size[1]} is not half of the {meta.width}x{meta.height} video"
             )
         if plain_len != side.plain_len:
             raise FormatError(f"sidecar plain_len {plain_len} disagrees with the payload size")
@@ -334,12 +330,12 @@ def _frame_record(record) -> dict[str, list[int]]:
 def _json_int(value) -> int:
     """A sidecar count or size: a JSON integer, as the writer stores it."""
     if type(value) is not int:  # rejects floats, strings and booleans
-        raise ValueError(f"{value!r} is not a JSON integer")
+        raise ValueError(f"{quoted(value)} is not a JSON integer")
     return value
 
 
 def new_sidecar(cfg: StegoConfig, coder: FrameCoder, frame_rate: str = VideoMeta.frame_rate) -> Sidecar:
-    return Sidecar(coder.meta.width, coder.meta.height, cfg.key.fingerprint(), frame_rate)
+    return Sidecar(VideoMeta(coder.meta.width, coder.meta.height, frame_rate), cfg.key.fingerprint())
 
 
 def embed_video(
@@ -453,11 +449,11 @@ def extract_video(
     frames = iter(frames)
     first = next(frames, None)
     if first is not None:
-        VideoMeta(sidecar.width, sidecar.height).check_frame(first)
+        sidecar.video.check_frame(first)
     keys = frame_keystreams(sidecar.frames, cfg, sidecar.plain_len)
     if first is None:
         return
-    coder = FrameCoder(cfg.key, sidecar.width, sidecar.height)
+    coder = FrameCoder(cfg.key, sidecar.video.width, sidecar.video.height)
     for index, frame in enumerate(itertools.chain([first], frames)):
         if index >= len(keys):
             raise FormatError(f"sidecar records {len(keys)} frames, video has more")

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, quoted
 
 Y4M_MAGIC = b"YUV4MPEG2"
 # VideoMeta's field for each header tag; all but W, H and F keep their tag letter, as VideoMeta.tokens prints them
@@ -48,9 +48,9 @@ class FrameYuv420:
         return self.y.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VideoMeta:
-    """A Y4M stream header; building one proves it by the header rules of docs/wire_format.md."""
+    """A Y4M stream header, frozen; building one proves it by the header rules of docs/wire_format.md."""
 
     width: int
     height: int
@@ -63,7 +63,7 @@ class VideoMeta:
         self.check_size(self.width, self.height)
         for token, form in zip(self.tokens()[2:], _Y4M_TOKEN_FORMS.values()):
             if not (isinstance(token, str) and re.fullmatch(form, token)):
-                raise FormatError(f"Y4M header token {token} is not of the form {form}")
+                raise FormatError(f"Y4M header token {quoted(token)} is not of the form {form}")
         if (size := len(self.header())) > _Y4M_LINE_MAX:  # read_y4m would refuse it
             raise FormatError(f"Y4M header line of {size} bytes is longer than {_Y4M_LINE_MAX} bytes")
 

@@ -34,6 +34,11 @@ def write_qr(path, w=16, h=16, seed=0):
     return plane
 
 
+def write_unproved_public_key(path, p):
+    """The demo key's file with another p, as text: save_public_key refuses a key that fails validate."""
+    path.write_text(json.dumps({"kind": "elgamal-public", "p": str(p), "alpha": "809", "y": "12"}))
+
+
 @pytest.fixture
 def keys(tmp_path):
     # The paper's demo key with private exponent 420: y = 809^420 mod 997 = 12.
@@ -245,11 +250,17 @@ def test_keyless_bench_proves_q_and_never_p(tmp_path, monkeypatch):
     assert {n.bit_length() for n in proved} == {63}  # q candidates: getrandbits(63) with its top bit set
 
 
-def test_keygen_fresh_prime(tmp_path):
+def test_keygen_fresh_prime(tmp_path, monkeypatch):
     pub_path = tmp_path / "p.pub"
     priv_path = tmp_path / "p.priv"
+    proved = []
+    real_prove = elgamal.is_probable_prime
+    monkeypatch.setattr(elgamal, "is_probable_prime", lambda n: proved.append(n) or real_prove(n))
     assert main(["keygen", "--pub", str(pub_path), "--priv", str(priv_path),
                  "--bits", "96", "--seed", "7"]) == 0
+    # save_public_key validates what it writes, and the searched key carries its pass: p is never tested.
+    p = int(json.loads(pub_path.read_text())["p"])
+    assert p not in proved and proved[-1] == (p - 1) // 2
     pub = elgamal.load_public_key(pub_path)
     assert pub.p.bit_length() == 96
     assert elgamal.is_probable_prime(pub.p)
@@ -1015,7 +1026,7 @@ def test_extract_proves_the_key_pair_once_whatever_the_frame_count(workspace, mo
 def test_bench_validates_the_public_key_when_it_loads_it(tmp_path, capsys, keys):
     # Unchecked, a composite p with an empty corpus exits 0.
     pub, priv = keys
-    elgamal.save_public_key(elgamal.ElGamalPublic(p=1001, alpha=809, y=12), pub)
+    write_unproved_public_key(pub, 1001)
     dataset = tmp_path / "none"
     dataset.mkdir()
     report = tmp_path / "bench.csv"
@@ -1130,7 +1141,7 @@ def test_extract_rejects_a_zero_keystream_power(workspace, capsys):
     assert main(embed_args(ws, stego)) == 0
     doc = json.loads((ws["tmp"] / "stego.y4m.sidecar.json").read_text())
     assert any(int(d) % 10 == 0 for frame in doc["frames"] for level in frame.values() for d in level)
-    elgamal.save_public_key(elgamal.ElGamalPublic(p=1000, alpha=809, y=12), ws["pub"])
+    write_unproved_public_key(ws["pub"], 1000)
     capsys.readouterr()
     assert main(extract_args(ws, stego)) == 4
     assert_one_error_line(capsys, 4)
@@ -1143,7 +1154,7 @@ def test_extract_validates_the_public_key_when_it_loads_it(workspace, capsys, p)
     ws = workspace
     stego = ws["tmp"] / "stego.y4m"
     assert main(embed_args(ws, stego)) == 0
-    elgamal.save_public_key(elgamal.ElGamalPublic(p=p, alpha=809, y=12), ws["pub"])
+    write_unproved_public_key(ws["pub"], p)
     capsys.readouterr()
     assert main(extract_args(ws, stego)) == 4
     lines = capsys.readouterr().err.strip().splitlines()
@@ -1160,7 +1171,7 @@ def test_extract_validates_the_public_key_when_it_loads_it(workspace, capsys, p)
 
 def test_embed_names_the_public_key_it_refuses(workspace, capsys):
     ws = workspace
-    elgamal.save_public_key(elgamal.ElGamalPublic(p=1003, alpha=809, y=12), ws["pub"])
+    write_unproved_public_key(ws["pub"], 1003)
     stego = ws["tmp"] / "stego.y4m"
     assert main(embed_args(ws, stego)) == 4
     message = json.loads(capsys.readouterr().err)["message"]
@@ -1293,29 +1304,41 @@ def test_extract_rejects_sidecar_geometry_that_is_not_a_json_integer(
     assert_one_error_line(capsys, 3)
 
 
+LONG = "9" * 200_000
+
+
 @pytest.mark.parametrize(
-    "fields",
-    [{"width": -2}, {"frame_rate": "bogus"}, {"frame_rate": 7}, {"key_fingerprint": ["0123456789abcdef"]},
-     {"key_fingerprint": "0123456789ABCDEF"}, {"key_fingerprint": "0123456789abcde"}],
+    "section,field,value",
+    [("video", "width", -2), ("video", "frame_rate", "bogus"), ("video", "frame_rate", 7),
+     (None, "key_fingerprint", ["0123456789abcdef"]), (None, "key_fingerprint", "0123456789ABCDEF"),
+     (None, "key_fingerprint", "0123456789abcde"), (None, "version", LONG), ("video", "width", LONG),
+     ("video", "frame_rate", LONG), (None, "key_fingerprint", LONG)],
     ids=["negative-width", "text-frame-rate", "integer-frame-rate", "list-fingerprint", "uppercase-fingerprint",
-         "short-fingerprint"],
+         "short-fingerprint", "long-version", "long-width", "long-frame-rate", "long-fingerprint"],
 )
-def test_extract_refuses_a_malformed_video_block_or_fingerprint_as_the_sidecar_loads(tmp_path, capsys, keys, fields):
+def test_extract_refuses_a_malformed_video_block_or_fingerprint_as_the_sidecar_loads(
+    tmp_path, capsys, keys, section, field, value
+):
     # Each sidecar is whole but for one field and records no frames, so against
-    # a video with no frames only the loader can refuse it.
+    # a video with no frames only the loader can refuse it. A Sidecar cannot
+    # hold the bad field, so it is written into the JSON text.
     pub, priv = keys
     empty = tmp_path / "empty.y4m"
     empty.write_bytes(b"YUV4MPEG2 W16 H16 F25:1 Ip A1:1 C420jpeg\n")
     sidecar = tmp_path / "empty.y4m.sidecar.json"
     argv = ["extract", "--input", str(empty), "--output", str(tmp_path / "rec"), "--pub", str(pub),
             "--priv", str(priv), "--seed", "7"]
-    good = {"width": 16, "height": 16, "frame_rate": "25:1", "key_fingerprint": StegoKey(seed=7).fingerprint()}
-    Sidecar(**good).write(sidecar)
+    Sidecar(VideoMeta(16, 16, "25:1"), StegoKey(seed=7).fingerprint()).write(sidecar)
     assert main(argv) == 0
-    Sidecar(**{**good, **fields}).write(sidecar)
+    doc = json.loads(sidecar.read_text())
+    (doc[section] if section else doc)[field] = value
+    sidecar.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(argv) == 3
-    assert str(sidecar) in assert_one_error_line(capsys, 3)["message"]
+    err = capsys.readouterr().err
+    assert len(err) < 300  # a refused value is quoted by its first 40 characters and its length, never whole
+    error = json.loads(err)
+    assert error["exit"] == 3 and str(sidecar) in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -641,9 +642,16 @@ def test_key_files_roundtrip(tmp_path):
         elgamal.load_public_key(tmp_path / "priv.json")
 
 
+def test_save_public_key_refuses_a_key_load_public_key_would_refuse(tmp_path):
+    path = tmp_path / "pub.json"
+    with pytest.raises(CryptoError, match="^p = 1001 is not prime$"):
+        elgamal.save_public_key(ElGamalPublic(1001, 2, 3), path)
+    assert not path.exists()
+
+
 def test_load_public_key_proves_the_key_and_names_the_file(tmp_path):
     path = tmp_path / "pub.json"
-    elgamal.save_public_key(ElGamalPublic(p=1003, alpha=809, y=12), path)
+    path.write_text(json.dumps({"kind": elgamal.PUBLIC_KIND, "p": "1003", "alpha": "809", "y": "12"}))
     with pytest.raises(CryptoError, match=re.escape(f"public key {path}: p = 1003 is not prime")):
         elgamal.load_public_key(path)
 

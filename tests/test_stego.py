@@ -1,10 +1,13 @@
 import dataclasses
 import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrsteg import elgamal, stego, synth
 from qrsteg.bitplane import PackedPayload, pack, payload_from_bits, unpack
@@ -547,10 +550,10 @@ def json_dumps_sidecar(sidecar):
         "format": stego.SIDECAR_FORMAT,
         "version": stego.SIDECAR_VERSION,
         "video": {
-            "width": sidecar.width,
-            "height": sidecar.height,
+            "width": sidecar.video.width,
+            "height": sidecar.video.height,
             "frame_count": len(sidecar.frames),
-            "frame_rate": sidecar.frame_rate,
+            "frame_rate": sidecar.video.frame_rate,
         },
         "qr": {"width": sidecar.qr_width, "height": sidecar.qr_height},
         "plain_len": sidecar.plain_len,
@@ -568,13 +571,11 @@ def json_dumps_sidecar(sidecar):
     [{"L": [], "M": [5], "Q": [], "H": []}],  # empty level lists
     [{lvl: [1, 996, 2**255 + 7] for lvl in stego.QR_LEVELS}] * 3,  # several frames
     [{}, {"L": [3]}],  # records need not hold every level to be written
+    [{'L"\\\n\u00e9\u2028': [7]}],  # a level name that needs escaping, ASCII or not
 ])
-@pytest.mark.parametrize("frame_rate,fingerprint", [
-    ("30:1", "0123456789abcdef"),
-    ('30"\\:1\n', "f\u00e9\t\"x\u2028"),  # needs escaping, ASCII or not
-])
+@pytest.mark.parametrize("frame_rate,fingerprint", [("30:1", "0123456789abcdef")])
 def test_sidecar_text_equals_json_dumps(frames, frame_rate, fingerprint):
-    sidecar = Sidecar(width=16, height=16, key_fingerprint=fingerprint, frame_rate=frame_rate, frames=frames)
+    sidecar = Sidecar(VideoMeta(16, 16, frame_rate), fingerprint, frames)
     assert sidecar.to_json() == json_dumps_sidecar(sidecar)
 
 
@@ -599,10 +600,10 @@ def test_sidecar_rejects_inconsistent_plain_len():
 def test_sidecar_without_a_frame_rate_reads_back_with_the_y4m_default():
     cfg = make_cfg()
     sidecar = new_sidecar(cfg, FrameCoder(cfg.key, 16, 16))
-    assert sidecar.frame_rate == VideoMeta.frame_rate
-    doc = json.loads(dataclasses.replace(sidecar, frame_rate="30:1").to_json())
+    assert sidecar.video.frame_rate == VideoMeta.frame_rate
+    doc = json.loads(new_sidecar(cfg, FrameCoder(cfg.key, 16, 16), "30:1").to_json())
     del doc["video"]["frame_rate"]
-    assert Sidecar.from_json(json.dumps(doc)).frame_rate == VideoMeta.frame_rate
+    assert Sidecar.from_json(json.dumps(doc)).video.frame_rate == VideoMeta.frame_rate
 
 
 def test_sidecar_rejects_a_transposed_qr_size():
@@ -615,13 +616,65 @@ def test_sidecar_rejects_a_transposed_qr_size():
 
 
 def test_sidecar_derives_its_qr_size_and_key_length_from_the_video():
-    sidecar = Sidecar(width=24, height=18, key_fingerprint="0123456789abcdef")
+    sidecar = Sidecar(VideoMeta(24, 18), "0123456789abcdef")
     assert (sidecar.qr_width, sidecar.qr_height, sidecar.plain_len) == (12, 9, 14)
-    assert [f.name for f in dataclasses.fields(Sidecar)] == [
-        "width", "height", "key_fingerprint", "frame_rate", "frames"]
+    assert [f.name for f in dataclasses.fields(Sidecar)] == ["video", "key_fingerprint", "frames"]
     for name in ("qr_width", "qr_height", "plain_len"):
         with pytest.raises(AttributeError):
             setattr(sidecar, name, 1)
+    for name in ("video", "key_fingerprint", "frames"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sidecar, name, getattr(sidecar, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sidecar.video.width = 26
+
+
+FINGERPRINTS = st.text("0123456789abcdef", min_size=16, max_size=16)
+
+
+@settings(max_examples=150)
+@given(
+    size=st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+    rate=st.tuples(st.integers(0, 10**9), st.integers(0, 10**9)),
+    fingerprint=FINGERPRINTS,
+    frames=st.lists(st.fixed_dictionaries(
+        {lvl: st.lists(st.integers(-(2**300), 2**300), max_size=3) for lvl in stego.QR_LEVELS}), max_size=3),
+)
+def test_every_sidecar_that_can_be_built_reads_back_equal(size, rate, fingerprint, frames):
+    sidecar = Sidecar(VideoMeta(2 * size[0], 2 * size[1], f"{rate[0]}:{rate[1]}"), fingerprint, frames)
+    assert Sidecar.from_json(sidecar.to_json()) == sidecar
+
+
+@settings(max_examples=150)
+@given(
+    size=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+    rate=st.text(max_size=12),
+    fingerprint=st.one_of(st.text(max_size=20), FINGERPRINTS.map(str.upper), st.integers(), st.none(),
+                          st.lists(FINGERPRINTS, max_size=1)),
+)
+def test_a_sidecar_the_reader_would_refuse_cannot_be_built(size, rate, fingerprint):
+    # Each field is refused alone, beside valid others.
+    if size[0] <= 0 or size[1] <= 0 or size[0] % 2 or size[1] % 2:
+        with pytest.raises(ShapeError):
+            Sidecar(VideoMeta(*size), "0123456789abcdef")
+    if not re.fullmatch("[0-9]+:[0-9]+", rate):
+        with pytest.raises(FormatError, match="Y4M header token"):
+            Sidecar(VideoMeta(16, 16, rate), "0123456789abcdef")
+    if not (isinstance(fingerprint, str) and re.fullmatch("[0-9a-f]{16}", fingerprint)):
+        with pytest.raises(FormatError, match="is not 16 lowercase hex digits"):
+            Sidecar(VideoMeta(16, 16), fingerprint)
+
+
+def test_extract_video_builds_no_video_header_of_its_own(monkeypatch):
+    # The sidecar holds the VideoMeta it was proved with: the one header built is the coder's.
+    cfg, out, sidecar, qr_set = embedded_64_bit_clip()
+    built, coders = [], []
+    real_check, real_coder = VideoMeta.__post_init__, stego.FrameCoder
+    monkeypatch.setattr(VideoMeta, "__post_init__", lambda self: built.append(self) or real_check(self))
+    monkeypatch.setattr(stego, "FrameCoder", lambda *args: coders.append(real_coder(*args)) or coders[-1])
+    results = list(extract_video(out, cfg, sidecar))
+    assert len(coders) == len(built) == 1 and built[0] is coders[0].meta
+    assert all(np.array_equal(r.planes[lvl].bits, qr_set[lvl].bits) for r in results for lvl in stego.QR_LEVELS)
 
 
 def test_extract_requires_private_key():
@@ -644,8 +697,7 @@ def test_extract_rejects_missing_sidecar_frames():
 def test_extract_rejects_geometry_mismatch(monkeypatch):
     cfg = make_cfg()
     coder = FrameCoder(cfg.key, 16, 16)
-    sidecar = new_sidecar(cfg, coder)
-    sidecar.width = 64
+    sidecar = dataclasses.replace(new_sidecar(cfg, coder), video=VideoMeta(64, 16))
     sidecar.frames.append({lvl: [320] for lvl in stego.QR_LEVELS})
     built = []
     monkeypatch.setattr(stego, "FrameCoder", lambda *args: built.append(args))

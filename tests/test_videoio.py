@@ -223,7 +223,7 @@ def test_meta_refuses_a_header_longer_than_read_y4m_takes():
 )
 def test_meta_rejects_a_value_the_y4m_header_rules_refuse(field, value, token):
     # The rules read_y4m applies to F, I, A and C live in VideoMeta, so every reader shares them.
-    with pytest.raises(FormatError, match=f"Y4M header token {token} is not"):
+    with pytest.raises(FormatError, match=f"Y4M header token {token!r} is not"):
         VideoMeta(width=16, height=16, **{field: value})
 
 
