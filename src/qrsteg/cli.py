@@ -23,10 +23,10 @@ from . import bench as bench_mod
 from . import bitplane, elgamal
 from .attacks import SPEC_FORMS, AttackSpec, attack_video
 from .errors import EXIT_FORMAT, CryptoError, FormatError, QrstegError, UsageError
-from .permute import Splitmix64, StegoKey, derive_seed
+from .permute import TAG_BENCH_KEY, TAG_KEYGEN, Splitmix64, StegoKey, derive_seed
 from .quality import QualityReport, SsimReference, write_csv
 from .stego import (
-    CARRIERS,
+    LAYOUT,
     QR_LEVELS,
     FrameCoder,
     Sidecar,
@@ -152,7 +152,7 @@ def cmd_keygen(args) -> int:
             raise UsageError(f"{path} exists; pass --force to overwrite")
     # Only an explicit --seed: QRSTEG_SEED often holds the stego passphrase.
     seed = None if args.seed is None else parse_seed_text(args.seed)
-    rng = Splitmix64(derive_seed(seed, 0x4B4559)) if seed is not None else secrets.SystemRandom()
+    rng = Splitmix64(derive_seed(seed, TAG_KEYGEN)) if seed is not None else secrets.SystemRandom()
     with _atomic_outputs() as stage:
         pub_temp, priv_temp = stage(pub_path), stage(priv_path)  # a refused target costs no key search
         pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
@@ -270,7 +270,7 @@ def cmd_bench(args) -> int:
         if args.pub:
             cfg = _load_config(seed, args.pub, args.priv)
         else:
-            rng = Splitmix64(derive_seed(seed, 0x42454E4348))
+            rng = Splitmix64(derive_seed(seed, TAG_BENCH_KEY))
             pub, priv = _make_key(rng, args.paper_fidelity, args.bits)
             cfg = StegoConfig(key=StegoKey(seed=seed), public=pub, private=priv)
         result = bench_mod.run(
@@ -335,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
                        f"(p={elgamal.DEMO_P}, alpha={elgamal.DEMO_ALPHA}) instead of a fresh safe prime")
 
     def add_qr(p, required, what):
-        for level, carrier in CARRIERS.items():
-            p.add_argument(f"--qr-{level.lower()}", required=required, help=what.format(level=level, carrier=carrier))
+        for row in LAYOUT:
+            p.add_argument(f"--qr-{row.level.lower()}", required=required,
+                           help=what.format(level=row.level, carrier=row.carrier))
 
     p = sub.add_parser("keygen", help="write a public/private key file pair")
     p.add_argument("--pub", required=True, help="output path for the public key")

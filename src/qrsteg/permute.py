@@ -10,6 +10,7 @@ permutation across carriers. See docs/wire_format.md for the constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +35,9 @@ TAG_PAYLOAD_M = 0x5000000000000006
 TAG_PAYLOAD_Q = 0x5000000000000007
 TAG_PAYLOAD_H = 0x5000000000000008
 TAG_KEY_DRAW = 0x4B00000000000009
+# derive_seed parts of the seeded key streams: keygen --seed, and bench without --pub.
+TAG_KEYGEN = 0x4B4559
+TAG_BENCH_KEY = 0x42454E4348
 
 
 def prng_next(state: int) -> tuple[int, int]:
@@ -247,27 +251,24 @@ def _resolve_swaps(j: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return out
 
 
-class DrawPlan:
-    """What every keyed permutation of [0, n) shares, whatever its seed.
+def keyed_permutations(key: StegoKey, domain_tags: Sequence[int], n: int) -> list[np.ndarray]:
+    """keyed_permutation(key, tag, n) for each tag, sharing what does not depend on the seed.
 
-    Laid out by Fisher-Yates step s in [0, n): the modulus s + 1 and the
-    counter offset (n - s) * golden, since step s takes draw n - s (step 0
-    takes a draw past the stream's end, and any draw mod 1 is its j = 0),
-    plus np.arange(n). FrameCoder builds one plan for its eight
-    same-size permutations.
+    That is, laid out by Fisher-Yates step s in [0, n): the modulus s + 1
+    and the counter offset (n - s) * golden, since step s takes draw n - s
+    (step 0 takes a draw past the stream's end, and any draw mod 1 is its
+    j = 0), plus np.arange(n). FrameCoder builds its eight same-size
+    permutations in one call.
     """
-
-    def __init__(self, n: int):
-        self.steps = np.arange(n, dtype=np.int64)
-        self.moduli = self.steps.astype(np.uint64) + np.uint64(1)
-        self.offsets = np.arange(n, 0, -1, dtype=np.uint64) * np.uint64(_GOLDEN)
-
-    def permutation(self, key: StegoKey, domain_tag: int) -> np.ndarray:
-        """keyed_permutation(key, domain_tag, n)."""
-        state = (key.seed ^ domain_tag) & MASK64
-        v = _splitmix(self.offsets + np.uint64(state))
-        j = _swap_indexes(state, self.moduli, v)
-        return _resolve_swaps(j.view(np.int64), self.steps)
+    steps = np.arange(n, dtype=np.int64)
+    moduli = steps.astype(np.uint64) + np.uint64(1)
+    offsets = np.arange(n, 0, -1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    perms = []
+    for tag in domain_tags:
+        state = (key.seed ^ tag) & MASK64
+        j = _swap_indexes(state, moduli, _splitmix(offsets + np.uint64(state)))
+        perms.append(_resolve_swaps(j.view(np.int64), steps))
+    return perms
 
 
 def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> np.ndarray:
@@ -276,11 +277,11 @@ def keyed_permutation(key: StegoKey, domain_tag: int, n: int) -> np.ndarray:
     Step i (from n - 1 down to 1) swaps i with j = v mod (i + 1), where v is
     the next SplitMix64 draw below floor(2^64 / (i + 1)) * (i + 1); draws at
     or above that limit are discarded so j is unbiased. That sequential loop
-    defines the result. DrawPlan computes the same array without it: all
-    draws at once, checked against the scalar bound 2^64 - n + 1 that every
-    rejected draw reaches (see _swap_indexes), then _resolve_swaps.
+    defines the result. keyed_permutations computes the same array without
+    it: all draws at once, checked against the scalar bound 2^64 - n + 1
+    that every rejected draw reaches (see _swap_indexes), then _resolve_swaps.
     """
-    return DrawPlan(n).permutation(key, domain_tag)
+    return keyed_permutations(key, [domain_tag], n)[0]
 
 
 def invert(perm: np.ndarray) -> np.ndarray:

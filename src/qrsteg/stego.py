@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -31,23 +32,18 @@ from .quality import QualityReport
 from .videoio import FrameYuv420, VideoMeta
 from .wavelet import CLIP_HI, CLIP_LO, SubBands, fwd_haar_int, inv_haar_int
 
-QR_LEVELS = ("L", "M", "Q", "H")
-
-# The carrier each level's bits go to (FrameCoder._carriers), then the tag of its keyed order.
-CARRIERS = {"L": "HL", "M": "HH", "Q": "U", "H": "V"}
-CARRIER_TAGS = {
-    "L": permute.TAG_COEFF_HL,
-    "M": permute.TAG_COEFF_HH,
-    "Q": permute.TAG_CHROMA_U,
-    "H": permute.TAG_CHROMA_V,
-}
-PAYLOAD_TAGS = {
-    "L": permute.TAG_PAYLOAD_L,
-    "M": permute.TAG_PAYLOAD_M,
-    "Q": permute.TAG_PAYLOAD_Q,
-    "H": permute.TAG_PAYLOAD_H,
-}
-LEVEL_INDEX = {level: i for i, level in enumerate(QR_LEVELS)}
+# The v1 layout (docs/wire_format.md), one row per level: where its bits go, and the tags of that
+# carrier's keyed order and of its payload shuffle. A level's position is its payload_rng index.
+LevelLayout = namedtuple("LevelLayout", "level carrier carrier_tag payload_tag")
+LAYOUT = (
+    LevelLayout("L", "HL", permute.TAG_COEFF_HL, permute.TAG_PAYLOAD_L),
+    LevelLayout("M", "HH", permute.TAG_COEFF_HH, permute.TAG_PAYLOAD_M),
+    LevelLayout("Q", "U", permute.TAG_CHROMA_U, permute.TAG_PAYLOAD_Q),
+    LevelLayout("H", "V", permute.TAG_CHROMA_V, permute.TAG_PAYLOAD_H),
+)
+QR_LEVELS = tuple(row.level for row in LAYOUT)
+CARRIER_TAGS = {row.level: row.carrier_tag for row in LAYOUT}
+PAYLOAD_TAGS = {row.level: row.payload_tag for row in LAYOUT}
 
 SIDECAR_FORMAT = "qrsteg-sidecar"
 SIDECAR_VERSION = 1
@@ -122,17 +118,17 @@ class FrameCoder:
         self.meta = VideoMeta(width, height)  # proves the geometry by the video header rule
         self.capacity_bits = (width // 2) * (height // 2)  # per carrier
         self._place: dict[str, np.ndarray] = {}
-        plan = permute.DrawPlan(self.capacity_bits)
-        for level in QR_LEVELS:
-            carrier = plan.permutation(key, CARRIER_TAGS[level])
-            shuffle = plan.permutation(key, PAYLOAD_TAGS[level])
+        tags = [tag for row in LAYOUT for tag in (row.carrier_tag, row.payload_tag)]
+        perms = permute.keyed_permutations(key, tags, self.capacity_bits)
+        for level, carrier, shuffle in zip(QR_LEVELS, perms[0::2], perms[1::2]):
             self._place[level] = place = np.empty_like(carrier)
             place[shuffle] = carrier  # cipher bit shuffle[t] goes to carrier element carrier[t]
 
     @staticmethod
     def _carriers(bands: SubBands, u: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
-        """Each level's carrier array, the one CARRIERS names."""
-        return {"L": bands.hl, "M": bands.hh, "Q": u, "H": v}
+        """Each level's carrier array, the one LAYOUT names."""
+        arrays = {"HL": bands.hl, "HH": bands.hh, "U": u, "V": v}
+        return {row.level: arrays[row.carrier] for row in LAYOUT}
 
     def qr_shape(self) -> tuple[int, int]:
         """(width, height) every payload plane must have."""
@@ -171,7 +167,7 @@ class FrameCoder:
 def payload_rng(key: permute.StegoKey, level: str, frame_index: int) -> permute.Splitmix64:
     """Ephemeral-exponent stream for one (frame, level), derived so frames
     can be processed in any order with identical results."""
-    seed = permute.derive_seed(key.seed, permute.TAG_KEY_DRAW, LEVEL_INDEX[level], frame_index)
+    seed = permute.derive_seed(key.seed, permute.TAG_KEY_DRAW, QR_LEVELS.index(level), frame_index)
     return permute.Splitmix64(seed)
 
 

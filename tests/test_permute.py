@@ -14,6 +14,7 @@ from qrsteg.permute import (
     fnv1a64,
     invert,
     keyed_permutation,
+    keyed_permutations,
     prng_next,
 )
 
@@ -263,6 +264,18 @@ def test_trivial_permutations():
     key = StegoKey(seed=1)
     assert keyed_permutation(key, 0, 1).tolist() == [0]
     assert keyed_permutation(key, 0, 0).size == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 25_344])
+def test_keyed_permutations_is_keyed_permutation_per_tag(n):
+    key = StegoKey(seed=KAT_SEED)
+    tags = [*ALL_TAGS, permute.TAG_COEFF_HL]  # a repeated tag gives the same array again
+    perms = keyed_permutations(key, tags, n)
+    assert len(perms) == len(tags)
+    for tag, perm in zip(tags, perms):
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, keyed_permutation(key, tag, n))
+    assert np.array_equal(perms[0], perms[-1]) and perms[0] is not perms[-1]
 
 
 def test_permutation_determinism_at_capacity_size():

@@ -3,13 +3,14 @@ import io
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsteg import elgamal, stego, synth
+from qrsteg import elgamal, permute, stego, synth
 from qrsteg.bitplane import PackedPayload, pack, payload_from_bits, unpack
 from qrsteg.elgamal import ElGamalPrivate, ElGamalPublic
 from qrsteg.errors import CapacityError, CryptoError, FormatError, ShapeError
@@ -33,6 +34,44 @@ from qrsteg.wavelet import fwd_haar_int, inv_haar_int
 
 PUB = ElGamalPublic(p=997, alpha=809, y=12)
 PRIV = ElGamalPrivate(x=420)
+
+
+WIRE_FORMAT = Path(__file__).resolve().parents[1] / "docs" / "wire_format.md"
+
+
+def _wire_section(title):
+    """The text of one "## title" section of docs/wire_format.md."""
+    text = WIRE_FORMAT.read_text(encoding="utf-8")
+    return re.search(rf"^## {re.escape(title)}\n(.*?)(?=^## |\Z)", text, re.M | re.S).group(1)
+
+
+def _wire_tags():
+    """The "Permutations" domain-tag table, stream name -> tag."""
+    rows = re.findall(r"^\| ([^|]+?) +\| `(0x[0-9A-F]+)` +\|$", _wire_section("Permutations"), re.M)
+    return {stream: int(tag, 16) for stream, tag in rows}
+
+
+def test_layout_table_is_the_documented_layout():
+    # Carriers from "Payload path", level indexes from "Seed derivation chains", tags from "Permutations".
+    carriers = dict(re.findall(r"(\w) -> (\w+) (?:coefficients|samples)", _wire_section("Payload path")))
+    indexes = re.search(r"`l` \(((?:\w=\d, )*\w=\d)\)", _wire_section("Seed derivation chains")).group(1)
+    order = [level for level, _ in sorted(re.findall(r"(\w)=(\d)", indexes), key=lambda pair: pair[1])]
+    order_tags, shuffle_tags = {}, {}
+    for stream, tag in _wire_tags().items():
+        if match := re.fullmatch(r"(\w+) (?:coefficient|sample) order", stream):
+            order_tags[match.group(1)] = tag
+        elif match := re.fullmatch(r"(\w) payload bit shuffle", stream):
+            shuffle_tags[match.group(1)] = tag
+    documented = [(level, carriers[level], order_tags[carriers[level]], shuffle_tags[level]) for level in order]
+    assert [tuple(row) for row in stego.LAYOUT] == documented
+    assert stego.QR_LEVELS == tuple(order) == ("L", "M", "Q", "H")
+    assert stego.CARRIER_TAGS == {level: tag for level, _, tag, _ in documented}
+    assert stego.PAYLOAD_TAGS == {level: tag for level, _, _, tag in documented}
+
+
+def test_every_permute_tag_is_in_the_documented_table():
+    named = {value for name, value in vars(permute).items() if name.startswith("TAG_")}
+    assert set(_wire_tags().values()) == named
 
 
 def make_cfg(seed=0xA5A5):
